@@ -28,7 +28,7 @@ from .core import (  # noqa: E402
     to_json_dict,
     validate,
 )
-from .classifier import Classification, classify, classify_batch, evaluate_points, score_vector  # noqa: E402
+from .classifier import Classification, classify, classify_batch, evaluate_points  # noqa: E402
 from .constructions import (  # noqa: E402
     Construction,
     RadialFit,

@@ -10,7 +10,9 @@ inverse weighting as the distance goes to zero.
 
 All operations are pure and read-only over an immutable PrototypeSet.
 Batch evaluation partitions work internally but produces results that are
-bit-identical to evaluating each point on its own.
+bit-identical to evaluating each point on its own. The rule is written
+once, in :func:`score_block`; the radial label fitter in
+:mod:`softknn.constructions` calls the same kernel with candidate labels.
 """
 
 from __future__ import annotations
@@ -54,6 +56,39 @@ def _check_query_args(pset: PrototypeSet, k: int, pts: np.ndarray) -> None:
         raise ValueError("query points must be finite")
 
 
+def score_block(
+    positions: np.ndarray, labels: np.ndarray, k: int, points: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``out`` with the per-class scores of ``points``.
+
+    The one implementation of the decision rule; the radial label fitter
+    calls it with candidate labels. Returns each point's nearest prototype
+    index and distance. Rows at distance zero hold inf or nan.
+    """
+    m = len(positions)
+    dist = np.zeros((len(points), m))
+    for d in range(points.shape[1]):
+        delta = points[:, d, None] - positions[None, :, d]
+        dist += delta * delta
+    np.sqrt(dist, out=dist)
+    out[...] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k == m:
+            # All prototypes contribute, so no distance ordering is needed;
+            # labels are accumulated in prototype-index order.
+            inv = 1.0 / dist
+            for i in range(m):
+                out += labels[i] * inv[:, i, None]
+            nearest = dist.argmin(axis=1)
+            return nearest, np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0]
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        dk = np.take_along_axis(dist, order, axis=1)
+        inv = 1.0 / dk
+        for i in range(k):
+            out += labels[order[:, i]] * inv[:, i, None]
+    return order[:, 0], dk[:, 0]
+
+
 def evaluate_points(
     pset: PrototypeSet, k: int, points
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -76,84 +111,47 @@ def evaluate_points(
         )
     _check_query_args(pset, k, pts)
 
-    pos = pset.positions
     labs = pset.labels
-    m, ncls = labs.shape
+    ncls = labs.shape[1]
     scores = np.empty((n, ncls))
     predicted = np.empty(n, dtype=int)
     confidence = np.empty(n)
     exact = np.empty(n, dtype=bool)
 
-    block = max(1, _BLOCK_ENTRIES // max(m, 1))
+    block = max(1, _BLOCK_ENTRIES // len(pset))
     for start in range(0, n, block):
-        chunk = pts[start : start + block]
-        dist = np.zeros((len(chunk), m))
-        for d in range(pts.shape[1]):
-            delta = chunk[:, d, None] - pos[None, :, d]
-            dist += delta * delta
-        np.sqrt(dist, out=dist)
-        # Exact-hit rows divide by zero below; their scores are replaced after.
-        if k == m:
-            # All prototypes contribute, so no distance ordering is needed;
-            # labels are accumulated in prototype-index order.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / dist
-                sc = np.zeros((len(chunk), ncls))
-                for i in range(m):
-                    sc += labs[i] * inv[:, i, None]
-            nearest = dist.argmin(axis=1)
-            nearest_dist = np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0]
-        else:
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            dk = np.take_along_axis(dist, order, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / dk
-                sc = np.zeros((len(chunk), ncls))
-                for i in range(k):
-                    sc += labs[order[:, i]] * inv[:, i, None]
-            nearest = order[:, 0]
-            nearest_dist = dk[:, 0]
+        sl = slice(start, start + block)
+        sc = scores[sl]
+        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc)
         hit = nearest_dist < COINCIDENT_TOL
         if hit.any():
             sc[hit] = labs[nearest[hit]]
-        pred = sc.argmax(axis=1)
+        predicted[sl] = sc.argmax(axis=1)
         if ncls >= 2:
             top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
             conf = np.abs(top2[:, 1] - top2[:, 0])
         else:
-            conf = np.full(len(chunk), np.inf)
+            conf = np.full(len(sc), np.inf)
         conf[hit] = np.inf
-        sl = slice(start, start + len(chunk))
-        scores[sl] = sc
-        predicted[sl] = pred
         confidence[sl] = conf
         exact[sl] = hit
     return scores, predicted, confidence, exact
 
 
-def classify(pset: PrototypeSet, k: int, x) -> Classification:
-    """Classify a single point; see the module docstring for the rule."""
-    scores, predicted, confidence, exact = evaluate_points(pset, k, np.asarray(x, dtype=float))
-    out = scores[0]
-    out.flags.writeable = False
+def _classification(scores, predicted, confidence, exact, i: int) -> Classification:
+    row = scores[i]
+    row.flags.writeable = False
     return Classification(
-        scores=out,
-        predicted=int(predicted[0]),
-        confidence=float(confidence[0]),
-        exact_hit=bool(exact[0]),
+        scores=row,
+        predicted=int(predicted[i]),
+        confidence=float(confidence[i]),
+        exact_hit=bool(exact[i]),
     )
 
 
-def score_vector(pset: PrototypeSet, k: int, x) -> np.ndarray:
-    """The raw per-class score vector for one point, without argmax.
-
-    On an exact prototype hit this returns that prototype's label vector,
-    the finite representative of the diverging inverse-distance sum.
-    """
-    scores, _, _, _ = evaluate_points(pset, k, np.asarray(x, dtype=float))
-    out = scores[0]
-    out.flags.writeable = False
-    return out
+def classify(pset: PrototypeSet, k: int, x) -> Classification:
+    """Classify a single point; see the module docstring for the rule."""
+    return _classification(*evaluate_points(pset, k, np.asarray(x, dtype=float)), 0)
 
 
 def classify_batch(pset: PrototypeSet, k: int, points) -> list[Classification]:
@@ -161,17 +159,5 @@ def classify_batch(pset: PrototypeSet, k: int, points) -> list[Classification]:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return []
-    scores, predicted, confidence, exact = evaluate_points(pset, k, pts)
-    results = []
-    for i in range(len(predicted)):
-        row = scores[i]
-        row.flags.writeable = False
-        results.append(
-            Classification(
-                scores=row,
-                predicted=int(predicted[i]),
-                confidence=float(confidence[i]),
-                exact_hit=bool(exact[i]),
-            )
-        )
-    return results
+    result = evaluate_points(pset, k, pts)
+    return [_classification(*result, i) for i in range(len(result[1]))]

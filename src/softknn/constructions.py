@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set
 from . import classifier
+from .landscape import bisect
 
 # Segment boundaries: ((prototype index a, prototype index b), fractions of
 # the segment from a at which the predicted class changes).
@@ -313,29 +314,6 @@ class RadialFit:
     realized: tuple[float, ...]
 
 
-def _ray_scorer(positions: np.ndarray, k: int, origin, angle: float):
-    """Return scores(weights, radii) evaluating the decision rule on a ray.
-
-    Mirrors the classifier's scoring (stable distance order, inverse
-    weights) but takes the label matrix as an argument so the fitter can
-    probe candidate labels without rebuilding prototype sets. The ray must
-    avoid prototype positions; callers keep radii clear of them.
-    """
-    pos = np.asarray(positions, dtype=float)
-    o = np.asarray(origin, dtype=float)
-    direction = np.array([math.cos(angle), math.sin(angle)])
-
-    def scores(weights: np.ndarray, radii) -> np.ndarray:
-        pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
-        diff = pts[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        dk = np.take_along_axis(dist, order, axis=1)
-        return (weights[order] / dk[:, :, None]).sum(axis=1)
-
-    return scores
-
-
 def _measure_crossings(
     scorer,
     weights: np.ndarray,
@@ -363,19 +341,13 @@ def _measure_crossings(
             continue
         mids = 0.5 * (samples[flips] + samples[flips + 1])
         pick = flips[int(np.argmin(np.abs(mids - targets[j])))]
-        lo, hi = float(samples[pick]), float(samples[pick + 1])
-        g_lo = float(g[pick])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            row = scorer(weights, [mid])[0]
-            g_mid = float(row[j] - row[j + 1])
-            if (g_mid < 0) == (g_lo < 0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        r_hat = 0.5 * (lo + hi)
+        below = bool(g[pick] < 0)
+
+        def on_lo_side(r: float) -> bool:
+            row = scorer(weights, [r])[0]
+            return (float(row[j] - row[j + 1]) < 0) == below
+
+        r_hat = bisect(on_lo_side, float(samples[pick]), float(samples[pick + 1]), 1e-12)
         realized.append(r_hat)
         residual += (r_hat - targets[j]) ** 2
     return residual, realized
@@ -466,7 +438,15 @@ def fit_radial_labels(
 
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.abs(weights).max()))
-    scorer = _ray_scorer(pos, k, origin, angle)
+    o = np.asarray(origin, dtype=float)
+    direction = np.array([math.cos(angle), math.sin(angle)])
+
+    def scorer(w: np.ndarray, radii) -> np.ndarray:
+        # The ray must avoid prototype positions: exact hits are not replaced.
+        pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
+        out = np.empty((len(pts), class_count))
+        classifier.score_block(pos, w, k, pts, out)
+        return out
 
     def measure(w):
         return _measure_crossings(scorer, w, targets, r_max)
@@ -565,14 +545,10 @@ def circle_prototype_count(t: int) -> int:
     return math.ceil(math.pi / math.acos(1.0 - 1.0 / (2.0 * t * t)))
 
 
-def _circle_points(radius: float, count: int, samples_or_offsets) -> np.ndarray:
-    angles = np.asarray(samples_or_offsets, dtype=float)
-    return np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-
-
-def _misclassified_on_circle(pset: PrototypeSet, k: int, radius: float, cls: int, samples: int) -> int:
+def misclassified_on_circle(pset: PrototypeSet, k: int, radius: float, cls: int, samples: int) -> int:
+    """Count equally spaced samples on a circle that do not predict ``cls``."""
     angles = 2.0 * math.pi * np.arange(samples) / samples
-    pts = _circle_points(radius, samples, angles)
+    pts = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
     _, predicted, _, _ = classifier.evaluate_points(pset, k, pts)
     return int(np.count_nonzero(predicted != cls))
 
@@ -614,7 +590,7 @@ def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
         bad = [
             t
             for t in range(1, n + 1)
-            if _misclassified_on_circle(pset, 1, t * c, t - 1, check_samples) > 0
+            if misclassified_on_circle(pset, 1, t * c, t - 1, check_samples) > 0
         ]
         if not bad:
             break

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import classify_batch, evaluate_points
-from .constructions import Construction
-from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set
+from .classifier import evaluate_points
+from .constructions import Construction, misclassified_on_circle
+from .core import LabelKind, PrototypeSet, make_prototype_set
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 
 # Prediction comparisons skip queries whose confidence gap is below this
@@ -150,10 +150,7 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
     per_circle = []
     total_bad = 0
     for radius, cls in cons.circle_spec:
-        angles = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
-        pts = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-        _, predicted, _, _ = evaluate_points(cons.set, cons.required_k, pts)
-        bad = int(np.count_nonzero(predicted != cls))
+        bad = misclassified_on_circle(cons.set, cons.required_k, radius, cls, samples_per_circle)
         per_circle.append({"radius": radius, "class": cls, "misclassified": bad})
         total_bad += bad
     return CheckResult(
@@ -177,14 +174,16 @@ def scaled_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
     """Multiply every label vector by c > 0. Kind becomes unrestricted."""
     if not c > 0:
         raise ValueError(f"label scale must be positive, got {c}")
-    labels = [SoftLabel(p.label.values * c, LabelKind.UNRESTRICTED) for p in pset.prototypes]
-    return make_prototype_set(pset.positions, labels, name=pset.name + f" (labels*{c})")
+    return make_prototype_set(
+        pset.positions, pset.labels * c, kind=LabelKind.UNRESTRICTED, name=pset.name + f" (labels*{c})"
+    )
 
 
 def shifted_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
     """Add the same constant to every element of every label."""
-    labels = [SoftLabel(p.label.values + c, LabelKind.UNRESTRICTED) for p in pset.prototypes]
-    return make_prototype_set(pset.positions, labels, name=pset.name + f" (labels+{c})")
+    return make_prototype_set(
+        pset.positions, pset.labels + c, kind=LabelKind.UNRESTRICTED, name=pset.name + f" (labels+{c})"
+    )
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -231,21 +230,18 @@ def verify_invariances(
 
     for _ in range(trials):
         queries = _sample_queries(pset, rng, queries_per_trial, k)
-        base = [r.predicted for r in classify_batch(pset, k, queries)]
-
+        base = evaluate_points(pset, k, queries)[1]
         rot = _rotation(rng.uniform(0.0, 2.0 * math.pi))
         shift = rng.uniform(-10.0, 10.0, size=2)
-        moved = transformed_set(pset, rot, shift)
-        moved_pred = [r.predicted for r in classify_batch(moved, k, queries @ rot.T + shift)]
-        failures["rigid_motion"] += sum(p != b for p, b in zip(moved_pred, base))
-
         c = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        scaled_pred = [r.predicted for r in classify_batch(scaled_label_set(pset, c), k, queries)]
-        failures["label_scale"] += sum(p != b for p, b in zip(scaled_pred, base))
-
         d = float(rng.uniform(-5.0, 5.0))
-        shifted_pred = [r.predicted for r in classify_batch(shifted_label_set(pset, d), k, queries)]
-        failures["label_shift"] += sum(p != b for p, b in zip(shifted_pred, base))
+        variants = {
+            "rigid_motion": (transformed_set(pset, rot, shift), queries @ rot.T + shift),
+            "label_scale": (scaled_label_set(pset, c), queries),
+            "label_shift": (shifted_label_set(pset, d), queries),
+        }
+        for name, (other, points) in variants.items():
+            failures[name] += int(np.count_nonzero(evaluate_points(other, k, points)[1] != base))
 
     total = trials * queries_per_trial
     return [

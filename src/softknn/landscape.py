@@ -196,6 +196,23 @@ def risk_render(grid: RasterGrid, mode: str = "clip", percentile: float = 99.0) 
     return np.clip(1.0 - transformed / denom, 0.0, 1.0)
 
 
+def bisect(on_lo_side, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of ``[lo, hi]`` halved toward where ``on_lo_side`` turns false.
+
+    Stops once ``hi - lo <= tol * max(1, hi)`` or the midpoint no longer
+    splits the bracket, so every ``tol`` terminates.
+    """
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if on_lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def boundary_bisect(
     pset: PrototypeSet,
     k: int,
@@ -208,12 +225,15 @@ def boundary_bisect(
     """Locate the predicted-class change on the segment from ``a`` to ``b``.
 
     Returns the crossing as a fraction of the segment measured from ``a``,
-    bisected until the bracket is narrower than ``tol``. The segment is
-    pre-scanned at ``scan + 1`` points; zero class changes raise
-    :class:`NoCrossingError` and more than one raise
-    :class:`MultipleCrossingsError` (split the segment and retry). If
-    ``class_pair`` is given, the endpoint classes must match it in order.
+    bisected until the bracket is at most ``tol`` wide or float spacing
+    stops it narrowing. The segment is pre-scanned at ``scan + 1`` points
+    (``scan >= 1``); zero class changes raise :class:`NoCrossingError` and
+    more than one raise :class:`MultipleCrossingsError` (split the segment
+    and retry). If ``class_pair`` is given, the endpoint classes must match
+    it in order.
     """
+    if scan < 1:
+        raise ValueError(f"scan must be >= 1, got {scan}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ts = np.linspace(0.0, 1.0, scan + 1)
@@ -230,13 +250,7 @@ def boundary_bisect(
             f"{len(changes)} class changes in pre-scan; bisect a sub-segment per crossing"
         )
     lo, hi = float(ts[changes[0]]), float(ts[changes[0] + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if classify(pset, k, a + mid * (b - a)).predicted == cls_a:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda t: classify(pset, k, a + t * (b - a)).predicted == cls_a, lo, hi, tol)
 
 
 def region_report(grid: RasterGrid) -> RegionReport:
@@ -278,10 +292,6 @@ def k_sweep(
 # Images follow the usual convention of row 0 at the top, so grids are
 # flipped vertically on write (+y points up in the picture). CSV files keep
 # the array orientation (row 0 = ymin) with one grid row per line.
-
-
-def class_color(index: int) -> tuple[int, int, int]:
-    return PALETTE[index % len(PALETTE)]
 
 
 def ppm_bytes(grid: RasterGrid) -> bytes:

@@ -11,7 +11,6 @@ from softknn import (
     classify,
     classify_batch,
     make_prototype_set,
-    score_vector,
     three_from_two,
 )
 
@@ -91,16 +90,16 @@ class TestClassify:
 class TestScoreVector:
     def test_equidistant_point_scales_label_totals(self, pair_set):
         # Midpoint is 1.5 from both prototypes with k equal to the set size.
-        scores = score_vector(pair_set, 2, (1.5, 0.0))
+        scores = classify(pair_set, 2, (1.5, 0.0)).scores
         totals = pair_set.labels.sum(axis=0)
         np.testing.assert_allclose(scores, totals / 1.5, atol=1e-12)
 
     def test_single_prototype_is_label_over_distance(self):
         pset = make_prototype_set([(0.0, 0.0)], np.array([[0.2, 0.8]]))
-        np.testing.assert_allclose(score_vector(pset, 1, (0.0, 4.0)), [0.05, 0.2], atol=1e-15)
+        np.testing.assert_allclose(classify(pset, 1, (0.0, 4.0)).scores, [0.05, 0.2], atol=1e-15)
 
     def test_boundary_point_scores_equal(self, pair_set):
-        scores = score_vector(pair_set, 2, (1.0, 0.0))
+        scores = classify(pair_set, 2, (1.0, 0.0)).scores
         assert abs(scores[0] - scores[1]) < 1e-12
 
 

@@ -205,6 +205,17 @@ class TestBoundaryBisect:
         frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), class_pair=(0, 1))
         assert 0.0 < frac < 1.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tol_stops_at_float_spacing(self, pair, tol):
+        # The bracket cannot narrow below float spacing; bisection must stop
+        # there instead of looping forever.
+        frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), tol=tol)
+        assert abs(frac - 2 / 3) < 1e-15
+
+    def test_scan_below_one_rejected(self, pair):
+        with pytest.raises(ValueError, match="scan"):
+            boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=0)
+
 
 class TestRegionReport:
     def test_five_bands_single_components(self):
