@@ -54,6 +54,8 @@ def _check_query_args(pset: PrototypeSet, k: int, pts: np.ndarray) -> None:
         raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
+    if not (np.all(np.isfinite(pset.positions)) and np.all(np.isfinite(pset.labels))):
+        raise ValueError("prototype positions and labels must be finite; run validate() for details")
 
 
 def score_block(
@@ -72,7 +74,7 @@ def score_block(
         dist += delta * delta
     np.sqrt(dist, out=dist)
     out[...] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k == m:
             # All prototypes contribute, so no distance ordering is needed;
             # labels are accumulated in prototype-index order.
@@ -126,6 +128,8 @@ def evaluate_points(
         hit = nearest_dist < COINCIDENT_TOL
         if hit.any():
             sc[hit] = labs[nearest[hit]]
+        if not np.all(np.isfinite(sc)):
+            raise ValueError("scores overflow to a non-finite value; the label weights are too large")
         predicted[sl] = sc.argmax(axis=1)
         if ncls >= 2:
             top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]

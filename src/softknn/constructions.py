@@ -570,17 +570,13 @@ def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
 
     def build(counts_now: list[int]) -> PrototypeSet:
         positions = []
-        labels = []
         for t, count in enumerate(counts_now, start=1):
             radius = t * c
             angles = 2.0 * math.pi * np.arange(count) / count
-            for a in angles:
-                positions.append((radius * math.cos(a), radius * math.sin(a)))
-                one_hot = np.zeros(n)
-                one_hot[t - 1] = 1.0
-                labels.append(SoftLabel(one_hot, LabelKind.HARD))
+            positions += [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+        labels = np.repeat(np.eye(n), counts_now, axis=0)
         return make_prototype_set(
-            positions, labels, name=f"circle_hard_baseline(n={n}, c={c}, counts={counts_now})"
+            positions, labels, kind=LabelKind.HARD, name=f"circle_hard_baseline(n={n}, c={c}, counts={counts_now})"
         )
 
     # Verification-driven increments; the analytic counts normally suffice.
@@ -626,8 +622,7 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
     targets = [(t + 0.5) * c for t in range(1, n)]
     circle_spec = tuple((t * c, t - 1) for t in range(1, n + 1))
     if n == 1:
-        labels = [SoftLabel(np.array([1.0]), LabelKind.UNRESTRICTED)] * 5
-        pset = make_prototype_set(positions, labels, name=f"circle_soft_fit(n=1, c={c})")
+        pset = make_prototype_set(positions, np.ones((5, 1)), LabelKind.UNRESTRICTED, f"circle_soft_fit(n=1, c={c})")
         return Construction(
             set=pset, required_k=5, claimed_classes=1, circle_spec=circle_spec, fit_residual=0.0,
             params={"n": n, "c": float(c)},

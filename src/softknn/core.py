@@ -3,10 +3,14 @@
 A prototype couples a position in Euclidean space with a soft label: a
 vector holding one weight per class. Labels come in three kinds. Hard
 labels are one-hot, probabilistic labels form a distribution over the
-classes, and unrestricted labels may hold any finite real weights. This
-module provides the label and prototype types, the conversions between
-label kinds (softmax, argmax), structural validation, and the JSON
-interchange format for prototype sets.
+classes, and unrestricted labels may hold any finite real weights.
+
+A prototype set is two arrays, the (M, dim) positions and the
+(M, num_classes) labels, plus one label kind shared by every row. Their
+shapes are checked once, when the set is built; :func:`validate` then
+reports value errors. This module provides the label type, the set type
+with per-prototype views built on request, the conversions between label
+kinds (softmax, argmax), validation, and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ class LabelKind(str, Enum):
     UNRESTRICTED = "unrestricted"
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -82,17 +86,20 @@ class SoftLabel:
 
 def label_violations(label: SoftLabel) -> list[str]:
     """Return human-readable descriptions of every invariant the label breaks."""
-    v = label.values
+    return _label_violations(label.values, label.kind)
+
+
+def _label_violations(v: np.ndarray, kind: LabelKind) -> list[str]:
     out: list[str] = []
     if not np.all(np.isfinite(v)):
         out.append("non-finite element")
         return out
-    if label.kind == LabelKind.HARD:
+    if kind == LabelKind.HARD:
         ones = int(np.count_nonzero(v == 1.0))
         zeros = int(np.count_nonzero(v == 0.0))
         if ones != 1 or zeros != len(v) - 1:
             out.append("hard label is not a one-hot vector")
-    elif label.kind == LabelKind.PROBABILISTIC:
+    elif kind == LabelKind.PROBABILISTIC:
         if np.any(v < 0):
             out.append("negative element")
         if abs(float(v.sum()) - 1.0) > PROB_SUM_TOL:
@@ -115,57 +122,56 @@ class Prototype:
 class PrototypeSet:
     """An ordered collection of prototypes over a fixed class space.
 
-    All prototypes are expected to share the dimension ``dim`` and label
-    length ``num_classes``; :func:`validate` reports violations instead of
-    raising, so malformed sets can still be constructed and diagnosed. The
-    set is immutable and safe for unrestricted concurrent use.
+    The two arrays are the set: row i of ``positions`` (M, dim) and of
+    ``labels`` (M, num_classes) is prototype i, and every label has the
+    kind ``label_kind``. Shapes are checked on construction, so ``dim``,
+    ``num_classes`` and ``len`` always agree with the arrays; value errors
+    (non-finite entries, broken label invariants, duplicate positions) are
+    left to :func:`validate`, so such sets can still be built and diagnosed.
+    The arrays are read-only copies, which makes the set immutable and safe
+    for unrestricted concurrent use.
     """
 
-    prototypes: tuple[Prototype, ...]
-    num_classes: int
-    dim: int
+    positions: np.ndarray
+    labels: np.ndarray
+    label_kind: LabelKind
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prototypes", tuple(self.prototypes))
-        # Cache stacked arrays when shapes are consistent; validate() reports
-        # the inconsistency otherwise.
-        try:
-            pos = np.stack([p.position for p in self.prototypes]).astype(float)
-            labs = np.stack([p.label.values for p in self.prototypes]).astype(float)
-            if pos.shape[1] != self.dim or labs.shape[1] != self.num_classes:
-                raise ValueError
-            pos.flags.writeable = False
-            labs.flags.writeable = False
-        except ValueError:
-            pos = None
-            labs = None
-        object.__setattr__(self, "_positions", pos)
-        object.__setattr__(self, "_labels", labs)
+        pos, labs = _readonly(self.positions), _readonly(self.labels)
+        if pos.ndim != 2 or labs.ndim != 2 or len(pos) != len(labs) or 0 in pos.shape + labs.shape:
+            raise ValueError(f"need non-empty (M, dim) and (M, num_classes) arrays, got {pos.shape} and {labs.shape}")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "label_kind", LabelKind(self.label_kind))
 
     def __len__(self) -> int:
-        return len(self.prototypes)
+        return len(self.positions)
 
     @property
-    def positions(self) -> np.ndarray:
-        """All positions as an (M, dim) array."""
-        if self._positions is None:
-            raise ValueError("prototype shapes are inconsistent; run validate() for details")
-        return self._positions
+    def dim(self) -> int:
+        return self.positions.shape[1]
 
     @property
-    def labels(self) -> np.ndarray:
-        """All label vectors as an (M, num_classes) array."""
-        if self._labels is None:
-            raise ValueError("prototype shapes are inconsistent; run validate() for details")
-        return self._labels
+    def num_classes(self) -> int:
+        return self.labels.shape[1]
 
     @property
-    def common_label_kind(self) -> LabelKind:
-        kinds = {p.label.kind for p in self.prototypes}
-        if len(kinds) != 1:
-            raise ValueError(f"prototypes carry mixed label kinds: {sorted(k.value for k in kinds)}")
-        return next(iter(kinds))
+    def prototypes(self) -> tuple[Prototype, ...]:
+        """One :class:`Prototype` view per row, built on each access."""
+        return tuple(Prototype(p, SoftLabel(l, self.label_kind)) for p, l in zip(self.positions, self.labels))
+
+
+def _check_rows(rows, what: str) -> list[np.ndarray]:
+    """Convert per-prototype vectors to float rows of one width, naming the first ragged row."""
+    rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in rows]
+    if not rows:
+        raise ValueError("a prototype set needs at least one prototype")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if row.shape != (width,):
+            raise ValueError(f"prototype {i}: {what} has length {row.size}, expected {width}")
+    return rows
 
 
 def make_prototype_set(
@@ -176,61 +182,39 @@ def make_prototype_set(
 ) -> PrototypeSet:
     """Assemble a PrototypeSet from parallel position and label sequences.
 
-    ``labels`` may be SoftLabel objects or a plain array, in which case
-    ``kind`` applies to every row.
+    ``labels`` may be SoftLabel objects, which must share one kind, or
+    plain rows (a list or an array), in which case ``kind`` applies to
+    every row. Ragged rows are rejected with the index of the first one.
     """
-    pos_list = [np.atleast_1d(np.asarray(p, dtype=float)) for p in positions]
-    label_seq = labels if isinstance(labels, np.ndarray) else list(labels)
-    if isinstance(label_seq, np.ndarray) or (len(label_seq) and not isinstance(label_seq[0], SoftLabel)):
-        arr = np.atleast_2d(np.asarray(label_seq, dtype=float))
-        label_objs = [SoftLabel(row, kind or LabelKind.PROBABILISTIC) for row in arr]
-    else:
-        label_objs = list(label_seq)
-    if len(pos_list) != len(label_objs):
-        raise ValueError(f"{len(pos_list)} positions but {len(label_objs)} labels")
-    if not pos_list:
-        raise ValueError("a prototype set needs at least one prototype")
-    protos = tuple(Prototype(p, l) for p, l in zip(pos_list, label_objs))
-    return PrototypeSet(
-        prototypes=protos,
-        num_classes=len(label_objs[0]),
-        dim=pos_list[0].shape[0],
-        name=name,
-    )
+    labels = np.atleast_2d(labels) if isinstance(labels, np.ndarray) else list(labels)
+    if len(labels) and isinstance(labels[0], SoftLabel):
+        kinds = {label.kind for label in labels}
+        if len(kinds) != 1:
+            raise ValueError(f"prototypes carry mixed label kinds: {sorted(k.value for k in kinds)}")
+        kind = kinds.pop()
+        labels = [label.values for label in labels]
+    pos, labs = _check_rows(positions, "position"), _check_rows(labels, "label")
+    return PrototypeSet(pos, labs, kind or LabelKind.PROBABILISTIC, name)
 
 
 def validate(pset: PrototypeSet) -> list[str]:
-    """Check every structural invariant; return one message per violation.
+    """Check every value invariant; return one message per violation.
 
-    An empty list means the set is valid. This never raises: it is the
-    diagnostic counterpart of the constructors.
+    An empty list means the set is valid. Shapes were checked when the set
+    was built; this reports non-finite positions, labels that break their
+    kind's invariant, and duplicate positions. It never raises.
     """
     errors: list[str] = []
-    if not pset.prototypes:
-        return ["set contains no prototypes"]
-    if pset.num_classes < 1:
-        errors.append(f"num_classes must be positive, got {pset.num_classes}")
-    if pset.dim < 1:
-        errors.append(f"dim must be positive, got {pset.dim}")
-    for i, proto in enumerate(pset.prototypes):
-        if proto.position.shape[0] != pset.dim:
-            errors.append(f"prototype {i}: position has length {proto.position.shape[0]}, expected {pset.dim}")
-        if not np.all(np.isfinite(proto.position)):
+    pos = pset.positions
+    for i, (position, label) in enumerate(zip(pos, pset.labels)):
+        if not np.all(np.isfinite(position)):
             errors.append(f"prototype {i}: non-finite position")
-        if len(proto.label) != pset.num_classes:
-            errors.append(f"prototype {i}: label has length {len(proto.label)}, expected {pset.num_classes}")
-        for msg in label_violations(proto.label):
-            errors.append(f"prototype {i}: {msg}")
+        errors.extend(f"prototype {i}: {msg}" for msg in _label_violations(label, pset.label_kind))
     # Duplicate positions break inverse-distance weighting.
-    consistent = all(
-        p.position.shape[0] == pset.dim and np.all(np.isfinite(p.position)) for p in pset.prototypes
-    )
-    if consistent:
-        pos = np.stack([p.position for p in pset.prototypes])
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if np.linalg.norm(pos[i] - pos[j]) < COINCIDENT_TOL:
-                    errors.append(f"prototypes {i} and {j}: duplicate position")
+    if np.all(np.isfinite(pos)):
+        for i in range(len(pos) - 1):
+            close = np.linalg.norm(pos[i] - pos[i + 1 :], axis=1) < COINCIDENT_TOL
+            errors.extend(f"prototypes {i} and {j}: duplicate position" for j in i + 1 + np.flatnonzero(close))
     return errors
 
 
@@ -274,14 +258,12 @@ def class_weight_sum(pset: PrototypeSet) -> np.ndarray:
 
 
 def to_json_dict(pset: PrototypeSet) -> dict:
-    kind = pset.common_label_kind
     return {
         "dim": pset.dim,
         "num_classes": pset.num_classes,
-        "label_kind": kind.value,
+        "label_kind": pset.label_kind.value,
         "prototypes": [
-            {"position": [float(x) for x in p.position], "label": [float(x) for x in p.label.values]}
-            for p in pset.prototypes
+            {"position": p, "label": l} for p, l in zip(pset.positions.tolist(), pset.labels.tolist())
         ],
         "name": pset.name,
     }
@@ -289,18 +271,18 @@ def to_json_dict(pset: PrototypeSet) -> dict:
 
 def from_json_dict(data: dict) -> PrototypeSet:
     try:
-        kind = LabelKind(data["label_kind"])
-        protos = tuple(
-            Prototype(np.asarray(entry["position"], dtype=float), SoftLabel(np.asarray(entry["label"], dtype=float), kind))
-            for entry in data["prototypes"]
-        )
-        return PrototypeSet(
-            prototypes=protos,
-            num_classes=int(data["num_classes"]),
-            dim=int(data["dim"]),
+        entries = data["prototypes"]
+        pset = make_prototype_set(
+            [entry["position"] for entry in entries],
+            [entry["label"] for entry in entries],
+            kind=LabelKind(data["label_kind"]),
             name=str(data.get("name", "")),
         )
-    except (KeyError, TypeError) as exc:
+        for key, actual in (("dim", pset.dim), ("num_classes", pset.num_classes)):
+            if int(data[key]) != actual:
+                raise ValueError(f"{key} is {data[key]!r} but the arrays give {actual}")
+        return pset
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed prototype-set JSON: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .classifier import evaluate_points
 from .constructions import Construction, misclassified_on_circle
-from .core import LabelKind, PrototypeSet, make_prototype_set
+from .core import LabelKind, PrototypeSet
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 
 # Prediction comparisons skip queries whose confidence gap is below this
@@ -167,23 +167,19 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
 def transformed_set(pset: PrototypeSet, rotation: np.ndarray, translation: np.ndarray) -> PrototypeSet:
     """Apply a rigid motion to every prototype position; labels unchanged."""
     moved = pset.positions @ np.asarray(rotation, dtype=float).T + np.asarray(translation, dtype=float)
-    return make_prototype_set(moved, [p.label for p in pset.prototypes], name=pset.name + " (moved)")
+    return PrototypeSet(moved, pset.labels, pset.label_kind, pset.name + " (moved)")
 
 
 def scaled_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
     """Multiply every label vector by c > 0. Kind becomes unrestricted."""
     if not c > 0:
         raise ValueError(f"label scale must be positive, got {c}")
-    return make_prototype_set(
-        pset.positions, pset.labels * c, kind=LabelKind.UNRESTRICTED, name=pset.name + f" (labels*{c})"
-    )
+    return PrototypeSet(pset.positions, pset.labels * c, LabelKind.UNRESTRICTED, pset.name + f" (labels*{c})")
 
 
 def shifted_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
     """Add the same constant to every element of every label."""
-    return make_prototype_set(
-        pset.positions, pset.labels + c, kind=LabelKind.UNRESTRICTED, name=pset.name + f" (labels+{c})"
-    )
+    return PrototypeSet(pset.positions, pset.labels + c, LabelKind.UNRESTRICTED, pset.name + f" (labels+{c})")
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -271,7 +267,7 @@ def verify_hard_label_oracle(instances: int = 1000, seed: int = 0) -> CheckResul
         n_classes = int(classes.max()) + 1
         labels = np.zeros((m, n_classes))
         labels[np.arange(m), classes] = 1.0
-        pset = make_prototype_set(positions, labels, kind=LabelKind.HARD, name="hard-oracle instance")
+        pset = PrototypeSet(positions, labels, LabelKind.HARD, "hard-oracle instance")
         while True:
             q = rng.uniform(-6.0, 6.0, size=2)
             dists = np.linalg.norm(positions - q, axis=1)

@@ -86,6 +86,23 @@ class TestClassify:
         with pytest.raises(ValueError, match="finite"):
             classify(pair_set, 2, (np.nan, 0.0))
 
+    def test_nan_label_refused(self):
+        pset = make_prototype_set([(0.0, 0.0), (3.0, 0.0)], np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            classify(pset, 2, (1.0, 0.0))
+
+    def test_position_at_infinity_refused(self):
+        pset = make_prototype_set([(0.0, 0.0), (np.inf, 0.0)], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            classify(pset, 2, (0.5, 0.0))
+
+    def test_overflowing_scores_refused(self):
+        # Finite labels whose inverse-distance sum exceeds the float range.
+        pset = make_prototype_set([(0.0, 0.0), (3.0, 0.0)], np.array([[1e308, 0.0], [0.0, 1e308]]))
+        with pytest.raises(ValueError, match="overflow"):
+            classify(pset, 2, (0.5, 0.0))
+        assert classify(pset, 2, (0.0, 0.0)).exact_hit
+
 
 class TestScoreVector:
     def test_equidistant_point_scales_label_totals(self, pair_set):

@@ -125,6 +125,25 @@ class TestVerify:
         assert run("verify", str(bad)) == 1
         assert "FAIL validate" in capsys.readouterr().out
 
+    def test_ragged_set_file_is_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "ragged.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "dim": 2,
+                    "num_classes": 2,
+                    "label_kind": "probabilistic",
+                    "prototypes": [
+                        {"position": [0.0, 0.0], "label": [0.5, 0.5]},
+                        {"position": [1.0, 0.0, 2.0], "label": [0.5, 0.5]},
+                    ],
+                    "name": "ragged",
+                }
+            )
+        )
+        assert run("verify", str(bad)) == 2
+        assert "malformed prototype-set JSON" in capsys.readouterr().err
+
 
 class TestSweepK:
     def test_writes_per_k_outputs(self, pair_json, tmp_path, capsys):

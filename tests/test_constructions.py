@@ -291,7 +291,7 @@ class TestConcentricEllipses:
         assert cons.claimed_classes == 3
         assert cons.required_k == 3
         assert len(cons.set) == 3
-        assert cons.set.common_label_kind == LabelKind.UNRESTRICTED
+        assert cons.set.label_kind == LabelKind.UNRESTRICTED
         assert cons.fit_residual < 1e-3
         assert cons.radial_spec.radii == (1.0, 2.0)
 
@@ -325,7 +325,7 @@ class TestCircleHardBaseline:
         assert cons.params["counts"] == [3, 7, 10, 13, 16, 19]
         assert len(cons.set) == 68
         assert cons.required_k == 1
-        assert cons.set.common_label_kind == LabelKind.HARD
+        assert cons.set.label_kind == LabelKind.HARD
 
     def test_count_approximation(self):
         # For t >= 2 the exact count sits within one prototype of t*pi.

@@ -24,8 +24,17 @@ VERIFY_DIGESTS = {
     ("circle_soft_fit", "--n", "6"): "6d75a545ceb8825263530b951be785c71e0d8f4dcb55ead89062cd514a6d30e4",
 }
 
-CIRCLES_SOFT_12_SET = "3d41d0435908628fdbcdf856f80cad4ff273a629fe0458736bf96faa5b628111"
-CIRCLES_SOFT_12_REPORT = "85f22b376131e7c57546d5d66f740ac7cb3ad32890eb1f51d4ef6d0000ff9458"
+# `softknn circles --n 12 --mode MODE -o SET --report REPORT`: SHA-256 of SET and REPORT.
+CIRCLES_12_DIGESTS = {
+    "hard": (
+        "31b91da613743f7dd31f27ec473897c1935905ce1d63029647a2f2ba1c733b87",
+        "3d2b2d3de1bbb430a44d63f7a961fcc88ffc1ae99f636f1bfa207f1b53e02336",
+    ),
+    "soft": (
+        "3d41d0435908628fdbcdf856f80cad4ff273a629fe0458736bf96faa5b628111",
+        "85f22b376131e7c57546d5d66f740ac7cb3ad32890eb1f51d4ef6d0000ff9458",
+    ),
+}
 
 
 def sha256(path: Path) -> str:
@@ -43,11 +52,18 @@ def test_verify_report_bytes_pinned(tmp_path, target):
 
 
 def test_circles_soft_bytes_pinned(tmp_path):
+    _check_circles_bytes(tmp_path, "soft")
+
+
+def test_circles_hard_bytes_pinned(tmp_path):
+    _check_circles_bytes(tmp_path, "hard")
+
+
+def _check_circles_bytes(tmp_path, mode):
     out, report = tmp_path / "set.json", tmp_path / "report.json"
-    argv = ["circles", "--n", "12", "--mode", "soft", "-o", str(out), "--report", str(report)]
+    argv = ["circles", "--n", "12", "--mode", mode, "-o", str(out), "--report", str(report)]
     assert main(argv) == 0
-    assert sha256(out) == CIRCLES_SOFT_12_SET
-    assert sha256(report) == CIRCLES_SOFT_12_REPORT
+    assert (sha256(out), sha256(report)) == CIRCLES_12_DIGESTS[mode]
 
 
 def _traced_names() -> tuple:

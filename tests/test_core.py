@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softknn import (
+    COINCIDENT_TOL,
     LabelKind,
     SoftLabel,
     class_weight_sum,
@@ -49,13 +50,28 @@ class TestValidate:
 
     def test_duplicate_positions(self):
         pset = make_prototype_set(
-            [(1.0, 2.0), (1.0, 2.0)],
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
+            [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)],
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
             kind=LabelKind.HARD,
         )
-        errors = validate(pset)
-        assert any("duplicate position" in e for e in errors)
-        assert any("prototypes 0 and 1" in e for e in errors)
+        assert validate(pset) == [
+            "prototypes 0 and 1: duplicate position",
+            "prototypes 0 and 2: duplicate position",
+            "prototypes 1 and 2: duplicate position",
+        ]
+
+    def test_duplicate_scan_matches_pair_loop(self):
+        rng = np.random.default_rng(5)
+        positions = rng.integers(0, 4, size=(40, 2)).astype(float)
+        pset = make_prototype_set(positions, np.ones((40, 1)), kind=LabelKind.UNRESTRICTED)
+        expected = [
+            f"prototypes {i} and {j}: duplicate position"
+            for i in range(40)
+            for j in range(i + 1, 40)
+            if np.linalg.norm(positions[i] - positions[j]) < COINCIDENT_TOL
+        ]
+        assert expected
+        assert validate(pset) == expected
 
     def test_probabilistic_sum_violation(self):
         label = SoftLabel(np.array([0.5, 0.4]), LabelKind.PROBABILISTIC)
@@ -70,12 +86,12 @@ class TestValidate:
         assert label_violations(label) == ["non-finite element"]
 
     def test_dimension_mismatch_reported_with_index(self):
-        pset = make_prototype_set(
-            [(0.0, 0.0), (1.0, 0.0, 3.0)],
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            kind=LabelKind.HARD,
-        )
-        assert any(e.startswith("prototype 1:") for e in validate(pset))
+        with pytest.raises(ValueError, match="^prototype 1:"):
+            make_prototype_set(
+                [(0.0, 0.0), (1.0, 0.0, 3.0)],
+                np.array([[1.0, 0.0], [0.0, 1.0]]),
+                kind=LabelKind.HARD,
+            )
 
 
 class TestSoftmax:
@@ -228,7 +244,7 @@ class TestJson:
         np.testing.assert_array_equal(loaded.positions, pset.positions)
         np.testing.assert_array_equal(loaded.labels, pset.labels)
         assert loaded.name == pset.name
-        assert loaded.common_label_kind == LabelKind.PROBABILISTIC
+        assert loaded.label_kind == LabelKind.PROBABILISTIC
         assert validate(loaded) == []
 
     def test_save_is_deterministic(self, tmp_path):
@@ -239,19 +255,33 @@ class TestJson:
         assert a.read_bytes() == b.read_bytes()
 
     def test_mixed_kinds_rejected(self):
-        protos = make_prototype_set(
-            [(0.0, 0.0), (1.0, 0.0)],
-            [
-                SoftLabel(np.array([1.0, 0.0]), LabelKind.HARD),
-                SoftLabel(np.array([0.5, 0.5]), LabelKind.PROBABILISTIC),
-            ],
-        )
         with pytest.raises(ValueError, match="mixed"):
-            to_json_dict(protos)
+            make_prototype_set(
+                [(0.0, 0.0), (1.0, 0.0)],
+                [
+                    SoftLabel(np.array([1.0, 0.0]), LabelKind.HARD),
+                    SoftLabel(np.array([0.5, 0.5]), LabelKind.PROBABILISTIC),
+                ],
+            )
 
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ValueError, match="malformed"):
-            from_json_dict({"dim": 2})
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda d: {"dim": 2}, id="missing-keys"),
+            pytest.param(lambda d: d["prototypes"][1].update(position=["a", 0.0]), id="string-coordinate"),
+            pytest.param(lambda d: d.update(label_kind="bogus"), id="unknown-kind"),
+            pytest.param(lambda d: d.update(prototypes=[]), id="no-prototypes"),
+            pytest.param(lambda d: d["prototypes"][1].update(position=[3.0, 0.0, 1.0]), id="ragged-positions"),
+            pytest.param(lambda d: d["prototypes"][1].update(label=[0.5, 0.5]), id="ragged-labels"),
+            pytest.param(lambda d: d.update(dim=3), id="dim-mismatch"),
+            pytest.param(lambda d: d.update(num_classes=2), id="num-classes-mismatch"),
+        ],
+    )
+    def test_malformed_json_rejected(self, change):
+        data = to_json_dict(self._sample_set())
+        data = change(data) or data
+        with pytest.raises(ValueError, match="^malformed prototype-set JSON: "):
+            from_json_dict(data)
 
     def test_label_kind_round_trips_all_kinds(self, tmp_path):
         for kind in LabelKind:
@@ -262,4 +292,4 @@ class TestJson:
             path = tmp_path / f"{kind.value}.json"
             save_json(pset, path)
             assert json.loads(path.read_text())["label_kind"] == kind.value
-            assert load_json(path).common_label_kind == kind
+            assert load_json(path).label_kind == kind
