@@ -64,7 +64,7 @@ def score_block(
     """Overwrite ``out`` with the per-class scores of ``points``.
 
     The one implementation of the decision rule; the radial label fitter
-    calls it with candidate labels. Returns each point's nearest prototype
+    calls it to measure its crossings. Returns each point's nearest prototype
     index and distance. Rows at distance zero hold inf or nan.
     """
     m = len(positions)

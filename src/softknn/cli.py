@@ -55,6 +55,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 def _parse_k_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
+        if int(hi) < int(lo):
+            raise argparse.ArgumentTypeError(f"empty k range {text!r}")
         return list(range(int(lo), int(hi) + 1))
     return [int(p) for p in text.split(",")]
 

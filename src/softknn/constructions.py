@@ -295,17 +295,19 @@ def polygon_with_center(m: int) -> Construction:
 
 
 class RadialFitError(RuntimeError):
-    """Raised when the fitter cannot push the residual below tolerance."""
+    """Raised when the closed-form labels miss their target crossings."""
 
-    def __init__(self, residual: float, history: tuple[float, ...]):
-        super().__init__(f"radial label fit did not converge; residual {residual:.3e}")
+    def __init__(self, residual: float):
+        super().__init__(f"radial labels miss their target crossings; residual {residual:.3e}")
         self.residual = residual
-        self.history = history
 
 
 @dataclass(frozen=True, eq=False)
 class RadialFit:
-    """Fitted labels plus an audit trail of accepted descent steps."""
+    """Closed-form labels plus the crossings measured on them.
+
+    ``history`` is ``(residual,)``: the benchmark's tracer reads its length.
+    """
 
     labels: tuple[SoftLabel, ...]
     residual: float
@@ -315,25 +317,31 @@ class RadialFit:
 
 
 def _measure_crossings(
-    scorer,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    r_max: float,
+    positions: np.ndarray, weights: np.ndarray, origin, angle: float, targets: np.ndarray, r_max: float
 ) -> tuple[float, list[float]]:
     """Squared-error residual between realized score crossings and targets.
 
     For each adjacent class pair (j, j+1) the crossing is a sign change of
-    the score difference along the ray; the change nearest the target is
-    refined by bisection. A missing crossing costs r_max^2 so the descent
-    is pushed back toward configurations where every boundary exists.
+    the k = M score difference along the ray from ``origin`` at ``angle``;
+    the change nearest the target is refined by bisection. A missing
+    crossing costs r_max^2.
     """
-    n_classes = weights.shape[1]
+    o = np.asarray(origin, dtype=float)
+    direction = np.array([math.cos(angle), math.sin(angle)])
+
+    def scores(radii) -> np.ndarray:
+        # The ray must avoid prototype positions: exact hits are not replaced.
+        pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
+        out = np.empty((len(pts), weights.shape[1]))
+        classifier.score_block(positions, weights, len(positions), pts, out)
+        return out
+
     samples = np.linspace(r_max * 1e-4, r_max, 1024)
-    scores = scorer(weights, samples)
+    sampled = scores(samples)
     residual = 0.0
     realized: list[float] = []
-    for j in range(n_classes - 1):
-        g = scores[:, j] - scores[:, j + 1]
+    for j in range(weights.shape[1] - 1):
+        g = sampled[:, j] - sampled[:, j + 1]
         flips = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
         if len(flips) == 0:
             residual += r_max * r_max
@@ -344,7 +352,7 @@ def _measure_crossings(
         below = bool(g[pick] < 0)
 
         def on_lo_side(r: float) -> bool:
-            row = scorer(weights, [r])[0]
+            row = scores([r])[0]
             return (float(row[j] - row[j + 1]) < 0) == below
 
         r_hat = bisect(on_lo_side, float(samples[pick]), float(samples[pick + 1]), 1e-12)
@@ -386,35 +394,23 @@ def nested_band_labels(
 
 def fit_radial_labels(
     positions,
-    k: int,
     target_radii: Sequence[float],
     class_count: int,
     *,
     origin=(0.0, 0.0),
     angle: float = 0.0,
-    initial: np.ndarray | None = None,
-    seed: int = 0,
-    restarts: int = 4,
-    sweeps: int = 40,
-    fail_tol: float = 1e-6,
     r_max: float | None = None,
 ) -> RadialFit:
-    """Fit unrestricted labels so score crossings hit target radii on a ray.
+    """Closed-form :func:`nested_band_labels`, measured once against the targets.
+
+    A squared crossing residual above 1e-6 raises :class:`RadialFitError`.
 
     Parameters
     ----------
-    positions : (M, 2) array of prototype positions.
-    k : neighbor count the labels are fitted for.
+    positions : (M, 2) array of prototype positions; the labels are for k = M.
     target_radii : strictly increasing crossing distances from ``origin``.
     class_count : number of classes the labels span.
-    initial : optional starting label matrix; defaults to the closed-form
-        nested-band solution, which normally lands inside tolerance at once.
-    seed, restarts, sweeps : deterministic restart schedule for the
-        coordinate descent polish.
-    fail_tol : residual above this after all restarts raises RadialFitError.
-
-    Returns a :class:`RadialFit` whose history records the initial residual
-    followed by every accepted (strictly improving) descent step.
+    r_max : end of the sampled ray; defaults to 1.6 times the last target.
     """
     pos = np.asarray(positions, dtype=float)
     targets = np.asarray(target_radii, dtype=float)
@@ -425,82 +421,16 @@ def fit_radial_labels(
     if r_max is None:
         r_max = 1.6 * float(targets[-1]) if len(targets) else 1.0
 
-    if initial is None:
-        weights = nested_band_labels(pos, targets, class_count, origin=origin, angle=angle)
-    else:
-        weights = np.array(initial, dtype=float)
-        if weights.shape != (len(pos), class_count):
-            raise ValueError(f"initial labels must have shape {(len(pos), class_count)}")
-
-    if class_count < 2:
-        labels = tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in weights)
-        return RadialFit(labels, 0.0, (0.0,), tuple(), tuple())
-
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.abs(weights).max()))
-    o = np.asarray(origin, dtype=float)
-    direction = np.array([math.cos(angle), math.sin(angle)])
-
-    def scorer(w: np.ndarray, radii) -> np.ndarray:
-        # The ray must avoid prototype positions: exact hits are not replaced.
-        pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
-        out = np.empty((len(pts), class_count))
-        classifier.score_block(pos, w, k, pts, out)
-        return out
-
-    def measure(w):
-        return _measure_crossings(scorer, w, targets, r_max)
-
-    best_w = weights.copy()
-    best_res, best_real = measure(best_w)
-    history = [best_res]
-
-    converge_tol = 1e-12
-    for restart in range(restarts + 1):
-        if best_res <= converge_tol:
-            break
-        if restart == 0:
-            w = best_w.copy()
-        else:
-            w = best_w + rng.normal(0.0, 0.05 * scale, size=best_w.shape)
-        res, _ = measure(w)
-        if res < best_res:
-            best_w, best_res = w.copy(), res
-            history.append(res)
-        step = 0.25 * scale
-        for _ in range(sweeps):
-            improved = False
-            for idx in np.ndindex(w.shape):
-                base = w[idx]
-                for cand in (base + step, base - step):
-                    w[idx] = cand
-                    trial, _ = measure(w)
-                    if trial < res:
-                        res = trial
-                        base = cand
-                        improved = True
-                        if res < best_res:
-                            best_res = res
-                            best_w = w.copy()
-                            history.append(res)
-                    w[idx] = base
-            if res <= converge_tol:
-                break
-            if not improved:
-                step *= 0.5
-                if step < 1e-9 * scale:
-                    break
-
-    best_res, best_real = measure(best_w)
-    if best_res > fail_tol:
-        raise RadialFitError(best_res, tuple(history))
-    labels = tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in best_w)
+    weights = nested_band_labels(pos, targets, class_count, origin=origin, angle=angle)
+    residual, realized = _measure_crossings(pos, weights, origin, angle, targets, r_max)
+    if residual > 1e-6:
+        raise RadialFitError(residual)
     return RadialFit(
-        labels=labels,
-        residual=float(best_res),
-        history=tuple(history),
+        labels=tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in weights),
+        residual=float(residual),
+        history=(float(residual),),
         targets=tuple(float(t) for t in targets),
-        realized=tuple(float(r) for r in best_real),
+        realized=tuple(float(r) for r in realized),
     )
 
 
@@ -517,7 +447,7 @@ def concentric_ellipses(num_classes: int) -> Construction:
     targets = [float(i) for i in range(1, num_classes)]
     s = max(1.5 * targets[-1], 3.0)
     positions = np.array([(0.0, 0.0), (0.0, s), (0.0, -s)])
-    fit = fit_radial_labels(positions, 3, targets, num_classes)
+    fit = fit_radial_labels(positions, targets, num_classes)
     pset = make_prototype_set(positions, fit.labels, name=f"concentric_ellipses(num_classes={num_classes})")
     return Construction(
         set=pset,
@@ -627,7 +557,7 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
             set=pset, required_k=5, claimed_classes=1, circle_spec=circle_spec, fit_residual=0.0,
             params={"n": n, "c": float(c)},
         )
-    fit = fit_radial_labels(positions, 5, targets, n, r_max=0.8 * s)
+    fit = fit_radial_labels(positions, targets, n, r_max=0.8 * s)
     pset = make_prototype_set(positions, fit.labels, name=f"circle_soft_fit(n={n}, c={c})")
     return Construction(
         set=pset,

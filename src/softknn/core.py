@@ -291,4 +291,8 @@ def save_json(pset: PrototypeSet, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> PrototypeSet:
-    return from_json_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"malformed prototype-set JSON: {exc}") from exc
+    return from_json_dict(data)

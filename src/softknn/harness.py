@@ -78,6 +78,8 @@ def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 
     Two resolutions guard against aliasing: a class thinner than a cell at
     the coarse grid must still show up at the fine one.
     """
+    if not resolutions:
+        raise ValueError("class count check needs at least one resolution")
     observed = {}
     for res in resolutions:
         grid = rasterize(cons.set, cons.required_k, default_bounds(cons.set), res, res)
@@ -147,6 +149,8 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
     """Sample each circle densely; every sample must take its circle's class."""
     if cons.circle_spec is None:
         raise ValueError("construction carries no circle specification")
+    if samples_per_circle < 1:
+        raise ValueError(f"samples_per_circle must be at least 1, got {samples_per_circle}")
     per_circle = []
     total_bad = 0
     for radius, cls in cons.circle_spec:
@@ -220,6 +224,8 @@ def verify_invariances(
     the padded frame; the transformed set is queried at the matching
     transformed points. Deterministic given the seed.
     """
+    if trials < 1 or queries_per_trial < 1:
+        raise ValueError(f"trials and queries_per_trial must be at least 1, got {trials}, {queries_per_trial}")
     pset, k = cons.set, cons.required_k
     rng = np.random.default_rng(seed)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}

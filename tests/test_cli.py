@@ -125,24 +125,33 @@ class TestVerify:
         assert run("verify", str(bad)) == 1
         assert "FAIL validate" in capsys.readouterr().out
 
-    def test_ragged_set_file_is_malformed(self, tmp_path, capsys):
-        bad = tmp_path / "ragged.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "dim": 2,
-                    "num_classes": 2,
-                    "label_kind": "probabilistic",
-                    "prototypes": [
-                        {"position": [0.0, 0.0], "label": [0.5, 0.5]},
-                        {"position": [1.0, 0.0, 2.0], "label": [0.5, 0.5]},
-                    ],
-                    "name": "ragged",
-                }
-            )
-        )
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(
+                json.dumps(
+                    {
+                        "dim": 2,
+                        "num_classes": 2,
+                        "label_kind": "probabilistic",
+                        "prototypes": [
+                            {"position": [0.0, 0.0], "label": [0.5, 0.5]},
+                            {"position": [1.0, 0.0, 2.0], "label": [0.5, 0.5]},
+                        ],
+                        "name": "ragged",
+                    }
+                ).encode(),
+                id="ragged-rows",
+            ),
+            pytest.param(b"not json", id="not-json"),
+            pytest.param(b'{"name": "\xff\xfe"}', id="not-utf8"),
+        ],
+    )
+    def test_ragged_set_file_is_malformed(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         assert run("verify", str(bad)) == 2
-        assert "malformed prototype-set JSON" in capsys.readouterr().err
+        assert "error: malformed prototype-set JSON" in capsys.readouterr().err
 
 
 class TestSweepK:
@@ -195,6 +204,24 @@ class TestErrors:
     def test_missing_file_surfaces_error(self, tmp_path, capsys):
         assert run("raster", "-s", str(tmp_path / "nope.json"), "-k", "2", "-o", str(tmp_path / "x.ppm")) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["circles", "--n", "3", "--samples", "0"], id="circles-no-samples"),
+            pytest.param(["verify", "three_from_two", "--trials", "0", "--resolutions", "64"], id="verify-no-trials"),
+        ],
+    )
+    def test_vacuous_check_refused(self, argv, capsys):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 1" in err
+
+    def test_empty_k_range_refused(self, pair_json, tmp_path, capsys):
+        outdir = tmp_path / "sweep"
+        assert run("sweep-k", "-s", str(pair_json), "--k", "5..1", "-o", str(outdir)) == 2
+        assert "empty k range" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_k_out_of_range_reported(self, pair_json, capsys):
         assert run("classify", "-s", str(pair_json), "-k", "9", "-x", "0,0") == 2

@@ -91,6 +91,21 @@ class TestCircleSeparation:
             verify_circle_separation(three_from_two(3.0))
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda: verify_class_count(three_from_two(3.0), resolutions=()), id="no-resolutions"),
+        pytest.param(lambda: verify_circle_separation(circle_hard_baseline(2), samples_per_circle=0), id="no-samples"),
+        pytest.param(lambda: verify_invariances(three_from_two(3.0), trials=0), id="no-trials"),
+        pytest.param(lambda: verify_invariances(three_from_two(3.0), queries_per_trial=0), id="no-queries"),
+    ],
+)
+def test_vacuous_check_refused(check):
+    # A check that compares nothing would pass; it must be an input error.
+    with pytest.raises(ValueError, match="at least"):
+        check()
+
+
 class TestInvariances:
     def test_hundred_trials_on_five_band_pair(self):
         checks = verify_invariances(n_from_two(5), trials=100, seed=0)
