@@ -24,7 +24,11 @@ import numpy as np
 from .core import COINCIDENT_TOL, PrototypeSet
 
 # Cap on rows*prototypes of the distance matrix built per internal block.
-# Small enough that per-block temporaries stay cache-resident.
+# Small enough that per-block temporaries stay cache-resident. The distance
+# matrix and its temporary are allocated once per evaluate_points call and
+# reused by every block; the last, ragged block takes their leading rows.
+# Neighbours are then selected three ways: k=1 takes the argmin, k=M uses
+# every prototype unsorted, and 1<k<M takes a stable argsort.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -59,30 +63,45 @@ def _check_query_args(pset: PrototypeSet, k: int, pts: np.ndarray) -> None:
 
 
 def score_block(
-    positions: np.ndarray, labels: np.ndarray, k: int, points: np.ndarray, out: np.ndarray
+    positions: np.ndarray, labels: np.ndarray, k: int, points: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite ``out`` with the per-class scores of ``points``.
 
     The one implementation of the decision rule; the radial label fitter
-    calls it to measure its crossings. Returns each point's nearest prototype
-    index and distance. Rows at distance zero hold inf or nan.
+    calls it to measure its crossings. ``scratch`` is a (2, len(points), M)
+    work array, overwritten: it holds the distance matrix and its
+    temporary, so a caller scoring many blocks allocates them once.
+
+    Squared distances are summed coordinate by coordinate, coordinate 0
+    first. Neighbours are selected by one of three paths, each breaking
+    distance ties by prototype index: k=1 takes the first minimum
+    (``argmin``), k=M accumulates every prototype in index order without
+    sorting, and 1<k<M takes the first k of a stable ``argsort``.
+    Returns each point's nearest prototype index and distance. Rows at
+    distance zero hold inf or nan.
     """
     m = len(positions)
-    dist = np.zeros((len(points), m))
-    for d in range(points.shape[1]):
-        delta = points[:, d, None] - positions[None, :, d]
-        dist += delta * delta
+    dist, tmp = scratch[0], scratch[1]
+    cols, pcols = points.T, positions.T
+    np.subtract(cols[0][:, None], pcols[0], out=dist)
+    dist *= dist
+    for d in range(1, len(cols)):
+        np.subtract(cols[d][:, None], pcols[d], out=tmp)
+        tmp *= tmp
+        dist += tmp
     np.sqrt(dist, out=dist)
     out[...] = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if k == m:
-            # All prototypes contribute, so no distance ordering is needed;
-            # labels are accumulated in prototype-index order.
-            inv = 1.0 / dist
-            for i in range(m):
-                out += labels[i] * inv[:, i, None]
+        if k == 1 or k == m:
             nearest = dist.argmin(axis=1)
-            return nearest, np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0]
+            nearest_dist = np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0]
+            if k == 1:
+                out += labels[nearest] * (1.0 / nearest_dist)[:, None]
+            else:
+                inv = np.divide(1.0, dist, out=tmp)
+                for i in range(m):
+                    out += labels[i] * inv[:, i, None]
+            return nearest, nearest_dist
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         dk = np.take_along_axis(dist, order, axis=1)
         inv = 1.0 / dk
@@ -98,7 +117,8 @@ def evaluate_points(
 
     Returns ``(scores, predicted, confidence, exact_hit)`` with shapes
     (n, num_classes), (n,), (n,), (n,). Distance ties are broken by
-    prototype index (stable sort), argmax ties by lowest class index.
+    prototype index (see :func:`score_block`), argmax ties by lowest class
+    index.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -121,10 +141,11 @@ def evaluate_points(
     exact = np.empty(n, dtype=bool)
 
     block = max(1, _BLOCK_ENTRIES // len(pset))
+    scratch = np.empty((2, min(block, n), len(pset)))
     for start in range(0, n, block):
         sl = slice(start, start + block)
         sc = scores[sl]
-        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc)
+        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, : len(sc)])
         hit = nearest_dist < COINCIDENT_TOL
         if hit.any():
             sc[hit] = labs[nearest[hit]]

@@ -52,6 +52,13 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("resolution must look like 512x512") from exc
 
 
+def _parse_resolutions(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+
 def _parse_k_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
@@ -117,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--resolutions", default="512,1024", help="comma-separated raster resolutions")
+    p.add_argument(
+        "--resolutions", type=_parse_resolutions, default="512,1024", help="comma-separated raster resolutions"
+    )
 
     p = sub.add_parser("sweep-k", help="rasterize the same set for a range of k")
     p.add_argument("-s", "--set", required=True)
@@ -181,10 +190,10 @@ def _cmd_raster(args) -> int:
 def _cmd_verify(args) -> int:
     target = args.target
     if target in constructions.REGISTRY:
+        harness.require_positive("--trials", args.trials)
         cons = constructions.build_named(target, **_construction_params(args))
-        resolutions = tuple(int(r) for r in args.resolutions.split(","))
         report = harness.standard_report(
-            target, cons, resolutions=resolutions, trials=args.trials, seed=args.seed
+            target, cons, resolutions=args.resolutions, trials=args.trials, seed=args.seed
         )
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
@@ -228,6 +237,7 @@ def _cmd_sweep_k(args) -> int:
 
 
 def _cmd_circles(args) -> int:
+    harness.require_positive("--samples", args.samples)
     if args.mode == "hard":
         cons = constructions.circle_hard_baseline(args.n, args.c)
     else:

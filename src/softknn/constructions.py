@@ -333,7 +333,8 @@ def _measure_crossings(
         # The ray must avoid prototype positions: exact hits are not replaced.
         pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
         out = np.empty((len(pts), weights.shape[1]))
-        classifier.score_block(positions, weights, len(positions), pts, out)
+        scratch = np.empty((2, len(pts), len(positions)))
+        classifier.score_block(positions, weights, len(positions), pts, out, scratch)
         return out
 
     samples = np.linspace(r_max * 1e-4, r_max, 1024)

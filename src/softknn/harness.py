@@ -72,14 +72,24 @@ class VerificationReport:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
+def require_positive(name: str, value: int) -> None:
+    """Refuse a count below 1: a check that compares nothing would pass."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _require_resolutions(resolutions: tuple[int, ...]) -> None:
+    if not resolutions:
+        raise ValueError("class count check needs at least one resolution")
+
+
 def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 1024)) -> CheckResult:
     """Rasterize at each resolution and compare distinct classes to the claim.
 
     Two resolutions guard against aliasing: a class thinner than a cell at
     the coarse grid must still show up at the fine one.
     """
-    if not resolutions:
-        raise ValueError("class count check needs at least one resolution")
+    _require_resolutions(resolutions)
     observed = {}
     for res in resolutions:
         grid = rasterize(cons.set, cons.required_k, default_bounds(cons.set), res, res)
@@ -149,8 +159,7 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
     """Sample each circle densely; every sample must take its circle's class."""
     if cons.circle_spec is None:
         raise ValueError("construction carries no circle specification")
-    if samples_per_circle < 1:
-        raise ValueError(f"samples_per_circle must be at least 1, got {samples_per_circle}")
+    require_positive("samples_per_circle", samples_per_circle)
     per_circle = []
     total_bad = 0
     for radius, cls in cons.circle_spec:
@@ -224,8 +233,8 @@ def verify_invariances(
     the padded frame; the transformed set is queried at the matching
     transformed points. Deterministic given the seed.
     """
-    if trials < 1 or queries_per_trial < 1:
-        raise ValueError(f"trials and queries_per_trial must be at least 1, got {trials}, {queries_per_trial}")
+    require_positive("trials", trials)
+    require_positive("queries_per_trial", queries_per_trial)
     pset, k = cons.set, cons.required_k
     rng = np.random.default_rng(seed)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
@@ -302,7 +311,14 @@ def standard_report(
     trials: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
-    """Run every check the construction's claims support."""
+    """Run every check the construction's claims support.
+
+    The sizes are checked before any check runs, so a bad one is refused
+    without rasterizing first.
+    """
+    _require_resolutions(resolutions)
+    require_positive("samples_per_circle", samples_per_circle)
+    require_positive("trials", trials)
     checks: list[CheckResult] = [verify_class_count(cons, resolutions)]
     if cons.boundary_spec or cons.radial_spec:
         checks.append(verify_boundaries(cons, tol=boundary_tol, radial_tol=radial_tol))

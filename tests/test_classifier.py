@@ -10,9 +10,11 @@ from softknn import (
     LabelKind,
     classify,
     classify_batch,
+    evaluate_points,
     make_prototype_set,
     three_from_two,
 )
+from softknn.classifier import _BLOCK_ENTRIES
 
 # Relative confidence gap below which a prediction is a tie-break artifact,
 # not class structure; invariance assertions skip such queries.
@@ -142,6 +144,80 @@ class TestClassifyBatch:
             np.testing.assert_array_equal(batch[i].scores, single.scores)
             assert batch[i].confidence == single.confidence
             assert batch[i].exact_hit == single.exact_hit
+
+
+def _reference_scores(positions, labels, k, points):
+    """The decision rule written out directly: every distance, then a sort.
+
+    Squared distances start from zeros and add coordinate 0 first; the k
+    nearest are taken from a stable argsort (index order at k = M, where
+    no ordering is needed) and accumulated one neighbour rank at a time.
+    """
+    m = len(positions)
+    dist = np.zeros((len(points), m))
+    for d in range(points.shape[1]):
+        delta = points[:, d, None] - positions[None, :, d]
+        dist += delta * delta
+    dist = np.sqrt(dist)
+    if k == m:
+        order = np.broadcast_to(np.arange(m), dist.shape)
+    else:
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    dk = np.take_along_axis(dist, order, axis=1)
+    scores = np.zeros((len(points), labels.shape[1]))
+    for i in range(k):
+        scores += labels[order[:, i]] * (1.0 / dk[:, i, None])
+    return scores
+
+
+class TestKernelPaths:
+    M, N = 250, 1200
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 7, M], ids=["k1", "sorted", "kM"])
+    def test_blocks_match_single_points_and_reference(self, k, dim):
+        # Several blocks plus a ragged last one share the kernel's buffers.
+        block = _BLOCK_ENTRIES // self.M
+        assert self.N > 2 * block and self.N % block
+        rng = np.random.default_rng(100 * k + dim)
+        positions = rng.uniform(-5, 5, size=(self.M, dim))
+        labels = rng.uniform(-1, 2, size=(self.M, 4))
+        pset = make_prototype_set(positions, labels, kind=LabelKind.UNRESTRICTED)
+        pts = rng.uniform(-6, 6, size=(self.N, dim))
+        scores, predicted, confidence, exact = evaluate_points(pset, k, pts)
+        assert np.array_equal(scores, _reference_scores(positions, labels, k, pts))
+        assert np.array_equal(predicted, scores.argmax(axis=1))
+        assert not exact.any()
+        for i, p in enumerate(pts):
+            single = classify(pset, k, p)
+            assert np.array_equal(single.scores, scores[i])
+            assert single.predicted == predicted[i]
+            assert single.confidence == confidence[i]
+
+
+class TestDistanceTies:
+    """Equidistant prototypes are taken in prototype-index order."""
+
+    @staticmethod
+    def _hard_set(positions, classes):
+        labels = np.eye(3)[classes]
+        return make_prototype_set(positions, labels, kind=LabelKind.HARD)
+
+    def test_k1_takes_lower_index(self):
+        positions = np.array([(-1.0, 0.0), (1.0, 0.0), (10.0, 10.0)])
+        classes = np.array([0, 1, 2])
+        assert classify(self._hard_set(positions, classes), 1, (0.0, 0.0)).predicted == 0
+        reversed_set = self._hard_set(positions[::-1], classes[::-1])
+        assert classify(reversed_set, 1, (0.0, 0.0)).predicted == 1
+
+    def test_kth_neighbour_takes_lower_index(self):
+        # One nearest prototype, then a tie for the second place at k = 2.
+        positions = np.array([(0.0, 1.0), (2.0, 0.0), (-2.0, 0.0), (5.0, 5.0)])
+        classes = np.array([0, 1, 2, 0])
+        scores = classify(self._hard_set(positions, classes), 2, (0.0, 0.0)).scores
+        np.testing.assert_array_equal(scores, [1.0, 0.5, 0.0])
+        reversed_set = self._hard_set(positions[::-1], classes[::-1])
+        np.testing.assert_array_equal(classify(reversed_set, 2, (0.0, 0.0)).scores, [1.0, 0.0, 0.5])
 
 
 # --- Property tests ----------------------------------------------------------

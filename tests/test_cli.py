@@ -217,6 +217,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "three_from_two", "--trials", "0"], id="verify-no-trials"),
+            pytest.param(["circles", "--n", "12", "--mode", "hard", "--samples", "0"], id="circles-no-samples"),
+        ],
+    )
+    def test_refused_before_any_work(self, argv, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr("softknn.harness.rasterize", forbidden)
+        monkeypatch.setattr("softknn.constructions.circle_hard_baseline", forbidden)
+        assert run(*argv) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "256,,512"], ids=["empty", "empty-part"])
+    def test_malformed_resolutions_named(self, text, capsys):
+        assert run("verify", "three_from_two", "--resolutions", text) == 2
+        assert "argument --resolutions:" in capsys.readouterr().err
+
     def test_empty_k_range_refused(self, pair_json, tmp_path, capsys):
         outdir = tmp_path / "sweep"
         assert run("sweep-k", "-s", str(pair_json), "--k", "5..1", "-o", str(outdir)) == 2

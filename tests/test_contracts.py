@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import softknn
+from softknn import circle_hard_baseline, polygon_pairs, polygon_with_center
 from softknn.cli import main
+from softknn.landscape import pgm_bytes, ppm_bytes, rasterize, risk_render
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -33,6 +35,28 @@ CIRCLES_12_DIGESTS = {
     "soft": (
         "3d41d0435908628fdbcdf856f80cad4ff273a629fe0458736bf96faa5b628111",
         "85f22b376131e7c57546d5d66f740ac7cb3ad32890eb1f51d4ef6d0000ff9458",
+    ),
+}
+
+
+# One construction per selection path of the kernel, rasterized at 256x256
+# over its default bounds with k = required_k: SHA-256 of the PPM bytes and
+# of the clip-mode risk PGM bytes.
+RASTER_256_DIGESTS = {
+    "circle_hard_baseline-6-k1": (
+        lambda: circle_hard_baseline(6),
+        "ace6504bf209fe5e317306bc636c8d5dff6df5af5a003ed6d8efd710dfa69e36",
+        "e687c1f06aae0267e282047e47161c354de37353e790c4d5856893945cdc77ba",
+    ),
+    "polygon_pairs-8-sorted": (
+        lambda: polygon_pairs(8),
+        "49a6a6591755547536df2630b2ef12ce84e4c195d721fa0f9996157f6528a32d",
+        "6e57d33f2fc6fa42f84661ebe261c247e5ace4cacfae40fdcb91ecc6e3354c05",
+    ),
+    "polygon_with_center-8-kM": (
+        lambda: polygon_with_center(8),
+        "f4ffcaf33ea0f284047a334fd4d53116bee72722a26757ce50af59dd2c7affef",
+        "4465e9e689309f094f619707aae840ac46ec38d04203d1bcf299ed38eae4b2e6",
     ),
 }
 
@@ -64,6 +88,15 @@ def _check_circles_bytes(tmp_path, mode):
     argv = ["circles", "--n", "12", "--mode", mode, "-o", str(out), "--report", str(report)]
     assert main(argv) == 0
     assert (sha256(out), sha256(report)) == CIRCLES_12_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("case", list(RASTER_256_DIGESTS))
+def test_raster_bytes_pinned(case):
+    build, ppm_digest, pgm_digest = RASTER_256_DIGESTS[case]
+    cons = build()
+    grid = rasterize(cons.set, cons.required_k, None, 256, 256)
+    assert hashlib.sha256(ppm_bytes(grid)).hexdigest() == ppm_digest
+    assert hashlib.sha256(pgm_bytes(risk_render(grid, "clip"))).hexdigest() == pgm_digest
 
 
 def _traced_names() -> tuple:

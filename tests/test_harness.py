@@ -106,6 +106,23 @@ def test_vacuous_check_refused(check):
         check()
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        pytest.param({"resolutions": ()}, id="no-resolutions"),
+        pytest.param({"samples_per_circle": 0}, id="no-samples"),
+        pytest.param({"trials": 0}, id="no-trials"),
+    ],
+)
+def test_standard_report_refuses_before_rasterizing(sizes, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rasterized before the sizes were checked")
+
+    monkeypatch.setattr("softknn.harness.rasterize", forbidden)
+    with pytest.raises(ValueError, match="at least"):
+        standard_report("three_from_two", three_from_two(3.0), **sizes)
+
+
 class TestInvariances:
     def test_hundred_trials_on_five_band_pair(self):
         checks = verify_invariances(n_from_two(5), trials=100, seed=0)
