@@ -23,13 +23,17 @@ import numpy as np
 
 from .core import COINCIDENT_TOL, PrototypeSet
 
-# Cap on rows*prototypes of the distance matrix built per internal block.
-# Small enough that per-block temporaries stay cache-resident. The distance
-# matrix and its temporary are allocated once per evaluate_points call and
-# reused by every block; the last, ragged block takes their leading rows.
-# Neighbours are then selected three ways: k=1 takes the argmin, k=M uses
-# every prototype unsorted, and 1<k<M takes a stable argsort.
+# Caps on the rows of one internal tile: rows*prototypes of the distance
+# matrix, and rows*classes of the score and product buffers. Small enough
+# that a tile's temporaries stay cache-resident and memory is bounded by the
+# tile, not by the number of points times the number of classes. The
+# distance matrix, its temporary, the product buffer (k>1) and, when the
+# caller keeps no scores, the score buffer are allocated once per call and
+# reused by every tile; the last, ragged tile takes their leading rows.
+# Neighbours are selected three ways: k=1 takes the argmin, k=M uses every
+# prototype unsorted, and 1<k<M takes a stable argsort.
 _BLOCK_ENTRIES = 1 << 17
+_TILE_SCORE_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,29 +52,33 @@ class Classification:
     exact_hit: bool
 
 
-def _check_query_args(pset: PrototypeSet, k: int, pts: np.ndarray) -> None:
+def _check_rule_args(pset: PrototypeSet, k: int) -> None:
     m = len(pset)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for {m} prototypes")
-    if pts.ndim != 2 or pts.shape[1] != pset.dim:
-        raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("query points must be finite")
-    if not (np.all(np.isfinite(pset.positions)) and np.all(np.isfinite(pset.labels))):
+    if not (np.isfinite(pset.positions).all() and np.isfinite(pset.labels).all()):
         raise ValueError("prototype positions and labels must be finite; run validate() for details")
 
 
 def score_block(
-    positions: np.ndarray, labels: np.ndarray, k: int, points: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    positions: np.ndarray,
+    labels: np.ndarray,
+    k: int,
+    points: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    prod: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite ``out`` with the per-class scores of ``points``.
 
     The one implementation of the decision rule; the radial label fitter
     calls it to measure its crossings. ``scratch`` is a (2, len(points), M)
-    work array, overwritten: it holds the distance matrix and its
-    temporary, so a caller scoring many blocks allocates them once.
+    work array holding the distance matrix and its temporary, and ``prod``
+    a work array shaped like ``out`` that holds one neighbour's weighted
+    labels (unused at k=1); both are overwritten, so a caller scoring many
+    tiles allocates them once.
 
     Squared distances are summed coordinate by coordinate, coordinate 0
     first. Neighbours are selected by one of three paths, each breaking
@@ -94,20 +102,66 @@ def score_block(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k == 1 or k == m:
             nearest = dist.argmin(axis=1)
-            nearest_dist = np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0]
+            nearest_dist = dist[np.arange(len(dist)), nearest]
             if k == 1:
                 out += labels[nearest] * (1.0 / nearest_dist)[:, None]
             else:
                 inv = np.divide(1.0, dist, out=tmp)
                 for i in range(m):
-                    out += labels[i] * inv[:, i, None]
+                    np.multiply(labels[i], inv[:, i, None], out=prod)
+                    out += prod
             return nearest, nearest_dist
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        dk = np.take_along_axis(dist, order, axis=1)
+        dk = dist[np.arange(len(dist))[:, None], order]
         inv = 1.0 / dk
         for i in range(k):
-            out += labels[order[:, i]] * inv[:, i, None]
+            labels.take(order[:, i], axis=0, out=prod)
+            prod *= inv[:, i, None]
+            out += prod
     return order[:, 0], dk[:, 0]
+
+
+def _evaluate_into(
+    pset: PrototypeSet,
+    k: int,
+    pts: np.ndarray,
+    predicted: np.ndarray,
+    confidence: np.ndarray,
+    exact: np.ndarray,
+    scores: np.ndarray | None = None,
+) -> None:
+    """Classify the checked, non-empty ``pts`` one tile at a time.
+
+    Writes into the caller's length-n ``predicted``, ``confidence`` and
+    ``exact`` and, if given, the (n, C) ``scores``; without ``scores`` the
+    per-class scores live only in one reused tile buffer.
+    """
+    labs = pset.labels
+    n, (m, ncls) = len(pts), labs.shape
+    rows = min(n, max(1, min(_BLOCK_ENTRIES // m, _TILE_SCORE_ENTRIES // ncls)))
+    scratch = np.empty((2, rows, m))
+    # k=1 adds one weighted label per point and needs no product buffer.
+    prod = np.empty((rows if k > 1 else 0, ncls))
+    tile = np.empty((rows, ncls)) if scores is None else None
+    for start in range(0, n, rows):
+        sl = slice(start, start + rows)
+        size = min(rows, n - start)
+        sc = tile[:size] if scores is None else scores[sl]
+        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, :size], prod[:size])
+        hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[sl])
+        if hit.any():
+            sc[hit] = labs[nearest[hit]]
+        if not np.isfinite(sc).all():
+            raise ValueError("scores overflow to a non-finite value; the label weights are too large")
+        predicted[sl] = sc.argmax(axis=1)
+        conf = confidence[sl]
+        if ncls >= 2:
+            top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
+            np.subtract(top2[:, 1], top2[:, 0], out=conf)
+            np.abs(conf, out=conf)
+        else:
+            conf[...] = np.inf
+        conf[hit] = np.inf
 
 
 def evaluate_points(
@@ -116,9 +170,10 @@ def evaluate_points(
     """Vectorized scoring of many points at once.
 
     Returns ``(scores, predicted, confidence, exact_hit)`` with shapes
-    (n, num_classes), (n,), (n,), (n,). Distance ties are broken by
-    prototype index (see :func:`score_block`), argmax ties by lowest class
-    index.
+    (n, num_classes), (n,), (n,), (n,). Points are scored in tiles bounded
+    by rows x prototypes and rows x classes that share one set of work
+    buffers. Distance ties are broken by prototype index (see
+    :func:`score_block`), argmax ties by lowest class index.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -131,35 +186,17 @@ def evaluate_points(
             np.empty(0),
             np.empty(0, dtype=bool),
         )
-    _check_query_args(pset, k, pts)
+    _check_rule_args(pset, k)
+    if pts.ndim != 2 or pts.shape[1] != pset.dim:
+        raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("query points must be finite")
 
-    labs = pset.labels
-    ncls = labs.shape[1]
-    scores = np.empty((n, ncls))
+    scores = np.empty((n, pset.num_classes))
     predicted = np.empty(n, dtype=int)
     confidence = np.empty(n)
     exact = np.empty(n, dtype=bool)
-
-    block = max(1, _BLOCK_ENTRIES // len(pset))
-    scratch = np.empty((2, min(block, n), len(pset)))
-    for start in range(0, n, block):
-        sl = slice(start, start + block)
-        sc = scores[sl]
-        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, : len(sc)])
-        hit = nearest_dist < COINCIDENT_TOL
-        if hit.any():
-            sc[hit] = labs[nearest[hit]]
-        if not np.all(np.isfinite(sc)):
-            raise ValueError("scores overflow to a non-finite value; the label weights are too large")
-        predicted[sl] = sc.argmax(axis=1)
-        if ncls >= 2:
-            top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
-            conf = np.abs(top2[:, 1] - top2[:, 0])
-        else:
-            conf = np.full(len(sc), np.inf)
-        conf[hit] = np.inf
-        confidence[sl] = conf
-        exact[sl] = hit
+    _evaluate_into(pset, k, pts, predicted, confidence, exact, scores)
     return scores, predicted, confidence, exact
 
 

@@ -334,7 +334,7 @@ def _measure_crossings(
         pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
         out = np.empty((len(pts), weights.shape[1]))
         scratch = np.empty((2, len(pts), len(positions)))
-        classifier.score_block(positions, weights, len(positions), pts, out, scratch)
+        classifier.score_block(positions, weights, len(positions), pts, out, scratch, np.empty_like(out))
         return out
 
     samples = np.linspace(r_max * 1e-4, r_max, 1024)

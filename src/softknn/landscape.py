@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .classifier import classify, evaluate_points
+from .classifier import _check_rule_args, _evaluate_into, classify, evaluate_points
 from .core import PrototypeSet
 
 # Fixed palette for class maps (class index cycles through these RGBs).
@@ -34,6 +34,10 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
     (128, 128, 0), (255, 215, 180), (0, 0, 128), (128, 128, 128),
     (154, 99, 36), (255, 216, 177),
 )
+
+# Cells per rasterize chunk: the cell centers of a chunk of whole grid rows
+# are built in one reused buffer of this many points (512 KiB).
+_CHUNK_CELLS = 1 << 15
 
 
 class BisectionError(ValueError):
@@ -125,8 +129,14 @@ def rasterize(
 
     ``partitions`` splits the rows into that many blocks evaluated
     separately; the output is bit-identical for every value because each
-    cell is classified independently.
+    cell is classified independently. Each block is filled in chunks of
+    whole rows whose cell centers are built in one reused buffer, and the
+    classifier writes each chunk straight into ``classes`` and
+    ``confidence``; per-class scores exist only one tile at a time, so
+    memory beyond the outputs is bounded by the chunk and the tile.
     """
+    if pset.dim != 2:
+        raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
     if bounds is None:
         bounds = default_bounds(pset)
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
@@ -136,23 +146,28 @@ def rasterize(
         raise ValueError(f"resolution must be at least 2x2, got {width}x{height}")
     if partitions < 1:
         raise ValueError(f"partitions must be >= 1, got {partitions}")
-
+    _check_rule_args(pset, k)
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymin + (np.arange(height) + 0.5) * (ymax - ymin) / height
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"cell centers must be finite, got bounds {bounds}")
+
     classes = np.empty((height, width), dtype=np.int32)
     confidence = np.empty((height, width), dtype=float)
+    chunk = min(height, max(1, _CHUNK_CELLS // width))
+    centers = np.empty((chunk, width, 2))
+    centers[:, :, 0] = xs
+    exact = np.empty(chunk * width, dtype=bool)
     hits: list[tuple[int, int]] = []
 
     for rows in np.array_split(np.arange(height), min(partitions, height)):
-        if len(rows) == 0:
-            continue
-        gx, gy = np.meshgrid(xs, ys[rows])
-        pts = np.column_stack((gx.ravel(), gy.ravel()))
-        _, predicted, conf, exact = evaluate_points(pset, k, pts)
-        classes[rows] = predicted.reshape(len(rows), width)
-        confidence[rows] = conf.reshape(len(rows), width)
-        for flat in np.nonzero(exact)[0]:
-            hits.append((int(rows[0] + flat // width), int(flat % width)))
+        for r0 in range(int(rows[0]), int(rows[-1]) + 1, chunk):
+            r1 = min(r0 + chunk, int(rows[-1]) + 1)
+            centers[: r1 - r0, :, 1] = ys[r0:r1, None]
+            ex = exact[: (r1 - r0) * width]
+            pts = centers[: r1 - r0].reshape(-1, 2)
+            _evaluate_into(pset, k, pts, classes[r0:r1].reshape(-1), confidence[r0:r1].reshape(-1), ex)
+            hits.extend((r0 + int(flat) // width, int(flat) % width) for flat in np.flatnonzero(ex))
 
     classes.flags.writeable = False
     confidence.flags.writeable = False
@@ -166,6 +181,18 @@ def rasterize(
     )
 
 
+def _ceiling(conf: np.ndarray, mode: str, percentile: float) -> float:
+    """The confidence that maps to intensity 0: a percentile or the maximum of the finite values."""
+    finite = conf[np.isfinite(conf)]
+    if mode == "clip":
+        if not 50.0 < percentile <= 100.0:
+            raise ValueError(f"clip percentile must be in (50, 100], got {percentile}")
+        return float(np.percentile(finite, percentile, overwrite_input=True)) if finite.size else 0.0
+    if mode == "log":
+        return float(finite.max()) if finite.size else 0.0
+    raise ValueError(f"mode must be 'clip' or 'log', got {mode!r}")
+
+
 def risk_render(grid: RasterGrid, mode: str = "clip", percentile: float = 99.0) -> np.ndarray:
     """Map confidence to a reclassification-risk intensity in [0, 1].
 
@@ -175,25 +202,21 @@ def risk_render(grid: RasterGrid, mode: str = "clip", percentile: float = 99.0) 
     percentile of the finite values before scaling, which preserves
     contrast inside classes; log mode applies log1p first, which spreads
     the boundary neighborhoods instead. Exact-hit cells sit at the ceiling
-    in both modes and land on intensity 0.
+    in both modes and land on intensity 0. The intensity is computed in
+    place in the one output array.
     """
     conf = grid.confidence
-    finite = conf[np.isfinite(conf)]
-    if mode == "clip":
-        if not 50.0 < percentile <= 100.0:
-            raise ValueError(f"clip percentile must be in (50, 100], got {percentile}")
-        ceiling = float(np.percentile(finite, percentile)) if finite.size else 0.0
-        transformed = np.minimum(conf, ceiling)
-        denom = ceiling
-    elif mode == "log":
-        ceiling = float(finite.max()) if finite.size else 0.0
-        transformed = np.log1p(np.minimum(conf, ceiling))
+    ceiling = _ceiling(conf, mode, percentile)
+    transformed = np.minimum(conf, ceiling)
+    denom = ceiling
+    if mode == "log":
+        np.log1p(transformed, out=transformed)
         denom = float(np.log1p(ceiling))
-    else:
-        raise ValueError(f"mode must be 'clip' or 'log', got {mode!r}")
     if denom <= 0.0:
         return np.ones_like(conf)
-    return np.clip(1.0 - transformed / denom, 0.0, 1.0)
+    transformed /= denom
+    np.subtract(1.0, transformed, out=transformed)
+    return np.clip(transformed, 0.0, 1.0, out=transformed)
 
 
 def bisect(on_lo_side, lo: float, hi: float, tol: float) -> float:
@@ -304,7 +327,9 @@ def ppm_bytes(grid: RasterGrid) -> bytes:
 
 def pgm_bytes(intensity: np.ndarray) -> bytes:
     """Binary PGM (P5) of an intensity grid in [0, 1] (0 = black)."""
-    vals = np.round(np.clip(intensity, 0.0, 1.0) * 255.0).astype(np.uint8)
+    scaled = np.clip(intensity, 0.0, 1.0)
+    scaled *= 255.0
+    vals = np.round(scaled, out=scaled).astype(np.uint8)
     header = f"P5\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode()
     return header + vals[::-1].tobytes()
 

@@ -41,22 +41,25 @@ CIRCLES_12_DIGESTS = {
 
 # One construction per selection path of the kernel, rasterized at 256x256
 # over its default bounds with k = required_k: SHA-256 of the PPM bytes and
-# of the clip-mode risk PGM bytes.
+# of the clip-mode and log-mode risk PGM bytes.
 RASTER_256_DIGESTS = {
     "circle_hard_baseline-6-k1": (
         lambda: circle_hard_baseline(6),
         "ace6504bf209fe5e317306bc636c8d5dff6df5af5a003ed6d8efd710dfa69e36",
         "e687c1f06aae0267e282047e47161c354de37353e790c4d5856893945cdc77ba",
+        "9547c33becae0cc9f7e4058b76113444b747cc1267a403c889f5790ecac51510",
     ),
     "polygon_pairs-8-sorted": (
         lambda: polygon_pairs(8),
         "49a6a6591755547536df2630b2ef12ce84e4c195d721fa0f9996157f6528a32d",
         "6e57d33f2fc6fa42f84661ebe261c247e5ace4cacfae40fdcb91ecc6e3354c05",
+        "4e77b86b9f88e97680c43e3cd102fd966dba0697edbd572687395e9838e593ce",
     ),
     "polygon_with_center-8-kM": (
         lambda: polygon_with_center(8),
         "f4ffcaf33ea0f284047a334fd4d53116bee72722a26757ce50af59dd2c7affef",
         "4465e9e689309f094f619707aae840ac46ec38d04203d1bcf299ed38eae4b2e6",
+        "ae9b0f35c096e4d74ed39603587e16328385d7fef1c787979c2eae84a5b4895a",
     ),
 }
 
@@ -92,11 +95,12 @@ def _check_circles_bytes(tmp_path, mode):
 
 @pytest.mark.parametrize("case", list(RASTER_256_DIGESTS))
 def test_raster_bytes_pinned(case):
-    build, ppm_digest, pgm_digest = RASTER_256_DIGESTS[case]
+    build, ppm_digest, pgm_digest, log_pgm_digest = RASTER_256_DIGESTS[case]
     cons = build()
     grid = rasterize(cons.set, cons.required_k, None, 256, 256)
     assert hashlib.sha256(ppm_bytes(grid)).hexdigest() == ppm_digest
     assert hashlib.sha256(pgm_bytes(risk_render(grid, "clip"))).hexdigest() == pgm_digest
+    assert hashlib.sha256(pgm_bytes(risk_render(grid, "log"))).hexdigest() == log_pgm_digest
 
 
 def _traced_names() -> tuple:

@@ -1,5 +1,7 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from softknn import (
     n_from_two,
     pgm_bytes,
     polygon_pairs,
+    polygon_with_center,
     ppm_bytes,
     rasterize,
     region_report,
@@ -27,6 +30,8 @@ from softknn import (
     star_pairs,
     three_from_two,
 )
+from softknn.classifier import _BLOCK_ENTRIES, _TILE_SCORE_ENTRIES
+from softknn.landscape import _CHUNK_CELLS
 
 # Frame that puts both prototypes of three_from_two(3) exactly on cell
 # centers: cell size 0.01, centers offset half a cell from the bounds.
@@ -114,6 +119,94 @@ class TestRasterize:
             ]
             assert counts[0] <= counts[1] <= counts[2]
             assert counts[2] == cons.claimed_classes
+
+
+def _reference_raster(pset, k, bounds, width, height):
+    """Every cell center at once: ``evaluate_points`` over the full meshgrid."""
+    xmin, xmax, ymin, ymax = bounds
+    xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
+    ys = ymin + (np.arange(height) + 0.5) * (ymax - ymin) / height
+    gx, gy = np.meshgrid(xs, ys)
+    _, predicted, conf, exact = evaluate_points(pset, k, np.column_stack((gx.ravel(), gy.ravel())))
+    hits = tuple((int(flat) // width, int(flat) % width) for flat in np.flatnonzero(exact))
+    return predicted.reshape(height, width), conf.reshape(height, width), hits
+
+
+def _assert_matches_reference(pset, k, bounds, width, height, partitions=1):
+    grid = rasterize(pset, k, bounds, width, height, partitions=partitions)
+    classes, conf, hits = _reference_raster(pset, k, bounds, width, height)
+    assert np.array_equal(grid.classes, classes)
+    assert np.array_equal(grid.confidence, conf)
+    assert grid.exact_hits == hits
+    return grid
+
+
+class TestRasterTiles:
+    """Rasters filled chunk by chunk and tile by tile equal the all-at-once evaluation."""
+
+    # Cell size 1, so cell centers are exact and (x, y) = (col + 0.5, row + 0.5).
+    WIDTH, HEIGHT = 301, 251
+    BOUNDS = (0.0, 301.0, 0.0, 251.0)
+
+    @staticmethod
+    def _soft_set(m, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(0, 300, size=(m, 2))
+        # A prototype on the center of cell (230, 200), far past the first chunk and tile.
+        positions[-1] = (200.5, 230.5)
+        labels = rng.uniform(0, 1, size=(m, num_classes))
+        return make_prototype_set(positions, labels, kind=LabelKind.UNRESTRICTED)
+
+    @pytest.mark.parametrize("k", [1, 3, 40], ids=["k1", "sorted", "kM"])
+    def test_selection_paths(self, k):
+        # Several chunks of rows, the last one ragged.
+        chunk = _CHUNK_CELLS // self.WIDTH
+        assert 1 < self.HEIGHT // chunk and self.HEIGHT % chunk
+        pset = self._soft_set(40, 5, k)
+        grid = _assert_matches_reference(pset, k, self.BOUNDS, self.WIDTH, self.HEIGHT)
+        assert (230, 200) in grid.exact_hits
+
+    def test_tile_bounded_by_classes(self):
+        m, num_classes = 12, 40
+        assert _TILE_SCORE_ENTRIES // num_classes < _BLOCK_ENTRIES // m
+        pset = self._soft_set(m, num_classes, 7)
+        for k in (2, m):
+            grid = _assert_matches_reference(pset, k, self.BOUNDS, self.WIDTH, self.HEIGHT)
+            assert (230, 200) in grid.exact_hits
+
+    def test_one_class_confidence_is_inf(self):
+        labels = np.array([[1.0], [0.5]])
+        pset = make_prototype_set([(10.0, 20.0), (150.0, 90.0)], labels, kind=LabelKind.UNRESTRICTED)
+        grid = _assert_matches_reference(pset, 2, self.BOUNDS, self.WIDTH, self.HEIGHT)
+        assert np.all(np.isinf(grid.confidence)) and np.all(grid.classes == 0)
+
+    @pytest.mark.parametrize("partitions", [1, 3, 7])
+    def test_partitions_at_odd_height(self, partitions):
+        pset = self._soft_set(30, 6, partitions)
+        _assert_matches_reference(pset, 4, (0.0, 301.0, 0.0, 37.0), 301, 37, partitions)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_refuses_non_planar_sets(self, dim):
+        pset = make_prototype_set(np.eye(2, dim), np.eye(2), kind=LabelKind.HARD)
+        with pytest.raises(ValueError, match="rasterize requires 2-dimensional prototypes"):
+            rasterize(pset, 1, (0, 1, 0, 1), 16, 16)
+
+    def test_refuses_overflowing_cell_centers(self, pair):
+        with pytest.raises(ValueError, match="cell centers must be finite"):
+            rasterize(pair.set, 2, (-1e308, 1e308, 0, 1), 4, 4)
+
+    @pytest.mark.parametrize("res", [256, 512])
+    def test_memory_bounded_by_tile(self, res):
+        # Beyond its two outputs, rasterize holds one chunk of cell centers
+        # and one tile of work buffers, whatever the grid size or class count.
+        pset = polygon_with_center(8).set
+        tracemalloc.start()
+        try:
+            grid = rasterize(pset, 8, None, res, res)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - grid.classes.nbytes - grid.confidence.nbytes < 4 * 2**20
 
 
 class TestRiskRender:
