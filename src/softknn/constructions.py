@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set
 from . import classifier
-from .landscape import bisect
+from .landscape import bisect_many
 
 # Segment boundaries: ((prototype index a, prototype index b), fractions of
 # the segment from a at which the predicted class changes).
@@ -323,8 +323,8 @@ def _measure_crossings(
 
     For each adjacent class pair (j, j+1) the crossing is a sign change of
     the k = M score difference along the ray from ``origin`` at ``angle``;
-    the change nearest the target is refined by bisection. A missing
-    crossing costs r_max^2.
+    the change nearest the target is refined by bisection, every pair in
+    the same steps. A missing crossing costs r_max^2.
     """
     o = np.asarray(origin, dtype=float)
     direction = np.array([math.cos(angle), math.sin(angle)])
@@ -339,26 +339,29 @@ def _measure_crossings(
 
     samples = np.linspace(r_max * 1e-4, r_max, 1024)
     sampled = scores(samples)
-    residual = 0.0
-    realized: list[float] = []
+    pairs, lo, hi, below = [], [], [], []
     for j in range(weights.shape[1] - 1):
         g = sampled[:, j] - sampled[:, j + 1]
         flips = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-        if len(flips) == 0:
-            residual += r_max * r_max
-            realized.append(float("nan"))
-            continue
-        mids = 0.5 * (samples[flips] + samples[flips + 1])
-        pick = flips[int(np.argmin(np.abs(mids - targets[j])))]
-        below = bool(g[pick] < 0)
+        if len(flips):
+            mids = 0.5 * (samples[flips] + samples[flips + 1])
+            pick = flips[int(np.argmin(np.abs(mids - targets[j])))]
+            pairs.append(j)
+            lo.append(samples[pick])
+            hi.append(samples[pick + 1])
+            below.append(g[pick] < 0)
+    pairs, below = np.array(pairs, dtype=int), np.array(below, dtype=bool)
 
-        def on_lo_side(r: float) -> bool:
-            row = scores([r])[0]
-            return (float(row[j] - row[j + 1]) < 0) == below
+    def on_lo_side(which: np.ndarray, r: np.ndarray) -> np.ndarray:
+        rows, j = scores(r), pairs[which]
+        at = np.arange(len(r))
+        return (rows[at, j] - rows[at, j + 1] < 0) == below[which]
 
-        r_hat = bisect(on_lo_side, float(samples[pick]), float(samples[pick + 1]), 1e-12)
-        realized.append(r_hat)
-        residual += (r_hat - targets[j]) ** 2
+    found = dict(zip(pairs.tolist(), bisect_many(on_lo_side, lo, hi, 1e-12).tolist()))
+    realized = [found.get(j, float("nan")) for j in range(weights.shape[1] - 1)]
+    residual = 0.0
+    for r_hat, target in zip(realized, targets):
+        residual += r_max * r_max if math.isnan(r_hat) else (r_hat - target) ** 2
     return residual, realized
 
 

@@ -105,30 +105,23 @@ def _segment_windows(fractions: list[float]) -> list[tuple[float, float]]:
     return [(edges[i], edges[i + 1]) for i in range(len(fractions))]
 
 
-def verify_boundaries(cons: Construction, tol: float = 1e-6, radial_tol: float = 1e-3) -> CheckResult:
-    """Bisect every specified crossing and compare against its stated position.
+def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list[tuple[dict, float, float]]]:
+    """One bracketing segment per stated crossing, stacked for :func:`boundary_bisect`.
 
-    Segment crossings (fractions between prototype pairs) are checked
-    against ``tol``; ray crossings (radii of nested bands) against
-    ``radial_tol``, since fitted bands are only as sharp as their fit.
+    Returns the segment starts and ends, and per segment its report entry
+    (the crossing's place and expected position) and the window ``(lo,
+    hi)`` that maps a fraction of the segment back to the stated scale.
+    Segment crossings come first, then ray crossings.
     """
-    details = []
-    max_frac_err = 0.0
-    max_radial_err = 0.0
-    pset, k = cons.set, cons.required_k
-
+    starts, ends, windows = [], [], []
     if cons.boundary_spec:
-        pos = pset.positions
+        pos = cons.set.positions
         for (ia, ib), fractions in cons.boundary_spec:
             a, b = pos[ia], pos[ib]
             for expected, (lo, hi) in zip(fractions, _segment_windows(fractions)):
-                frac = boundary_bisect(pset, k, a + lo * (b - a), b=a + hi * (b - a))
-                observed = lo + frac * (hi - lo)
-                err = abs(observed - expected)
-                max_frac_err = max(max_frac_err, err)
-                details.append(
-                    {"segment": [ia, ib], "expected": expected, "observed": observed, "error": err}
-                )
+                starts.append(a + lo * (b - a))
+                ends.append(a + hi * (b - a))
+                windows.append(({"segment": [ia, ib], "expected": expected}, lo, hi))
 
     if cons.radial_spec:
         spec = cons.radial_spec
@@ -139,11 +132,33 @@ def verify_boundaries(cons: Construction, tol: float = 1e-6, radial_tol: float =
         edges += [0.5 * (r1 + r2) for r1, r2 in zip(radii, radii[1:])]
         edges.append(radii[-1] + 0.5 * (radii[-1] - radii[-2]) if len(radii) > 1 else 1.5 * radii[-1])
         for expected, lo, hi in zip(radii, edges[:-1], edges[1:]):
-            frac = boundary_bisect(pset, k, origin + lo * direction, origin + hi * direction)
-            observed = lo + frac * (hi - lo)
-            err = abs(observed - expected)
+            starts.append(origin + lo * direction)
+            ends.append(origin + hi * direction)
+            windows.append(({"ray": True, "expected": expected}, lo, hi))
+    return np.array(starts).reshape(-1, cons.set.dim), np.array(ends).reshape(-1, cons.set.dim), windows
+
+
+def verify_boundaries(cons: Construction, tol: float = 1e-6, radial_tol: float = 1e-3) -> CheckResult:
+    """Bisect every specified crossing and compare against its stated position.
+
+    Segment crossings (fractions between prototype pairs) are checked
+    against ``tol``; ray crossings (radii of nested bands) against
+    ``radial_tol``, since fitted bands are only as sharp as their fit. All
+    crossings are bisected together in one :func:`boundary_bisect` call.
+    """
+    details = []
+    max_frac_err = 0.0
+    max_radial_err = 0.0
+    starts, ends, windows = _crossing_segments(cons)
+    fractions = boundary_bisect(cons.set, cons.required_k, starts, ends)
+    for frac, (entry, lo, hi) in zip(fractions, windows):
+        observed = lo + float(frac) * (hi - lo)
+        err = abs(observed - entry["expected"])
+        if "ray" in entry:
             max_radial_err = max(max_radial_err, err)
-            details.append({"ray": True, "expected": expected, "observed": observed, "error": err})
+        else:
+            max_frac_err = max(max_frac_err, err)
+        details.append({**entry, "observed": observed, "error": err})
 
     passed = max_frac_err <= tol and max_radial_err <= radial_tol
     return CheckResult(
@@ -199,29 +214,71 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
 
 
-def _sample_queries(pset: PrototypeSet, rng: np.random.Generator, count: int, k: int) -> np.ndarray:
-    """Off-boundary query points inside the padded frame.
+def _uniform(u, low: float, high: float):
+    """Scale doubles from ``Generator.random`` as ``Generator.uniform(low, high)`` does, bit for bit."""
+    return low + (high - low) * u
 
-    Points whose confidence gap is within rounding of zero get resampled:
-    exactly-on-boundary predictions are tie-break artifacts, not class
-    structure, so invariance is not asserted there.
+
+def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, count: int, k: int):
+    """Off-boundary queries, their predicted classes and the transform draws of every trial.
+
+    The doubles of ``rng.random`` are read in a per-trial layout: ``x[count]``
+    and ``y[count]`` of the padded frame, another ``x[count]``, ``y[count]``
+    per rejected attempt, then θ, ``shift[2]``, ``c`` and ``d``. Queries whose
+    confidence gap is within rounding of zero are rejected and the trial
+    draws again: exactly-on-boundary predictions are tie-break artifacts,
+    not class structure, so invariance is not asserted there. All pending
+    trials are drawn and classified in one call; at a rejection, the trials
+    before it are kept and the rest are drawn again from the next attempt
+    on. A trial that finds too few queries in 200 attempts is an error.
+
+    Returns the (trials, count, 2) queries, their (trials, count)
+    predictions, and per trial θ, the (2,) shift, ``c`` and ``d``.
     """
     xmin, xmax, ymin, ymax = default_bounds(pset)
-    out = np.empty((count, 2))
-    found = 0
-    for _ in range(200):
-        cand = np.column_stack(
-            (rng.uniform(xmin, xmax, size=count), rng.uniform(ymin, ymax, size=count))
-        )
-        scores, _, conf, _ = evaluate_points(pset, k, cand)
-        scale = np.maximum(1.0, np.abs(scores).max(axis=1))
-        good = cand[conf > NEAR_TIE_GAP * scale]
-        take = min(len(good), count - found)
-        out[found : found + take] = good[:take]
-        found += take
-        if found == count:
-            return out
-    raise RuntimeError("could not sample off-boundary queries")
+    per = 2 * count + 5
+    queries = np.empty((trials, count, 2))
+    base = np.empty((trials, count), dtype=int)
+    draws = np.empty((trials, 5))
+    stream, cursor = np.empty(0), 0
+    done = held = failed = 0
+    while done < trials:
+        n = trials - done
+        short = n * per - (len(stream) - cursor)
+        if short > 0:
+            stream, cursor = np.concatenate((stream[cursor:], rng.random(short))), 0
+        u = stream[cursor : cursor + n * per].reshape(n, per)
+        cand = np.stack((_uniform(u[:, :count], xmin, xmax), _uniform(u[:, count : 2 * count], ymin, ymax)), axis=-1)
+        scores, predicted, conf, _ = evaluate_points(pset, k, cand.reshape(-1, 2))
+        good = (conf > NEAR_TIE_GAP * np.maximum(1.0, np.abs(scores).max(axis=1))).reshape(n, count)
+        predicted = predicted.reshape(n, count)
+
+        def keep(i: int, start: int) -> int:
+            take = np.flatnonzero(good[i])[: count - start]
+            queries[done + i, start : start + len(take)] = cand[i, take]
+            base[done + i, start : start + len(take)] = predicted[i, take]
+            return start + len(take)
+
+        complete = good.all(axis=1)
+        held = keep(0, held)
+        complete[0] = held == count
+        ok = n if complete.all() else int(np.argmin(complete))
+        queries[done + 1 : done + ok] = cand[1:ok]
+        base[done + 1 : done + ok] = predicted[1:ok]
+        draws[done : done + ok] = u[:ok, 2 * count :]
+        if ok == n:
+            break
+        failed = failed + 1 if ok == 0 else 1
+        if failed == 200:
+            raise RuntimeError("could not sample off-boundary queries")
+        if ok:
+            held = keep(ok, 0)
+        cursor += ok * per + 2 * count
+        done += ok
+
+    c = np.array([np.exp(v) for v in _uniform(draws[:, 3], math.log(0.1), math.log(10.0))])
+    theta = _uniform(draws[:, 0], 0.0, 2.0 * math.pi)
+    return queries, base, theta, _uniform(draws[:, 1:3], -10.0, 10.0), c, _uniform(draws[:, 4], -5.0, 5.0)
 
 
 def verify_invariances(
@@ -231,25 +288,22 @@ def verify_invariances(
 
     Each trial draws a fresh transform and fresh off-boundary queries from
     the padded frame; the transformed set is queried at the matching
-    transformed points. Deterministic given the seed.
+    transformed points. The queries of all trials are drawn and classified
+    together, and each variant set is queried once per trial.
+    Deterministic given the seed.
     """
     require_positive("trials", trials)
     require_positive("queries_per_trial", queries_per_trial)
     pset, k = cons.set, cons.required_k
-    rng = np.random.default_rng(seed)
+    draws = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
 
-    for _ in range(trials):
-        queries = _sample_queries(pset, rng, queries_per_trial, k)
-        base = evaluate_points(pset, k, queries)[1]
-        rot = _rotation(rng.uniform(0.0, 2.0 * math.pi))
-        shift = rng.uniform(-10.0, 10.0, size=2)
-        c = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        d = float(rng.uniform(-5.0, 5.0))
+    for queries, base, theta, shift, c, d in zip(*draws):
+        rot = _rotation(float(theta))
         variants = {
             "rigid_motion": (transformed_set(pset, rot, shift), queries @ rot.T + shift),
-            "label_scale": (scaled_label_set(pset, c), queries),
-            "label_shift": (shifted_label_set(pset, d), queries),
+            "label_scale": (scaled_label_set(pset, float(c)), queries),
+            "label_shift": (shifted_label_set(pset, float(d)), queries),
         }
         for name, (other, points) in variants.items():
             failures[name] += int(np.count_nonzero(evaluate_points(other, k, points)[1] != base))

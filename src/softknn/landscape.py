@@ -4,9 +4,14 @@ The rasterizer samples the classifier at cell centers over a rectangle and
 records the predicted class and confidence gap per cell. On top of that
 this module provides risk rendering (confidence mapped to a normalized
 intensity, clipped or log-scaled), boundary localization by bisection
-along a segment, connected-region reporting, and sweeps over the neighbor
-count k. Class maps export as binary PPM and CSV, risk maps as binary PGM
-and CSV.
+along one segment or a stack of segments, connected-region reporting, and
+sweeps over the neighbor count k. Class maps export as binary PPM and CSV,
+risk maps as binary PGM and CSV.
+
+:func:`bisect_many` is the one bisection routine: it halves many brackets
+at once, asking its predicate once per step for every bracket still open,
+and each bracket stops by the rule a lone bracket would use, so stacking
+does not change any result.
 
 Rasterization is deterministic: the per-cell computation is independent of
 how cells are partitioned into blocks, so any ``partitions`` value yields
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .classifier import _check_rule_args, _evaluate_into, classify, evaluate_points
+from .classifier import _check_rule_args, _evaluate_into
 from .core import PrototypeSet
 
 # Fixed palette for class maps (class index cycles through these RGBs).
@@ -219,21 +224,37 @@ def risk_render(grid: RasterGrid, mode: str = "clip", percentile: float = 99.0) 
     return np.clip(transformed, 0.0, 1.0, out=transformed)
 
 
-def bisect(on_lo_side, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of ``[lo, hi]`` halved toward where ``on_lo_side`` turns false.
+def bisect_many(on_lo_side, lo, hi, tol: float) -> np.ndarray:
+    """Midpoints of the brackets ``[lo[i], hi[i]]``, each halved toward where ``on_lo_side`` turns false.
 
-    Stops once ``hi - lo <= tol * max(1, hi)`` or the midpoint no longer
-    splits the bracket, so every ``tol`` terminates.
+    Each step asks ``on_lo_side(which, mids)`` once, for the indices
+    ``which`` of the still-open brackets and their midpoints, and expects a
+    boolean array back. A bracket closes once ``hi - lo <= tol * max(1, hi)``
+    or its midpoint no longer splits it, so every ``tol`` terminates and
+    each result is the float that halving that bracket alone would give.
     """
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if on_lo_side(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    which = np.arange(len(lo))
+    while len(which):
+        l, h = lo[which], hi[which]
+        mid = 0.5 * (l + h)
+        split = (h - l > tol * np.maximum(1.0, h)) & (l < mid) & (mid < h)
+        which, mid = which[split], mid[split]
+        if len(which):
+            side = np.asarray(on_lo_side(which, mid), dtype=bool)
+            lo[which[side]] = mid[side]
+            hi[which[~side]] = mid[~side]
     return 0.5 * (lo + hi)
+
+
+def _predicted(pset: PrototypeSet, k: int, pts: np.ndarray) -> np.ndarray:
+    """Predicted classes of checked points, without keeping any per-class scores."""
+    n = len(pts)
+    predicted = np.empty(n, dtype=np.intp)
+    if n:
+        _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
+    return predicted
 
 
 def boundary_bisect(
@@ -241,10 +262,10 @@ def boundary_bisect(
     k: int,
     a,
     b,
-    class_pair: tuple[int, int] | None = None,
+    class_pair=None,
     scan: int = 1024,
     tol: float = 1e-9,
-) -> float:
+) -> float | np.ndarray:
     """Locate the predicted-class change on the segment from ``a`` to ``b``.
 
     Returns the crossing as a fraction of the segment measured from ``a``,
@@ -254,26 +275,52 @@ def boundary_bisect(
     more than one raise :class:`MultipleCrossingsError` (split the segment
     and retry). If ``class_pair`` is given, the endpoint classes must match
     it in order.
+
+    ``a`` and ``b`` may also be stacked segments shaped (S, dim); then S
+    fractions come back as an array, ``class_pair`` is one pair for every
+    segment or S pairs, and an error names its segment (``segment 2: ...``).
+    Every segment is pre-scanned and checked before the first bisection
+    step, and :func:`bisect_many` then advances all brackets together, one
+    classifier call per step. Each fraction is the float the one-segment
+    form returns for that segment.
     """
     if scan < 1:
         raise ValueError(f"scan must be >= 1, got {scan}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    stacked = a.ndim == 2
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    _check_rule_args(pset, k)
+    if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] != pset.dim:
+        raise ValueError(f"segment ends must both be ({pset.dim},) or (S, {pset.dim}), got {a.shape} and {b.shape}")
     ts = np.linspace(0.0, 1.0, scan + 1)
-    pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    _, predicted, _, _ = evaluate_points(pset, k, pts)
-    cls_a, cls_b = int(predicted[0]), int(predicted[-1])
-    if cls_a == cls_b:
-        raise NoCrossingError(f"both endpoints classify as {cls_a}")
-    if class_pair is not None and (cls_a, cls_b) != tuple(class_pair):
-        raise ValueError(f"expected endpoint classes {class_pair}, found ({cls_a}, {cls_b})")
-    changes = np.nonzero(predicted[:-1] != predicted[1:])[0]
-    if len(changes) > 1:
-        raise MultipleCrossingsError(
-            f"{len(changes)} class changes in pre-scan; bisect a sub-segment per crossing"
-        )
-    lo, hi = float(ts[changes[0]]), float(ts[changes[0] + 1])
-    return bisect(lambda t: classify(pset, k, a + t * (b - a)).predicted == cls_a, lo, hi, tol)
+    pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
+    if not np.isfinite(pts).all():
+        raise ValueError("query points must be finite")
+    predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), scan + 1)
+    expected = None if class_pair is None else np.broadcast_to(np.asarray(class_pair, dtype=int), (len(a2), 2))
+    lo, hi = np.empty(len(a2)), np.empty(len(a2))
+    for i, row in enumerate(predicted):
+        where = f"segment {i}: " if stacked else ""
+        cls_a, cls_b = int(row[0]), int(row[-1])
+        if cls_a == cls_b:
+            raise NoCrossingError(f"{where}both endpoints classify as {cls_a}")
+        if expected is not None and (cls_a, cls_b) != tuple(expected[i].tolist()):
+            shown = tuple(expected[i].tolist()) if stacked else class_pair
+            raise ValueError(f"{where}expected endpoint classes {shown}, found ({cls_a}, {cls_b})")
+        changes = np.nonzero(row[:-1] != row[1:])[0]
+        if len(changes) > 1:
+            raise MultipleCrossingsError(
+                f"{where}{len(changes)} class changes in pre-scan; bisect a sub-segment per crossing"
+            )
+        lo[i], hi[i] = ts[changes[0]], ts[changes[0] + 1]
+    span, first = b2 - a2, predicted[:, 0]
+
+    def on_lo_side(which: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _predicted(pset, k, a2[which] + t[:, None] * span[which]) == first[which]
+
+    fractions = bisect_many(on_lo_side, lo, hi, tol)
+    return fractions if stacked else float(fractions[0])
 
 
 def region_report(grid: RasterGrid) -> RegionReport:

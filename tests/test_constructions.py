@@ -258,6 +258,37 @@ class TestFitRadialLabels:
         one = fit_radial_labels(ELLIPSE_POSITIONS, [], 1)
         assert (one.residual, one.history, one.targets, one.realized) == (0.0, (0.0,), (), ())
 
+    @pytest.mark.parametrize(
+        "build, realized",
+        [
+            pytest.param(
+                lambda: concentric_ellipses(6),
+                ("0x1.0000000000022p+0", "0x1.ffffffffff6f2p+0", "0x1.7fffffffffae6p+1",
+                 "0x1.ffffffffff250p+1", "0x1.40000000000e0p+2"),
+                id="concentric_ellipses-6",
+            ),
+            pytest.param(
+                lambda: circle_soft_fit(12),
+                ("0x1.800000000047cp+0", "0x1.4000000000676p+1", "0x1.bfffffffffc48p+1",
+                 "0x1.2000000000776p+2", "0x1.600000000025ep+2", "0x1.9fffffffffd46p+2",
+                 "0x1.dfffffffff82ep+2", "0x1.1000000000328p+3", "0x1.3000000000568p+3",
+                 "0x1.4fffffffff942p+3", "0x1.7000000000052p+3"),
+                id="circle_soft_fit-12",
+            ),
+        ],
+    )
+    def test_realized_crossings_pinned(self, monkeypatch, build, realized):
+        # The measured crossings, bit for bit, as the scalar bisection found them.
+        fits = []
+
+        def spy(*args, **kwargs):
+            fits.append(fit_radial_labels(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr("softknn.constructions.fit_radial_labels", spy)
+        build()
+        assert tuple(r.hex() for r in fits[0].realized) == realized
+
     def test_non_convergence_raises_with_residual(self):
         # r_max stops the sampled ray short of the 2.0 crossing.
         with pytest.raises(RadialFitError) as exc:

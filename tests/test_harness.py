@@ -1,6 +1,7 @@
 """Verification harness: class counts, boundaries, circles, invariances, reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from softknn import (
     circle_soft_fit,
     classify,
     concentric_ellipses,
+    default_bounds,
+    evaluate_points,
+    harness,
     n_from_two,
     polygon_pairs,
+    polygon_with_center,
     scaled_label_set,
     shifted_label_set,
     standard_report,
@@ -156,6 +161,90 @@ class TestInvariances:
         a = verify_invariances(star_pairs(3), trials=10, seed=123)
         b = verify_invariances(star_pairs(3), trials=10, seed=123)
         assert [c.observed for c in a] == [c.observed for c in b]
+
+
+def sample_queries_reference(pset, rng, count, k, attempts):
+    """The per-trial sampling loop that the batched draw replaced, kept as its oracle."""
+    xmin, xmax, ymin, ymax = default_bounds(pset)
+    out = np.empty((count, 2))
+    found = 0
+    for _ in range(200):
+        attempts.append(1)
+        cand = np.column_stack(
+            (rng.uniform(xmin, xmax, size=count), rng.uniform(ymin, ymax, size=count))
+        )
+        scores, _, conf, _ = evaluate_points(pset, k, cand)
+        scale = np.maximum(1.0, np.abs(scores).max(axis=1))
+        good = cand[conf > harness.NEAR_TIE_GAP * scale]
+        take = min(len(good), count - found)
+        out[found : found + take] = good[:take]
+        found += take
+        if found == count:
+            return out
+    raise RuntimeError("could not sample off-boundary queries")
+
+
+def draw_trials_reference(pset, seed, trials, count, k, attempts):
+    """Queries, base predictions and transform draws, one trial at a time."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(trials):
+        queries = sample_queries_reference(pset, rng, count, k, attempts)
+        base = evaluate_points(pset, k, queries)[1]
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        shift = rng.uniform(-10.0, 10.0, size=2)
+        c = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        d = float(rng.uniform(-5.0, 5.0))
+        drawn.append((queries, base, theta, shift, c, d))
+    return [np.array(column) for column in zip(*drawn)]
+
+
+def assert_same_draws(cons, seed, trials=100, count=5):
+    attempts = []
+    want = draw_trials_reference(cons.set, seed, trials, count, cons.required_k, attempts)
+    got = harness._draw_trials(cons.set, np.random.default_rng(seed), trials, count, cons.required_k)
+    assert len(got) == len(want) == 6
+    for name, g, w in zip(("queries", "base", "theta", "shift", "c", "d"), got, want):
+        assert g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+    return len(attempts)
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: n_from_two(12), lambda: polygon_with_center(6), lambda: circle_soft_fit(6)],
+        ids=["n_from_two-12", "polygon_with_center-6", "circle_soft_fit-6"],
+    )
+    def test_same_draws_as_per_trial_loop(self, build, seed):
+        assert_same_draws(build(), seed)
+
+    @pytest.mark.parametrize("gap", [0.03, 0.2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_resume_after_rejections(self, monkeypatch, gap, seed):
+        # A gap this wide rejects a tenth, or half, of the candidates: many
+        # trials need more than one attempt, some keep a partial draw.
+        monkeypatch.setattr("softknn.harness.NEAR_TIE_GAP", gap)
+        trials = 30
+        attempts = assert_same_draws(three_from_two(3.0), seed, trials=trials)
+        assert attempts > trials
+
+    def test_attempt_limit_kept(self, monkeypatch):
+        monkeypatch.setattr("softknn.harness.NEAR_TIE_GAP", np.inf)
+        cons = three_from_two(3.0)
+        with pytest.raises(RuntimeError, match="off-boundary"):
+            draw_trials_reference(cons.set, 0, 3, 5, 2, [])
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate_points(*args)
+
+        monkeypatch.setattr("softknn.harness.evaluate_points", counted)
+        with pytest.raises(RuntimeError, match="off-boundary"):
+            harness._draw_trials(cons.set, np.random.default_rng(0), 3, 5, 2)
+        assert len(calls) == 200
 
 
 class TestHardLabelOracle:

@@ -12,6 +12,7 @@ from softknn import (
     PALETTE,
     RasterGrid,
     boundary_bisect,
+    circle_soft_fit,
     class_csv_bytes,
     concentric_ellipses,
     confidence_csv_bytes,
@@ -31,7 +32,8 @@ from softknn import (
     three_from_two,
 )
 from softknn.classifier import _BLOCK_ENTRIES, _TILE_SCORE_ENTRIES
-from softknn.landscape import _CHUNK_CELLS
+from softknn.harness import _crossing_segments
+from softknn.landscape import _CHUNK_CELLS, bisect_many
 
 # Frame that puts both prototypes of three_from_two(3) exactly on cell
 # centers: cell size 0.01, centers offset half a cell from the bounds.
@@ -308,6 +310,133 @@ class TestBoundaryBisect:
     def test_scan_below_one_rejected(self, pair):
         with pytest.raises(ValueError, match="scan"):
             boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=0)
+
+
+def bisect_reference(on_lo_side, lo: float, hi: float, tol: float) -> float:
+    """The scalar bisection loop that bisect_many replaced, kept as its oracle."""
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if on_lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestBisectMany:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.0, -1.0])
+    def test_random_brackets_match_scalar_loop(self, tol):
+        # Widths over ten decades and both sides of |hi| = 1, so brackets
+        # close at different steps and under both branches of max(1, hi).
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-20.0, 20.0, 200)
+        hi = lo + 10.0 ** rng.uniform(-8.0, 2.0, 200)
+        cut = lo + rng.uniform(0.0, 1.0, 200) * (hi - lo)
+        open_counts = []
+
+        def on_lo_side(which, t):
+            open_counts.append(len(which))
+            return t < cut[which]
+
+        got = bisect_many(on_lo_side, lo, hi, tol)
+        want = [bisect_reference(lambda t, c=c: t < c, l, h, tol) for l, h, c in zip(lo, hi, cut)]
+        assert hexes(got) == hexes(want)
+        assert open_counts == sorted(open_counts, reverse=True)
+        assert len(set(open_counts)) > 1
+
+    def test_brackets_close_at_different_steps(self):
+        lo, hi = np.array([0.0, 0.0, 3.0]), np.array([1.0, 1e-6, 3.5])
+        seen = []
+
+        def on_lo_side(which, t):
+            seen.append(which.tolist())
+            return t < 0.3 * hi[which]
+
+        got = bisect_many(on_lo_side, lo, hi, 1e-9)
+        want = [bisect_reference(lambda t, h=h: t < 0.3 * h, l, h, 1e-9) for l, h in zip(lo, hi)]
+        assert hexes(got) == hexes(want)
+        # The narrow bracket drops out first; the others keep going.
+        assert seen[0] == [0, 1, 2]
+        assert [0, 2] in seen and seen[-1] != [0, 1, 2]
+
+    def test_closed_bracket_is_never_asked(self):
+        lo, hi = np.array([0.25, 2.0, 0.0]), np.array([0.25, 2.0 + 1e-12, 1.0])
+        asked = set()
+
+        def on_lo_side(which, t):
+            asked.update(which.tolist())
+            return t < 0.6
+
+        got = bisect_many(on_lo_side, lo, hi, 1e-9)
+        assert asked == {2}
+        want = [bisect_reference(lambda t: t < 0.6, l, h, 1e-9) for l, h in zip(lo, hi)]
+        assert hexes(got) == hexes(want)
+        assert got[0] == 0.25
+
+    def test_no_brackets(self):
+        assert bisect_many(lambda which, t: t < 0, [], [], 1e-9).shape == (0,)
+
+
+class TestStackedBoundaryBisect:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: polygon_pairs(8), lambda: star_pairs(8), lambda: n_from_two(12), lambda: circle_soft_fit(6)],
+        ids=["polygon_pairs-8", "star_pairs-8", "n_from_two-12", "circle_soft_fit-6-rays"],
+    )
+    def test_every_crossing_matches_one_segment_form(self, build):
+        cons = build()
+        starts, ends, _ = _crossing_segments(cons)
+        assert len(starts) > 1
+        stacked = boundary_bisect(cons.set, cons.required_k, starts, ends)
+        single = [boundary_bisect(cons.set, cons.required_k, a, b) for a, b in zip(starts, ends)]
+        assert all(type(f) is float for f in single)
+        assert stacked.shape == (len(starts),)
+        assert hexes(stacked) == hexes(single)
+
+    @pytest.fixture
+    def no_bisection(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bisected before every segment was checked")
+
+        monkeypatch.setattr("softknn.landscape.bisect_many", forbidden)
+
+    def test_no_crossing_names_segment(self, pair, no_bisection):
+        starts = [(0.0, 0.0), (1.5, 0.0), (0.1, 0.0)]
+        ends = [(1.5, 0.0), (3.0, 0.0), (0.2, 0.0)]
+        with pytest.raises(NoCrossingError, match=r"^segment 2: both endpoints classify as 0$"):
+            boundary_bisect(pair.set, 2, starts, ends)
+
+    def test_multiple_crossings_names_segment(self, pair, no_bisection):
+        starts = [(0.0, 0.0), (1.5, 0.0), (0.0, 0.0)]
+        ends = [(1.5, 0.0), (3.0, 0.0), (3.0, 0.0)]
+        with pytest.raises(MultipleCrossingsError, match=r"^segment 2: 2 class changes in pre-scan"):
+            boundary_bisect(pair.set, 2, starts, ends)
+
+    def test_class_pair_names_segment(self, pair, no_bisection):
+        starts = [(0.0, 0.0), (1.5, 0.0), (0.0, 0.0)]
+        ends = [(1.5, 0.0), (3.0, 0.0), (1.5, 0.0)]
+        with pytest.raises(ValueError, match=r"^segment 2: expected endpoint classes \(1, 0\), found \(0, 1\)$"):
+            boundary_bisect(pair.set, 2, starts, ends, class_pair=[(0, 1), (1, 2), (1, 0)])
+        # One pair applies to every segment.
+        with pytest.raises(ValueError, match=r"^segment 1: expected endpoint classes \(0, 1\), found \(1, 2\)$"):
+            boundary_bisect(pair.set, 2, starts, ends, class_pair=(0, 1))
+
+    def test_class_pairs_accepted(self, pair):
+        starts, ends = [(0.0, 0.0), (1.5, 0.0)], [(1.5, 0.0), (3.0, 0.0)]
+        fractions = boundary_bisect(pair.set, 2, starts, ends, class_pair=[(0, 1), (1, 2)])
+        np.testing.assert_allclose(fractions, [2 / 3, 1 / 3], atol=1e-8)
+
+    def test_mismatched_ends_rejected(self, pair):
+        with pytest.raises(ValueError, match="segment ends"):
+            boundary_bisect(pair.set, 2, [(0.0, 0.0)], [(1.5, 0.0), (3.0, 0.0)])
+        with pytest.raises(ValueError, match="segment ends"):
+            boundary_bisect(pair.set, 2, (0.0, 0.0, 0.0), (1.5, 0.0, 0.0))
 
 
 class TestRegionReport:
