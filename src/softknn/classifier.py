@@ -130,7 +130,7 @@ def _evaluate_into(
     exact: np.ndarray,
     scores: np.ndarray | None = None,
 ) -> None:
-    """Classify the checked, non-empty ``pts`` one tile at a time.
+    """Classify the checked ``pts`` one tile at a time (no tiles for no points).
 
     Writes into the caller's length-n ``predicted``, ``confidence`` and
     ``exact`` and, if given, the (n, C) ``scores``; without ``scores`` the
@@ -138,7 +138,7 @@ def _evaluate_into(
     """
     labs = pset.labels
     n, (m, ncls) = len(pts), labs.shape
-    rows = min(n, max(1, min(_BLOCK_ENTRIES // m, _TILE_SCORE_ENTRIES // ncls)))
+    rows = max(1, min(n, _BLOCK_ENTRIES // m, _TILE_SCORE_ENTRIES // ncls))
     scratch = np.empty((2, rows, m))
     # k=1 adds one weighted label per point and needs no product buffer.
     prod = np.empty((rows if k > 1 else 0, ncls))
@@ -178,20 +178,13 @@ def evaluate_points(
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    n = pts.shape[0]
-    if n == 0:
-        return (
-            np.empty((0, pset.num_classes)),
-            np.empty(0, dtype=int),
-            np.empty(0),
-            np.empty(0, dtype=bool),
-        )
     _check_rule_args(pset, k)
     if pts.ndim != 2 or pts.shape[1] != pset.dim:
         raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("query points must be finite")
 
+    n = len(pts)
     scores = np.empty((n, pset.num_classes))
     predicted = np.empty(n, dtype=int)
     confidence = np.empty(n)
@@ -219,7 +212,7 @@ def classify(pset: PrototypeSet, k: int, x) -> Classification:
 def classify_batch(pset: PrototypeSet, k: int, points) -> list[Classification]:
     """Classify many points; output order matches input order."""
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return []
+    if pts.shape == (0,):  # an empty list is no points, not one point of dimension 0
+        pts = pts.reshape(0, pset.dim)
     result = evaluate_points(pset, k, pts)
     return [_classification(*result, i) for i in range(len(result[1]))]

@@ -222,10 +222,11 @@ def _brief(value) -> str:
 def _cmd_sweep_k(args) -> int:
     pset = core.load_json(args.set)
     width, height = args.res
+    sweep = landscape.k_sweep(pset, args.k_range, args.bounds, width, height)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for k, grid, report in landscape.k_sweep(pset, args.k_range, args.bounds, width, height):
+    for k, grid, report in sweep:
         ppm = outdir / f"k{k:02d}.ppm"
         regions = outdir / f"k{k:02d}_regions.json"
         landscape.write_ppm(grid, ppm)

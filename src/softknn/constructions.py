@@ -29,7 +29,7 @@ invariant by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -48,12 +48,11 @@ BoundarySpec = list[tuple[tuple[int, int], list[float]]]
 class RadialSpec:
     """Boundary radii along a ray, for landscapes organized in nested bands.
 
-    The ray starts at ``origin`` and points along ``angle`` (radians).
-    Crossing j separates class j from class j+1 at distance ``radii[j]``.
+    The ray is the +x axis from the origin, about which every banded
+    construction is built. Crossing j separates class j from class j+1 at
+    distance ``radii[j]``.
     """
 
-    origin: tuple[float, float]
-    angle: float
     radii: tuple[float, ...]
 
 
@@ -89,27 +88,14 @@ class Construction:
 def three_from_two(spacing: float = 3.0) -> Construction:
     """Two prototypes whose shared middle class splits their segment in three.
 
-    The labels (3/5, 2/5, 0) and its reversal put the crossings at 1/3 and
-    2/3 of the segment regardless of the spacing; the middle class also
-    claims the far field, leaving each end class an oval around its
-    prototype.
+    This is :func:`n_from_two` with n = 3 under its own name: the labels
+    (3/5, 2/5, 0) and its reversal put the crossings at 1/3 and 2/3 of the
+    segment regardless of the spacing; the middle class also claims the
+    far field, leaving each end class an oval around its prototype.
     """
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    left = SoftLabel.from_exact([Fraction(3, 5), Fraction(2, 5), Fraction(0)])
-    right = SoftLabel.from_exact([Fraction(0), Fraction(2, 5), Fraction(3, 5)])
-    pset = make_prototype_set(
-        [(0.0, 0.0), (float(spacing), 0.0)],
-        [left, right],
-        name=f"three_from_two(spacing={spacing})",
-    )
-    return Construction(
-        set=pset,
-        required_k=2,
-        claimed_classes=3,
-        boundary_spec=[((0, 1), [1.0 / 3.0, 2.0 / 3.0])],
-        params={"spacing": float(spacing)},
-    )
+    cons = n_from_two(3, spacing)
+    pset = replace(cons.set, name=f"three_from_two(spacing={spacing})")
+    return replace(cons, set=pset, params={"spacing": float(spacing)})
 
 
 def n_from_two_labels(n: int) -> list[Fraction]:
@@ -131,13 +117,11 @@ def n_from_two(n: int, spacing: float | None = None) -> Construction:
     i/n of the segment. The spacing defaults to ``n`` units but the labels,
     and therefore the crossing fractions, do not depend on it.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    weights = n_from_two_labels(n)
     if spacing is None:
         spacing = float(n)
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    weights = n_from_two_labels(n)
     first = SoftLabel.from_exact(weights)
     second = SoftLabel.from_exact(weights[::-1])
     pset = make_prototype_set(
@@ -317,21 +301,20 @@ class RadialFit:
 
 
 def _measure_crossings(
-    positions: np.ndarray, weights: np.ndarray, origin, angle: float, targets: np.ndarray, r_max: float
+    positions: np.ndarray, weights: np.ndarray, targets: np.ndarray, r_max: float
 ) -> tuple[float, list[float]]:
     """Squared-error residual between realized score crossings and targets.
 
     For each adjacent class pair (j, j+1) the crossing is a sign change of
-    the k = M score difference along the ray from ``origin`` at ``angle``;
-    the change nearest the target is refined by bisection, every pair in
-    the same steps. A missing crossing costs r_max^2.
+    the k = M score difference along the +x ray from the origin; the change
+    nearest the target is refined by bisection, every pair in the same
+    steps. A missing crossing costs r_max^2.
     """
-    o = np.asarray(origin, dtype=float)
-    direction = np.array([math.cos(angle), math.sin(angle)])
 
     def scores(radii) -> np.ndarray:
         # The ray must avoid prototype positions: exact hits are not replaced.
-        pts = o[None, :] + np.asarray(radii, dtype=float)[:, None] * direction
+        r = np.asarray(radii, dtype=float)
+        pts = np.column_stack((r, np.zeros_like(r)))
         out = np.empty((len(pts), weights.shape[1]))
         scratch = np.empty((2, len(pts), len(positions)))
         classifier.score_block(positions, weights, len(positions), pts, out, scratch, np.empty_like(out))
@@ -366,24 +349,24 @@ def _measure_crossings(
 
 
 def nested_band_labels(
-    positions: np.ndarray, target_radii: Sequence[float], class_count: int, origin=(0.0, 0.0), angle: float = 0.0
+    positions: np.ndarray, target_radii: Sequence[float], class_count: int
 ) -> np.ndarray:
     """Closed-form label matrix whose bands cross a ray at the given radii.
 
-    The prototype nearest ``origin`` acts as the band center; all other
-    prototypes share one label. On the ray, the score difference of classes
-    j and j+1 is (center_j - center_{j+1})/r - G(r) where G sums the other
-    prototypes' inverse distances, so placing the difference at the target
-    radius r_j just requires center_j - center_{j+1} = r_j * G(r_j). The
-    outer weights count upward so each difference is exactly -1.
+    The ray is the +x axis from the origin, and the prototype nearest the
+    origin acts as the band center; all other prototypes share one label.
+    On the ray, the score difference of classes j and j+1 is
+    (center_j - center_{j+1})/r - G(r) where G sums the other prototypes'
+    inverse distances, so placing the difference at the target radius r_j
+    just requires center_j - center_{j+1} = r_j * G(r_j). The outer
+    weights count upward so each difference is exactly -1.
     """
     pos = np.asarray(positions, dtype=float)
-    center_idx = int(np.argmin(np.linalg.norm(pos - np.asarray(origin, dtype=float), axis=1)))
-    direction = np.array([math.cos(angle), math.sin(angle)])
+    center_idx = int(np.argmin(np.linalg.norm(pos, axis=1)))
     others = np.delete(np.arange(len(pos)), center_idx)
 
     def ray_g(r: float) -> float:
-        p = np.asarray(origin, dtype=float) + r * direction
+        p = np.array([r, 0.0])
         return float(sum(1.0 / np.linalg.norm(p - pos[i]) for i in others))
 
     steps = [r * ray_g(r) for r in target_radii]
@@ -401,8 +384,6 @@ def fit_radial_labels(
     target_radii: Sequence[float],
     class_count: int,
     *,
-    origin=(0.0, 0.0),
-    angle: float = 0.0,
     r_max: float | None = None,
 ) -> RadialFit:
     """Closed-form :func:`nested_band_labels`, measured once against the targets.
@@ -412,7 +393,8 @@ def fit_radial_labels(
     Parameters
     ----------
     positions : (M, 2) array of prototype positions; the labels are for k = M.
-    target_radii : strictly increasing crossing distances from ``origin``.
+    target_radii : strictly increasing crossing distances from the origin
+        along the +x ray.
     class_count : number of classes the labels span.
     r_max : end of the sampled ray; defaults to 1.6 times the last target.
     """
@@ -425,8 +407,8 @@ def fit_radial_labels(
     if r_max is None:
         r_max = 1.6 * float(targets[-1]) if len(targets) else 1.0
 
-    weights = nested_band_labels(pos, targets, class_count, origin=origin, angle=angle)
-    residual, realized = _measure_crossings(pos, weights, origin, angle, targets, r_max)
+    weights = nested_band_labels(pos, targets, class_count)
+    residual, realized = _measure_crossings(pos, weights, targets, r_max)
     if residual > 1e-6:
         raise RadialFitError(residual)
     return RadialFit(
@@ -457,7 +439,7 @@ def concentric_ellipses(num_classes: int) -> Construction:
         set=pset,
         required_k=3,
         claimed_classes=num_classes,
-        radial_spec=RadialSpec(origin=(0.0, 0.0), angle=0.0, radii=tuple(targets)),
+        radial_spec=RadialSpec(radii=tuple(targets)),
         fit_residual=fit.residual,
         params={"num_classes": num_classes},
     )
@@ -556,20 +538,18 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
     targets = [(t + 0.5) * c for t in range(1, n)]
     circle_spec = tuple((t * c, t - 1) for t in range(1, n + 1))
     if n == 1:
-        pset = make_prototype_set(positions, np.ones((5, 1)), LabelKind.UNRESTRICTED, f"circle_soft_fit(n=1, c={c})")
-        return Construction(
-            set=pset, required_k=5, claimed_classes=1, circle_spec=circle_spec, fit_residual=0.0,
-            params={"n": n, "c": float(c)},
-        )
-    fit = fit_radial_labels(positions, targets, n, r_max=0.8 * s)
-    pset = make_prototype_set(positions, fit.labels, name=f"circle_soft_fit(n={n}, c={c})")
+        labels, residual, radial_spec = np.ones((5, 1)), 0.0, None
+    else:
+        fit = fit_radial_labels(positions, targets, n, r_max=0.8 * s)
+        labels, residual, radial_spec = fit.labels, fit.residual, RadialSpec(radii=tuple(targets))
+    pset = make_prototype_set(positions, labels, LabelKind.UNRESTRICTED, f"circle_soft_fit(n={n}, c={c})")
     return Construction(
         set=pset,
         required_k=5,
         claimed_classes=n,
-        radial_spec=RadialSpec(origin=(0.0, 0.0), angle=0.0, radii=tuple(targets)),
+        radial_spec=radial_spec,
         circle_spec=circle_spec,
-        fit_residual=fit.residual,
+        fit_residual=residual,
         params={"n": n, "c": float(c)},
     )
 

@@ -16,7 +16,7 @@ kinds (softmax, argmax), validation, and the JSON interchange format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path

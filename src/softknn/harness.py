@@ -29,6 +29,10 @@ from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 # flip the argmax exactly on a tie.
 NEAR_TIE_GAP = 1e-9
 
+# Largest accepted crossing errors: a fraction of a segment, and a radius.
+BOUNDARY_TOL = 1e-6
+RADIAL_TOL = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class CheckResult:
@@ -78,18 +82,13 @@ def require_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _require_resolutions(resolutions: tuple[int, ...]) -> None:
-    if not resolutions:
-        raise ValueError("class count check needs at least one resolution")
-
-
 def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 1024)) -> CheckResult:
     """Rasterize at each resolution and compare distinct classes to the claim.
 
     Two resolutions guard against aliasing: a class thinner than a cell at
     the coarse grid must still show up at the fine one.
     """
-    _require_resolutions(resolutions)
+    require_positive("resolutions", len(resolutions))
     observed = {}
     for res in resolutions:
         grid = rasterize(cons.set, cons.required_k, default_bounds(cons.set), res, res)
@@ -111,7 +110,8 @@ def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list
     Returns the segment starts and ends, and per segment its report entry
     (the crossing's place and expected position) and the window ``(lo,
     hi)`` that maps a fraction of the segment back to the stated scale.
-    Segment crossings come first, then ray crossings.
+    Segment crossings come first, then ray crossings along the +x axis
+    from the origin.
     """
     starts, ends, windows = [], [], []
     if cons.boundary_spec:
@@ -124,21 +124,18 @@ def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list
                 windows.append(({"segment": [ia, ib], "expected": expected}, lo, hi))
 
     if cons.radial_spec:
-        spec = cons.radial_spec
-        origin = np.asarray(spec.origin, dtype=float)
-        direction = np.array([math.cos(spec.angle), math.sin(spec.angle)])
-        radii = list(spec.radii)
+        radii = list(cons.radial_spec.radii)
         edges = [0.5 * radii[0]]
         edges += [0.5 * (r1 + r2) for r1, r2 in zip(radii, radii[1:])]
         edges.append(radii[-1] + 0.5 * (radii[-1] - radii[-2]) if len(radii) > 1 else 1.5 * radii[-1])
         for expected, lo, hi in zip(radii, edges[:-1], edges[1:]):
-            starts.append(origin + lo * direction)
-            ends.append(origin + hi * direction)
+            starts.append((lo, 0.0))
+            ends.append((hi, 0.0))
             windows.append(({"ray": True, "expected": expected}, lo, hi))
     return np.array(starts).reshape(-1, cons.set.dim), np.array(ends).reshape(-1, cons.set.dim), windows
 
 
-def verify_boundaries(cons: Construction, tol: float = 1e-6, radial_tol: float = 1e-3) -> CheckResult:
+def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol: float = RADIAL_TOL) -> CheckResult:
     """Bisect every specified crossing and compare against its stated position.
 
     Segment crossings (fractions between prototype pairs) are checked
@@ -359,23 +356,22 @@ def standard_report(
     cons: Construction,
     *,
     resolutions: tuple[int, ...] = (512, 1024),
-    boundary_tol: float = 1e-6,
-    radial_tol: float = 1e-3,
     samples_per_circle: int = 10_000,
     trials: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
     """Run every check the construction's claims support.
 
-    The sizes are checked before any check runs, so a bad one is refused
-    without rasterizing first.
+    Crossings are held to :data:`BOUNDARY_TOL` and :data:`RADIAL_TOL`,
+    which the report's ``meta`` records. The sizes are checked before any
+    check runs, so a bad one is refused without rasterizing first.
     """
-    _require_resolutions(resolutions)
+    require_positive("resolutions", len(resolutions))
     require_positive("samples_per_circle", samples_per_circle)
     require_positive("trials", trials)
     checks: list[CheckResult] = [verify_class_count(cons, resolutions)]
     if cons.boundary_spec or cons.radial_spec:
-        checks.append(verify_boundaries(cons, tol=boundary_tol, radial_tol=radial_tol))
+        checks.append(verify_boundaries(cons))
     if cons.circle_spec is not None:
         checks.append(verify_circle_separation(cons, samples_per_circle))
     if cons.fit_residual is not None:
@@ -385,8 +381,8 @@ def standard_report(
         "version": __version__,
         "seed": seed,
         "resolutions": list(resolutions),
-        "boundary_tol": boundary_tol,
-        "radial_tol": radial_tol,
+        "boundary_tol": BOUNDARY_TOL,
+        "radial_tol": RADIAL_TOL,
         "samples_per_circle": samples_per_circle,
         "trials": trials,
     }

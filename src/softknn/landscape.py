@@ -100,7 +100,7 @@ class RegionReport:
         }
 
 
-def default_bounds(pset: PrototypeSet, pad_fraction: float = 0.25) -> tuple[float, float, float, float]:
+def default_bounds(pset: PrototypeSet) -> tuple[float, float, float, float]:
     """Prototype bounding box padded per side by a quarter of its span.
 
     A degenerate axis (all prototypes share that coordinate) is padded by
@@ -113,7 +113,7 @@ def default_bounds(pset: PrototypeSet, pad_fraction: float = 0.25) -> tuple[floa
     mins, maxs = pos.min(axis=0), pos.max(axis=0)
     spans = maxs - mins
     ref = float(spans.max()) if spans.max() > 0 else 1.0
-    pads = [pad_fraction * float(s) if s > 0 else 0.5 * pad_fraction * ref for s in spans]
+    pads = [0.25 * float(s) if s > 0 else 0.125 * ref for s in spans]
     return (
         float(mins[0] - pads[0]),
         float(maxs[0] + pads[0]),
@@ -252,8 +252,7 @@ def _predicted(pset: PrototypeSet, k: int, pts: np.ndarray) -> np.ndarray:
     """Predicted classes of checked points, without keeping any per-class scores."""
     n = len(pts)
     predicted = np.empty(n, dtype=np.intp)
-    if n:
-        _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
+    _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
     return predicted
 
 
@@ -347,9 +346,10 @@ def k_sweep(
     width: int = 512,
     height: int = 512,
 ) -> list[tuple[int, RasterGrid, RegionReport]]:
-    """Rasterize and report regions for each k in ``k_values``."""
-    if bounds is None:
-        bounds = default_bounds(pset)
+    """Rasterize and report regions for each k in ``k_values``, every k checked before the first raster."""
+    k_values = list(k_values)
+    for k in k_values:
+        _check_rule_args(pset, k)
     out = []
     for k in k_values:
         grid = rasterize(pset, k, bounds, width, height)

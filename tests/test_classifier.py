@@ -126,6 +126,15 @@ class TestClassifyBatch:
     def test_empty(self, pair_set):
         assert classify_batch(pair_set, 2, []) == []
 
+    @pytest.mark.parametrize(
+        "k, points, match",
+        [(0, [], "out of range"), (2, np.empty((0, 5)), "dimension 2")],
+        ids=["bad-k", "bad-dimension"],
+    )
+    def test_empty_still_checked(self, pair_set, k, points, match):
+        with pytest.raises(ValueError, match=match):
+            classify_batch(pair_set, k, points)
+
     def test_repeated_point_identical(self, pair_set):
         a, b = classify_batch(pair_set, 2, [(0.7, 0.1), (0.7, 0.1)])
         assert a.predicted == b.predicted
@@ -144,6 +153,29 @@ class TestClassifyBatch:
             np.testing.assert_array_equal(batch[i].scores, single.scores)
             assert batch[i].confidence == single.confidence
             assert batch[i].exact_hit == single.exact_hit
+
+
+class TestEmptyQuery:
+    def test_shapes_and_dtypes(self, pair_set):
+        scores, predicted, confidence, exact = evaluate_points(pair_set, 2, np.empty((0, 2)))
+        assert (scores.shape, predicted.shape, confidence.shape, exact.shape) == ((0, 3), (0,), (0,), (0,))
+        assert (scores.dtype, confidence.dtype, exact.dtype) == (float, float, bool)
+        assert predicted.dtype.kind == "i"
+
+    @pytest.mark.parametrize(
+        "k, points, match",
+        [(0, np.empty((0, 2)), "out of range"), (2, np.empty((0, 5)), "dimension 2")],
+        ids=["bad-k", "bad-dimension"],
+    )
+    def test_arguments_still_checked(self, pair_set, k, points, match):
+        # No points is no reason to skip the checks a non-empty query gets.
+        with pytest.raises(ValueError, match=match):
+            evaluate_points(pair_set, k, points)
+
+    def test_non_finite_set_refused(self):
+        pset = make_prototype_set([(0.0, 0.0), (1.0, 0.0)], np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_points(pset, 2, np.empty((0, 2)))
 
 
 def _reference_scores(positions, labels, k, points):

@@ -244,6 +244,16 @@ class TestErrors:
         assert "empty k range" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_bad_k_refused_before_any_raster(self, pair_json, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rasterized before every k was checked")
+
+        monkeypatch.setattr("softknn.landscape.rasterize", forbidden)
+        outdir = tmp_path / "sweep"
+        assert run("sweep-k", "-s", str(pair_json), "--k", "1,3", "-o", str(outdir)) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_k_out_of_range_reported(self, pair_json, capsys):
         assert run("classify", "-s", str(pair_json), "-k", "9", "-x", "0,0") == 2
         assert "out of range" in capsys.readouterr().err

@@ -38,6 +38,12 @@ CIRCLES_12_DIGESTS = {
     ),
 }
 
+# `softknn construct NAME ... -o SET`: SHA-256 of SET.
+CONSTRUCT_DIGESTS = {
+    ("three_from_two",): "f896586882213d21c7f38fc1c5b0ba4d17d56ba3a09fd190d1c80a38161c92da",
+    ("three_from_two", "--spacing", "2"): "665418dca765d0d394615732c2543077455a07c96fadaeac7db5a5cfe049c12a",
+    ("concentric_ellipses", "--num-classes", "6"): "c0020f3cb727023613eaeafa8903bbf3951ac3b19d7db13219a048c787a34aa2",
+}
 
 # One construction per selection path of the kernel, rasterized at 256x256
 # over its default bounds with k = required_k: SHA-256 of the PPM bytes and
@@ -93,6 +99,13 @@ def _check_circles_bytes(tmp_path, mode):
     assert (sha256(out), sha256(report)) == CIRCLES_12_DIGESTS[mode]
 
 
+@pytest.mark.parametrize("target", list(CONSTRUCT_DIGESTS), ids="-".join)
+def test_construct_bytes_pinned(tmp_path, target):
+    out = tmp_path / "set.json"
+    assert main(["construct", *target, "-o", str(out)]) == 0
+    assert sha256(out) == CONSTRUCT_DIGESTS[target]
+
+
 @pytest.mark.parametrize("case", list(RASTER_256_DIGESTS))
 def test_raster_bytes_pinned(case):
     build, ppm_digest, pgm_digest, log_pgm_digest = RASTER_256_DIGESTS[case]
@@ -119,3 +132,24 @@ def test_traced_functions_exist():
     assert names
     missing = [f"{mod}.{fn}" for mod, fn in names if not callable(getattr(getattr(softknn, mod, None), fn, None))]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # The package re-exports names from __init__.py; every other module
+    # must use what it imports.
+    modules = sorted(p for p in (REPO / "src" / "softknn").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [entry for p in modules for entry in _unused_imports(p)] == []

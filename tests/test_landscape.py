@@ -432,6 +432,10 @@ class TestStackedBoundaryBisect:
         fractions = boundary_bisect(pair.set, 2, starts, ends, class_pair=[(0, 1), (1, 2)])
         np.testing.assert_allclose(fractions, [2 / 3, 1 / 3], atol=1e-8)
 
+    def test_no_segments(self, pair):
+        none = np.empty((0, 2))
+        assert boundary_bisect(pair.set, 2, none, none).shape == (0,)
+
     def test_mismatched_ends_rejected(self, pair):
         with pytest.raises(ValueError, match="segment ends"):
             boundary_bisect(pair.set, 2, [(0.0, 0.0)], [(1.5, 0.0), (3.0, 0.0)])
