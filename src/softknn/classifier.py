@@ -176,8 +176,8 @@ def evaluate_points(
     :func:`score_block`), argmax ties by lowest class index.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    if pts.ndim == 1:  # one point; an empty vector is no points, not one of dimension 0
+        pts = pts[None, :] if pts.size else pts.reshape(0, pset.dim)
     _check_rule_args(pset, k)
     if pts.ndim != 2 or pts.shape[1] != pset.dim:
         raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
@@ -206,13 +206,13 @@ def _classification(scores, predicted, confidence, exact, i: int) -> Classificat
 
 def classify(pset: PrototypeSet, k: int, x) -> Classification:
     """Classify a single point; see the module docstring for the rule."""
-    return _classification(*evaluate_points(pset, k, np.asarray(x, dtype=float)), 0)
+    pts = np.asarray(x, dtype=float)
+    if pts.size == 0 or (pts.ndim > 1 and len(pts) != 1):
+        raise ValueError(f"classify takes exactly one point, got shape {pts.shape}; use classify_batch")
+    return _classification(*evaluate_points(pset, k, pts), 0)
 
 
 def classify_batch(pset: PrototypeSet, k: int, points) -> list[Classification]:
     """Classify many points; output order matches input order."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape == (0,):  # an empty list is no points, not one point of dimension 0
-        pts = pts.reshape(0, pset.dim)
-    result = evaluate_points(pset, k, pts)
+    result = evaluate_points(pset, k, points)
     return [_classification(*result, i) for i in range(len(result[1]))]

@@ -54,9 +54,12 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 def _parse_resolutions(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        resolutions = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    if min(resolutions) < 2:
+        raise argparse.ArgumentTypeError(f"every resolution must be at least 2, got {text!r}")
+    return resolutions
 
 
 def _parse_k_range(text: str) -> list[int]:

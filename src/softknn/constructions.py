@@ -451,73 +451,47 @@ def concentric_ellipses(num_classes: int) -> Construction:
 def circle_prototype_count(t: int) -> int:
     """Prototype budget for the t-th circle under the nearest-neighbor bound.
 
-    A point on circle t (radius t*c) must sit closer to its own circle's
-    prototypes than to the adjacent circles one radial gap c away. Equally
-    spaced prototypes achieve that once the worst-case chord 2tc*sin(pi/m)
-    drops to c, i.e. m >= pi / arccos(1 - 1/(2t^2)).
+    A point on circle t (radius t*c) is at most 2tc*sin(pi/(2m)) from the
+    nearest of m equally spaced prototypes on it, and at least the radial
+    gap c from any prototype on another circle. The first distance is at
+    most c once m >= pi / arccos(1 - 1/(2t^2)). It equals c only at t = 1,
+    m = 3, since cos(pi/m) is rational only for m <= 3; there the arc
+    midpoints (60, 180, 300 degrees) miss circle 2's multiples of 360/7.
     """
     if t < 1:
         raise ValueError(f"circle index must be >= 1, got {t}")
     return math.ceil(math.pi / math.acos(1.0 - 1.0 / (2.0 * t * t)))
 
 
-def misclassified_on_circle(pset: PrototypeSet, k: int, radius: float, cls: int, samples: int) -> int:
-    """Count equally spaced samples on a circle that do not predict ``cls``."""
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    pts = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-    _, predicted, _, _ = classifier.evaluate_points(pset, k, pts)
-    return int(np.count_nonzero(predicted != cls))
-
-
 def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
     """Hard-label prototypes on N concentric circles, separated by 1NN.
 
-    Circle t (radius t*c) starts with :func:`circle_prototype_count`
-    prototypes equally spaced around it, all labeled class t-1. Each
-    circle's count is then checked by dense sampling and incremented until
-    no sampled point on the circle is misclassified, which guards against
-    edge cases in the bound without over-provisioning.
+    Circle t (radius t*c) carries :func:`circle_prototype_count` prototypes
+    equally spaced from angle 0, all labeled class t-1. The bound stated
+    there puts every point of a circle nearest one of its own prototypes;
+    :func:`softknn.harness.verify_circle_separation` checks it by sampling.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     counts = [circle_prototype_count(t) for t in range(1, n + 1)]
-
-    def build(counts_now: list[int]) -> PrototypeSet:
-        positions = []
-        for t, count in enumerate(counts_now, start=1):
-            radius = t * c
-            angles = 2.0 * math.pi * np.arange(count) / count
-            positions += [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
-        labels = np.repeat(np.eye(n), counts_now, axis=0)
-        return make_prototype_set(
-            positions, labels, kind=LabelKind.HARD, name=f"circle_hard_baseline(n={n}, c={c}, counts={counts_now})"
-        )
-
-    # Verification-driven increments; the analytic counts normally suffice.
-    check_samples = 4096
-    for _ in range(16):
-        pset = build(counts)
-        bad = [
-            t
-            for t in range(1, n + 1)
-            if misclassified_on_circle(pset, 1, t * c, t - 1, check_samples) > 0
-        ]
-        if not bad:
-            break
-        for t in bad:
-            counts[t - 1] += 1
-    else:
-        raise RuntimeError("circle prototype counts failed to stabilize")
-
+    positions = []
+    for t, count in enumerate(counts, start=1):
+        radius = t * c
+        angles = 2.0 * math.pi * np.arange(count) / count
+        positions += [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    labels = np.repeat(np.eye(n), counts, axis=0)
+    pset = make_prototype_set(
+        positions, labels, kind=LabelKind.HARD, name=f"circle_hard_baseline(n={n}, c={c}, counts={counts})"
+    )
     circle_spec = tuple((t * c, t - 1) for t in range(1, n + 1))
     return Construction(
         set=pset,
         required_k=1,
         claimed_classes=n,
         circle_spec=circle_spec,
-        params={"n": n, "c": float(c), "counts": list(counts)},
+        params={"n": n, "c": float(c), "counts": counts},
     )
 
 

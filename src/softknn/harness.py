@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import evaluate_points
-from .constructions import Construction, misclassified_on_circle
+from .constructions import Construction
 from .core import LabelKind, PrototypeSet
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 
@@ -172,10 +172,12 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
     if cons.circle_spec is None:
         raise ValueError("construction carries no circle specification")
     require_positive("samples_per_circle", samples_per_circle)
+    angles = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
     per_circle = []
     total_bad = 0
     for radius, cls in cons.circle_spec:
-        bad = misclassified_on_circle(cons.set, cons.required_k, radius, cls, samples_per_circle)
+        pts = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
+        bad = int(np.count_nonzero(evaluate_points(cons.set, cons.required_k, pts)[1] != cls))
         per_circle.append({"radius": radius, "class": cls, "misclassified": bad})
         total_bad += bad
     return CheckResult(

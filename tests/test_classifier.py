@@ -98,6 +98,17 @@ class TestClassify:
         with pytest.raises(ValueError, match="finite"):
             classify(pset, 2, (0.5, 0.0))
 
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.5, 0.0], [2.9, 0.0]], [], np.empty((0, 2))],
+        ids=["two-points", "empty-list", "no-rows"],
+    )
+    def test_exactly_one_point(self, pair_set, points):
+        # Several points must not be answered for the first one alone.
+        with pytest.raises(ValueError, match="exactly one point"):
+            classify(pair_set, 2, points)
+        assert classify(pair_set, 2, [[2.9, 0.0]]).predicted == 2
+
     def test_overflowing_scores_refused(self):
         # Finite labels whose inverse-distance sum exceeds the float range.
         pset = make_prototype_set([(0.0, 0.0), (3.0, 0.0)], np.array([[1e308, 0.0], [0.0, 1e308]]))
@@ -158,6 +169,12 @@ class TestClassifyBatch:
 class TestEmptyQuery:
     def test_shapes_and_dtypes(self, pair_set):
         scores, predicted, confidence, exact = evaluate_points(pair_set, 2, np.empty((0, 2)))
+        assert (scores.shape, predicted.shape, confidence.shape, exact.shape) == ((0, 3), (0,), (0,), (0,))
+        assert (scores.dtype, confidence.dtype, exact.dtype) == (float, float, bool)
+        assert predicted.dtype.kind == "i"
+
+    def test_empty_list_is_no_points(self, pair_set):
+        scores, predicted, confidence, exact = evaluate_points(pair_set, 2, [])
         assert (scores.shape, predicted.shape, confidence.shape, exact.shape) == ((0, 3), (0,), (0,), (0,))
         assert (scores.dtype, confidence.dtype, exact.dtype) == (float, float, bool)
         assert predicted.dtype.kind == "i"

@@ -238,6 +238,15 @@ class TestErrors:
         assert run("verify", "three_from_two", "--resolutions", text) == 2
         assert "argument --resolutions:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1", "0", "256,1"])
+    def test_small_resolution_refused_before_build(self, text, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built the construction before the resolutions were checked")
+
+        monkeypatch.setattr("softknn.constructions.build_named", forbidden)
+        assert run("verify", "circle_hard_baseline", "--n", "12", "--resolutions", text) == 2
+        assert "argument --resolutions:" in capsys.readouterr().err
+
     def test_empty_k_range_refused(self, pair_json, tmp_path, capsys):
         outdir = tmp_path / "sweep"
         assert run("sweep-k", "-s", str(pair_json), "--k", "5..1", "-o", str(outdir)) == 2

@@ -369,6 +369,26 @@ class TestCircleHardBaseline:
         cons = circle_hard_baseline(3, 0.5)
         assert cons.circle_spec == ((0.5, 0), (1.0, 1), (1.5, 2))
 
+    def test_own_prototype_within_radial_gap(self):
+        # A point on circle t is at most 2t*sin(pi/(2m)) (in units of c) from
+        # its nearest own prototype; every other circle is at least 1 away.
+        t = np.arange(1, 5001)
+        m = np.array([circle_prototype_count(int(i)) for i in t])
+        reach = 2 * t * np.sin(np.pi / (2 * m))
+        assert reach[0] <= 1.0
+        assert np.all(reach[1:] < 1.0)
+
+    def test_built_without_the_classifier(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the construction ran the classifier")
+
+        monkeypatch.setattr("softknn.classifier.evaluate_points", forbidden)
+        monkeypatch.setattr("softknn.classifier.score_block", forbidden)
+        cons = circle_hard_baseline(40)
+        counts = [circle_prototype_count(t) for t in range(1, 41)]
+        assert cons.params["counts"] == counts
+        assert len(cons.set) == sum(counts)
+
 
 class TestCircleSoftFit:
     def test_five_prototypes_and_residual(self):

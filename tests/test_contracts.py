@@ -43,6 +43,7 @@ CONSTRUCT_DIGESTS = {
     ("three_from_two",): "f896586882213d21c7f38fc1c5b0ba4d17d56ba3a09fd190d1c80a38161c92da",
     ("three_from_two", "--spacing", "2"): "665418dca765d0d394615732c2543077455a07c96fadaeac7db5a5cfe049c12a",
     ("concentric_ellipses", "--num-classes", "6"): "c0020f3cb727023613eaeafa8903bbf3951ac3b19d7db13219a048c787a34aa2",
+    ("circle_hard_baseline", "--n", "20"): "1c3e621564f1979f57a5c1f2c31ba97f6ca707be60c8dd5ea14628857a7c1fc6",
 }
 
 # One construction per selection path of the kernel, rasterized at 256x256
@@ -153,3 +154,41 @@ def test_no_unused_imports():
     modules = sorted(p for p in (REPO / "src" / "softknn").glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for p in modules for entry in _unused_imports(p)] == []
+
+
+def _top_level_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_no_unused_top_level_names():
+    # Every top-level def, class or constant is used somewhere in the
+    # package or re-exported by __init__.py; dunder names are exempt.
+    package = REPO / "src" / "softknn"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = [
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for name, line in _top_level_names(tree).items()
+        if name not in used and name not in exported and not name.startswith("__")
+    ]
+    assert unused == []

@@ -84,6 +84,11 @@ class TestCircleSeparation:
         assert check.passed
         assert check.observed["total_misclassified"] == 0
 
+    def test_hard_twenty_circles(self):
+        # The one check of the hard baseline's separation claim, at n = 20.
+        check = verify_circle_separation(circle_hard_baseline(20), samples_per_circle=4096)
+        assert check.passed
+
     def test_soft_fit_six_circles(self):
         check = verify_circle_separation(circle_soft_fit(6), samples_per_circle=2000)
         assert check.passed
