@@ -117,7 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=_parse_resolution, default=(512, 512), help="WxH, default 512x512")
     p.add_argument("--risk", choices=["clip", "log"], help="also write a risk PGM in this mode")
     p.add_argument("--percentile", type=float, default=99.0, help="clip percentile (default 99)")
-    p.add_argument("--partitions", type=int, default=1, help="row blocks for the rasterizer")
+    p.add_argument(
+        "--partitions", type=int,
+        help="row blocks for the rasterizer, run on a thread pool (default: chosen by grid size)",
+    )
     p.add_argument("--csv", action="store_true", help="also dump class and confidence CSVs")
     p.add_argument("-o", "--output", required=True, help="output PPM path")
 

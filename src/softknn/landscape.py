@@ -13,14 +13,19 @@ at once, asking its predicate once per step for every bracket still open,
 and each bracket stops by the rule a lone bracket would use, so stacking
 does not change any result.
 
-Rasterization is deterministic: the per-cell computation is independent of
-how cells are partitioned into blocks, so any ``partitions`` value yields
-bit-identical grids.
+Rasterization splits a grid's rows into blocks. Grids of at least four
+chunks per worker (512x512 and up on two cores) run one block per
+available core on a thread pool opened for the call; smaller ones stay on
+the calling thread. It is deterministic: the per-cell computation is
+independent of how cells are partitioned into blocks, so any
+``partitions`` value, and any core count, yields bit-identical grids.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +48,10 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 # Cells per rasterize chunk: the cell centers of a chunk of whole grid rows
 # are built in one reused buffer of this many points (512 KiB).
 _CHUNK_CELLS = 1 << 15
+# A grid is split across cores only if every worker gets this many chunks:
+# below that, starting threads and a per-worker buffer set cost more than
+# they save (a 256x256 grid is two chunks and stays on the calling thread).
+_CHUNKS_PER_WORKER = 4
 
 
 class BisectionError(ValueError):
@@ -128,17 +137,27 @@ def rasterize(
     bounds: tuple[float, float, float, float] | None = None,
     width: int = 512,
     height: int = 512,
-    partitions: int = 1,
+    partitions: int | None = None,
 ) -> RasterGrid:
     """Classify every cell center of a width x height grid over ``bounds``.
 
-    ``partitions`` splits the rows into that many blocks evaluated
-    separately; the output is bit-identical for every value because each
-    cell is classified independently. Each block is filled in chunks of
-    whole rows whose cell centers are built in one reused buffer, and the
-    classifier writes each chunk straight into ``classes`` and
+    The rows are split into blocks of whole rows. By default
+    (``partitions=None``) the grid's size chooses: it gets one block per
+    available core but no more than one per row or per four chunks of
+    ``_CHUNK_CELLS`` cells, so a grid under eight chunks (256x256 is two)
+    stays one block on the calling thread on any machine.
+    ``partitions=p`` asks for p blocks instead, at most one per row. Several blocks run on a thread
+    pool of ``min(blocks, cores)`` threads that is opened for the call and
+    joined before it returns; an error in any block is raised unchanged.
+    The output is bit-identical for every split because each cell is
+    classified independently.
+
+    Each block fills its rows in chunks of whole rows whose cell centers
+    are built in the block's own reused buffer, and the classifier writes
+    each chunk straight into the block's rows of ``classes`` and
     ``confidence``; per-class scores exist only one tile at a time, so
-    memory beyond the outputs is bounded by the chunk and the tile.
+    memory beyond the outputs is bounded by one chunk and one tile per
+    running block.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -149,8 +168,11 @@ def rasterize(
         raise ValueError(f"bounds must be well-ordered, got {bounds}")
     if width < 2 or height < 2:
         raise ValueError(f"resolution must be at least 2x2, got {width}x{height}")
-    if partitions < 1:
-        raise ValueError(f"partitions must be >= 1, got {partitions}")
+    if partitions is not None:
+        if not isinstance(partitions, (int, np.integer)) or isinstance(partitions, bool):
+            raise ValueError(f"partitions must be an integer, got {partitions!r}")
+        if partitions < 1:
+            raise ValueError(f"partitions must be >= 1, got {partitions}")
     _check_rule_args(pset, k)
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymin + (np.arange(height) + 0.5) * (ymax - ymin) / height
@@ -159,20 +181,36 @@ def rasterize(
 
     classes = np.empty((height, width), dtype=np.int32)
     confidence = np.empty((height, width), dtype=float)
-    chunk = min(height, max(1, _CHUNK_CELLS // width))
-    centers = np.empty((chunk, width, 2))
-    centers[:, :, 0] = xs
-    exact = np.empty(chunk * width, dtype=bool)
-    hits: list[tuple[int, int]] = []
+    chunk_rows = max(1, _CHUNK_CELLS // width)
 
-    for rows in np.array_split(np.arange(height), min(partitions, height)):
-        for r0 in range(int(rows[0]), int(rows[-1]) + 1, chunk):
-            r1 = min(r0 + chunk, int(rows[-1]) + 1)
+    def fill(b0: int, b1: int) -> list[tuple[int, int]]:
+        """Classify rows b0..b1-1 through this block's own buffers; return its exact hits."""
+        chunk = min(b1 - b0, chunk_rows)
+        centers = np.empty((chunk, width, 2))
+        centers[:, :, 0] = xs
+        exact = np.empty(chunk * width, dtype=bool)
+        hits: list[tuple[int, int]] = []
+        for r0 in range(b0, b1, chunk):
+            r1 = min(r0 + chunk, b1)
             centers[: r1 - r0, :, 1] = ys[r0:r1, None]
             ex = exact[: (r1 - r0) * width]
             pts = centers[: r1 - r0].reshape(-1, 2)
             _evaluate_into(pset, k, pts, classes[r0:r1].reshape(-1), confidence[r0:r1].reshape(-1), ex)
             hits.extend((r0 + int(flat) // width, int(flat) % width) for flat in np.flatnonzero(ex))
+        return hits
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if partitions is None:
+        blocks = max(1, min(cores, height, width * height // (_CHUNKS_PER_WORKER * _CHUNK_CELLS)))
+    else:
+        blocks = min(partitions, height)
+    edges = [height * i // blocks for i in range(blocks + 1)]
+    threads = min(blocks, cores)
+    if threads == 1:
+        per_block = list(map(fill, edges[:-1], edges[1:]))
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            per_block = list(pool.map(fill, edges[:-1], edges[1:]))
 
     classes.flags.writeable = False
     confidence.flags.writeable = False
@@ -182,7 +220,7 @@ def rasterize(
         height=height,
         classes=classes,
         confidence=confidence,
-        exact_hits=tuple(sorted(hits)),
+        exact_hits=tuple(sorted(hit for hits in per_block for hit in hits)),
     )
 
 
@@ -323,17 +361,24 @@ def boundary_bisect(
 
 
 def region_report(grid: RasterGrid) -> RegionReport:
-    """Count distinct classes and their 4-connected components and areas."""
-    present = np.unique(grid.classes)
+    """Count distinct classes and their 4-connected components and areas.
+
+    One pass over the grid finds each present class's bounding box, which
+    holds all of its cells; the class is then counted and labelled inside
+    that box only.
+    """
+    classes = grid.classes
     components: dict[int, int] = {}
     areas: dict[int, int] = {}
-    for c in present:
-        mask = grid.classes == c
+    for c, box in enumerate(ndimage.find_objects(classes + 1)):  # label c + 1 is class c
+        if box is None:
+            continue
+        mask = classes[box] == c
         _, count = ndimage.label(mask)  # default structure is 4-connectivity
-        components[int(c)] = int(count)
-        areas[int(c)] = int(mask.sum())
+        components[c] = int(count)
+        areas[c] = int(np.count_nonzero(mask))
     return RegionReport(
-        distinct_classes=len(present),
+        distinct_classes=len(areas),
         components_per_class=components,
         class_areas=areas,
     )

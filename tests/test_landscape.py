@@ -1,9 +1,13 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from softknn import (
     LabelKind,
@@ -31,9 +35,10 @@ from softknn import (
     star_pairs,
     three_from_two,
 )
+from softknn import landscape
 from softknn.classifier import _BLOCK_ENTRIES, _TILE_SCORE_ENTRIES
 from softknn.harness import _crossing_segments
-from softknn.landscape import _CHUNK_CELLS, bisect_many
+from softknn.landscape import _CHUNK_CELLS, _CHUNKS_PER_WORKER, RegionReport, bisect_many
 
 # Frame that puts both prototypes of three_from_two(3) exactly on cell
 # centers: cell size 0.01, centers offset half a cell from the bounds.
@@ -209,6 +214,106 @@ class TestRasterTiles:
         finally:
             tracemalloc.stop()
         assert peak - grid.classes.nbytes - grid.confidence.nbytes < 4 * 2**20
+
+
+def _fake_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestRasterThreads:
+    """Row blocks on a thread pool give the bytes of the calling-thread raster."""
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_block_counts_give_identical_bytes(self, pair, monkeypatch, cores):
+        _fake_cores(monkeypatch, cores)
+        height = 400
+        grids = [rasterize(pair.set, 2, HIT_BOUNDS, 500, height, partitions=p) for p in (1, cores, 7, height + 1, None)]
+        assert grids[0].exact_hits == ((200, 100), (200, 400))
+        for other in grids[1:]:
+            assert other.classes.tobytes() == grids[0].classes.tobytes()
+            assert other.confidence.tobytes() == grids[0].confidence.tobytes()
+            assert other.exact_hits == grids[0].exact_hits
+
+    def test_more_threads_than_cores_with_fast_switching(self, pair, monkeypatch):
+        # Blocks share the output arrays and write disjoint rows; switching
+        # threads every microsecond must not lose or mix any row.
+        reference = rasterize(pair.set, 2, HIT_BOUNDS, 500, 400, partitions=1)
+        _fake_cores(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grid = rasterize(pair.set, 2, HIT_BOUNDS, 500, 400, partitions=37)
+        finally:
+            sys.setswitchinterval(interval)
+        assert grid.classes.tobytes() == reference.classes.tobytes()
+        assert grid.confidence.tobytes() == reference.confidence.tobytes()
+        assert grid.exact_hits == reference.exact_hits
+
+    def test_worker_error_comes_out_unchanged(self, monkeypatch):
+        _fake_cores(monkeypatch, 4)
+        # Scores overflow only near the prototypes, in the middle blocks.
+        pset = make_prototype_set([(0.0, 0.0), (3.0, 0.0)], np.array([[1e308, 0.0], [0.0, 1e308]]))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^scores overflow to a non-finite value; the label weights are too large$"):
+            rasterize(pset, 2, (-1, 4, -2, 2), 64, 64, partitions=8)
+        assert threading.active_count() == before
+
+    def test_small_default_raster_builds_no_pool(self, monkeypatch):
+        _fake_cores(monkeypatch, 64)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a 256x256 default raster must stay on the calling thread")
+
+        monkeypatch.setattr(landscape, "ThreadPoolExecutor", refused)
+        rasterize(polygon_with_center(8).set, 8, None, 256, 256)
+
+    def test_large_default_raster_splits_per_core(self, monkeypatch):
+        _fake_cores(monkeypatch, 2)
+        built = []
+        pool = landscape.ThreadPoolExecutor
+
+        def recorded(workers):
+            built.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(landscape, "ThreadPoolExecutor", recorded)
+        pset = polygon_with_center(8).set
+        width = 2 * _CHUNKS_PER_WORKER * _CHUNK_CELLS // 256
+        split = rasterize(pset, 8, None, width, 256)
+        assert built == [2]
+        whole = rasterize(pset, 8, None, width, 256, partitions=1)
+        assert built == [2]
+        assert split.classes.tobytes() == whole.classes.tobytes()
+        assert split.confidence.tobytes() == whole.confidence.tobytes()
+
+    def test_wide_default_raster_has_a_block_per_row_at_most(self, pair, monkeypatch):
+        _fake_cores(monkeypatch, 4)
+        width = 3 * _CHUNKS_PER_WORKER * _CHUNK_CELLS // 2
+        bounds = (-1.0, 4.0, -0.5, 0.5)
+        split = rasterize(pair.set, 2, bounds, width, 2)
+        whole = rasterize(pair.set, 2, bounds, width, 2, partitions=1)
+        assert split.classes.tobytes() == whole.classes.tobytes()
+        assert split.confidence.tobytes() == whole.confidence.tobytes()
+
+    def test_forced_split_memory_bounded_per_worker(self, monkeypatch):
+        workers = 4
+        _fake_cores(monkeypatch, workers)
+        pset = polygon_with_center(8).set
+        tracemalloc.start()
+        try:
+            grid = rasterize(pset, 8, None, 512, 512, partitions=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - grid.classes.nbytes - grid.confidence.nbytes < workers * 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "partitions, message",
+        [(0, "partitions must be >= 1"), (2.5, "partitions must be an integer"), (True, "partitions must be an integer")],
+    )
+    def test_refuses_bad_partitions(self, pair, partitions, message):
+        with pytest.raises(ValueError, match=message):
+            rasterize(pair.set, 2, (-1, 4, -2, 2), 16, 16, partitions=partitions)
 
 
 class TestRiskRender:
@@ -465,6 +570,70 @@ class TestRegionReport:
         data = region_report(grid).to_json_dict()
         assert set(data) == {"distinct_classes", "components_per_class", "class_areas"}
         assert all(isinstance(k, str) for k in data["components_per_class"])
+
+
+def _region_reference(grid):
+    """The per-class full-grid loop: one mask and one ``ndimage.label`` over the whole grid per class."""
+    present = np.unique(grid.classes)
+    components, areas = {}, {}
+    for c in present:
+        mask = grid.classes == c
+        _, count = ndimage.label(mask)
+        components[int(c)] = int(count)
+        areas[int(c)] = int(mask.sum())
+    return RegionReport(len(present), components, areas)
+
+
+def _class_grid(classes):
+    classes = np.asarray(classes, dtype=np.int32)
+    height, width = classes.shape
+    confidence = np.zeros(classes.shape)
+    return RasterGrid((0.0, 1.0, 0.0, 1.0), width, height, classes, confidence, ())
+
+
+class TestRegionReportBoxes:
+    """Labelling each class inside its bounding box equals the full-grid loop."""
+
+    @staticmethod
+    def _checked(classes):
+        grid = _class_grid(classes)
+        report = region_report(grid)
+        assert report.to_json_dict() == _region_reference(grid).to_json_dict()
+        return report
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_maps_with_absent_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.array([0, 2, 3, 7, 11])  # 1, 4-6 and 8-10 never occur
+        coarse = rng.choice(ids, size=rng.integers(3, 12, size=2))
+        classes = np.kron(coarse, np.ones((rng.integers(1, 6), rng.integers(1, 6)), dtype=np.int64))
+        report = self._checked(classes)
+        assert set(report.class_areas) <= set(ids.tolist())
+
+    def test_noise_map(self):
+        classes = np.random.default_rng(9).integers(0, 5, size=(37, 53)) * 3
+        self._checked(classes)
+
+    def test_one_class(self):
+        report = self._checked(np.full((5, 8), 4))
+        assert report.components_per_class == {4: 1} and report.class_areas == {4: 40}
+
+    def test_one_class_in_several_components(self):
+        classes = np.zeros((20, 30), dtype=int)
+        classes[2:5, 3:9] = 6
+        classes[12:18, 1:4] = 6
+        classes[8:10, 20:29] = 6
+        report = self._checked(classes)
+        assert report.components_per_class == {0: 1, 6: 3}
+
+    def test_diagonal_contacts_split_components(self):
+        # Class 1 on the diagonal: 4-connectivity splits it into single cells
+        # and leaves the two triangles of class 0 apart as well.
+        report = self._checked(np.eye(9, dtype=int))
+        assert report.components_per_class == {0: 2, 1: 9}
+        checker = np.indices((6, 7)).sum(axis=0) % 2
+        report = self._checked(checker)
+        assert report.components_per_class == {0: 21, 1: 21}
 
 
 class TestKSweep:
