@@ -13,6 +13,19 @@ Batch evaluation partitions work internally but produces results that are
 bit-identical to evaluating each point on its own. The rule is written
 once, in :func:`score_block`; the radial label fitter in
 :mod:`softknn.constructions` calls the same kernel with candidate labels.
+
+For k < M, on sets of at least 16 prototypes and calls of at least 64
+points, batches are scored in culling tiles of 512 consecutive points.
+Each tile first drops the prototypes that cannot be among the k nearest
+of any of its points: those whose distance to the tile's bounding box
+exceeds the k-th smallest distance from a prototype to the box's farthest
+corner. The kernel then runs on the kept prototypes only, in index order.
+Dropped prototypes are strictly farther than k kept ones in computed
+distances too, so the neighbours, their tie order and the summation order
+do not change, and neither does any bit (:func:`_kept` gives the
+argument). Culling pays when consecutive points lie close together:
+circle samples in angle order, and the patches of cells that the
+rasterizer hands over.
 """
 
 from __future__ import annotations
@@ -30,10 +43,24 @@ from .core import COINCIDENT_TOL, PrototypeSet
 # distance matrix, its temporary, the product buffer (k>1) and, when the
 # caller keeps no scores, the score buffer are allocated once per call and
 # reused by every tile; the last, ragged tile takes their leading rows.
+# Culled tiles keep their distance matrices in one flat array that grows to
+# the largest kept set times rows seen in the call.
 # Neighbours are selected three ways: k=1 takes the argmin, k=M uses every
 # prototype unsorted, and 1<k<M takes a stable argsort.
 _BLOCK_ENTRIES = 1 << 17
 _TILE_SCORE_ENTRIES = 1 << 15
+# For k < M, points are culled in tiles of _CULL_TILE consecutive points:
+# each tile keeps only the prototypes that can be among the k nearest of one
+# of its points (see _kept). The bound costs O(M) per tile and the kernel's
+# per-point work over the classes stays, so culling is skipped where it
+# costs about as much as it saves: calls of fewer than _CULL_MIN_POINTS
+# points (the verify harness's small calls and bisection steps) and sets of
+# fewer than _CULL_MIN_PROTOTYPES prototypes. The margin only widens the
+# kept set; _kept explains why the result is exact without it.
+_CULL_TILE = 512
+_CULL_MIN_POINTS = 64
+_CULL_MIN_PROTOTYPES = 16
+_CULL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +114,14 @@ def score_block(
     sorting, and 1<k<M takes the first k of a stable ``argsort``.
     Returns each point's nearest prototype index and distance. Rows at
     distance zero hold inf or nan.
+
+    Every distance, selection and sum is computed per point from that
+    point's own row, so the tile loop may pass any subset of the prototypes
+    that holds each point's k nearest (distance ties broken by index), in
+    index order, and get the same bits: this is how culled tiles are
+    scored. M is the length of what is passed; the tile loop never passes
+    exactly k prototypes for 1<k<M, which would switch to the k=M path and
+    its index-order sum.
     """
     m = len(positions)
     dist, tmp = scratch[0], scratch[1]
@@ -121,6 +156,102 @@ def score_block(
     return order[:, 0], dk[:, 0]
 
 
+def _culls(m: int, k: int) -> bool:
+    """Whether the tile loop culls prototypes for k of m, given a call of at least ``_CULL_MIN_POINTS`` points."""
+    return k < m and m >= _CULL_MIN_PROTOTYPES
+
+
+def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndarray | None]:
+    """Per tile of ``span`` consecutive ``pts``, the prototypes that may be among the k nearest of one of its points.
+
+    ``pcols`` is the (dim, M) transpose of the positions. Each entry is an
+    index array in increasing order, or ``None`` when every prototype is
+    kept.
+
+    Why culling changes no bit: each prototype's smallest and largest
+    distance to a tile's bounding box is computed with the kernel's own
+    operations in the kernel's order, per coordinate a correctly rounded
+    difference, its square, a sum from coordinate 0 up, then a square root.
+    In real numbers the gap from a prototype to a point of the box is, per
+    coordinate, at least its gap to the nearest point of the box and at most
+    its gap to the farther face, and rounding to nearest is monotone; so
+    every distance the kernel computes from a point of the tile lies between
+    the two computed bounds. Let H be the k-th smallest upper bound. The k
+    prototypes that give the k smallest upper bounds are kept, and every
+    dropped one has a lower bound above H, so its computed distance to each
+    point of the tile is strictly larger than those of k kept ones: it can
+    neither be one of the k nearest nor tie with one, whatever its index.
+    The kernel, run on the kept prototypes in index order, therefore selects
+    the same neighbours in the same order and adds the same terms in the
+    same order. The margin on H only keeps more prototypes.
+
+    A kept set of exactly k prototypes (k > 1) gets one more, so that the
+    kernel still takes its sorted path, which adds the neighbours nearest
+    first, and not its k=M path, which adds them in index order.
+    """
+    starts = np.arange(0, len(pts), span)
+    box = np.stack((np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)))[..., None]
+    lo, hi = box  # (tiles, dim, 1) each
+    gaps = np.empty((2, len(starts)) + pcols.shape)
+    np.minimum(np.maximum(pcols, lo), hi, out=gaps[0])
+    gaps[0] -= pcols
+    reach = box - pcols
+    np.abs(reach, out=reach)
+    np.maximum(reach[0], reach[1], out=gaps[1])
+    gaps *= gaps
+    bounds = gaps[:, :, 0]
+    for d in range(1, len(pcols)):
+        bounds += gaps[:, :, d]
+    near, far = np.sqrt(bounds, out=bounds)
+    keep = near <= np.partition(far, k - 1, axis=1)[:, k - 1 : k] * (1.0 + _CULL_MARGIN)
+    kept: list[np.ndarray | None] = []
+    for row, count in zip(keep, np.count_nonzero(keep, axis=1)):
+        if count == len(row):
+            kept.append(None)
+            continue
+        if count == k > 1:
+            row[np.argmin(row)] = True
+        kept.append(row.nonzero()[0])
+    return kept
+
+
+def _score_culled(
+    pset: PrototypeSet,
+    k: int,
+    pts: np.ndarray,
+    span: int,
+    sc: np.ndarray,
+    exact: np.ndarray,
+    prod: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Score ``pts`` into ``sc`` per culling tile of ``span`` points, each against its kept prototypes.
+
+    Sets ``exact`` and gives exact hits the struck prototype's own label, as
+    :func:`_evaluate_into` does for an unculled tile. A tile scores in
+    pieces of at most ``_BLOCK_ENTRIES`` distance entries (one row if a row
+    is longer). The distance matrices live in the flat ``work`` array,
+    which is replaced by a larger one when a piece needs more; the array in
+    use at the end is returned for the next call.
+    """
+    positions, labs = pset.positions, pset.labels
+    for p0, keep in zip(range(0, len(pts), span), _kept(positions.T, k, pts, span)):
+        p1 = min(p0 + span, len(pts))
+        pos, lab = (positions, labs) if keep is None else (positions[keep], labs[keep])
+        mk = len(pos)
+        step = max(1, min(p1 - p0, _BLOCK_ENTRIES // mk))
+        if work.size < 2 * step * mk:
+            work = np.empty(2 * step * mk)
+        for q0 in range(p0, p1, step):
+            q1 = min(q0 + step, p1)
+            part, scratch = sc[q0:q1], work[: 2 * (q1 - q0) * mk].reshape(2, q1 - q0, mk)
+            nearest, nearest_dist = score_block(pos, lab, k, pts[q0:q1], part, scratch, prod[: q1 - q0])
+            hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[q0:q1])
+            if hit.any():
+                part[hit] = labs[nearest[hit] if keep is None else keep[nearest[hit]]]
+    return work
+
+
 def _evaluate_into(
     pset: PrototypeSet,
     k: int,
@@ -135,11 +266,29 @@ def _evaluate_into(
     Writes into the caller's length-n ``predicted``, ``confidence`` and
     ``exact`` and, if given, the (n, C) ``scores``; without ``scores`` the
     per-class scores live only in one reused tile buffer.
+
+    A tile holds at most ``_TILE_SCORE_ENTRIES`` scores. Where
+    :func:`_culls` says no (k = M, or fewer than ``_CULL_MIN_PROTOTYPES``
+    prototypes) and in calls of fewer than ``_CULL_MIN_POINTS`` points, a
+    tile is scored against every prototype, and its rows are also bounded
+    by ``_BLOCK_ENTRIES`` distance entries. Otherwise a tile is a whole
+    number of culling tiles of ``_CULL_TILE`` consecutive points, which
+    :func:`_score_culled` scores against their kept prototypes. Either way
+    the tile's argmax and confidence gap are then taken together. Results
+    do not depend on the culling (see :func:`_kept`).
     """
     labs = pset.labels
     n, (m, ncls) = len(pts), labs.shape
-    rows = max(1, min(n, _BLOCK_ENTRIES // m, _TILE_SCORE_ENTRIES // ncls))
-    scratch = np.empty((2, rows, m))
+    score_rows = _TILE_SCORE_ENTRIES // ncls
+    cull = _culls(m, k) and n >= _CULL_MIN_POINTS
+    if cull:
+        # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
+        span = max(1, min(_CULL_TILE, score_rows))
+        rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * pset.dim * m))))
+        work = np.empty(0)
+    else:
+        rows = max(1, min(n, score_rows, _BLOCK_ENTRIES // m))
+        scratch = np.empty((2, rows, m))
     # k=1 adds one weighted label per point and needs no product buffer.
     prod = np.empty((rows if k > 1 else 0, ncls))
     tile = np.empty((rows, ncls)) if scores is None else None
@@ -147,10 +296,14 @@ def _evaluate_into(
         sl = slice(start, start + rows)
         size = min(rows, n - start)
         sc = tile[:size] if scores is None else scores[sl]
-        nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, :size], prod[:size])
-        hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[sl])
-        if hit.any():
-            sc[hit] = labs[nearest[hit]]
+        if cull:
+            work = _score_culled(pset, k, pts[sl], span, sc, exact[sl], prod, work)
+            hit = exact[sl]
+        else:
+            nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, :size], prod[:size])
+            hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[sl])
+            if hit.any():
+                sc[hit] = labs[nearest[hit]]
         if not np.isfinite(sc).all():
             raise ValueError("scores overflow to a non-finite value; the label weights are too large")
         predicted[sl] = sc.argmax(axis=1)
@@ -162,6 +315,14 @@ def _evaluate_into(
         else:
             conf[...] = np.inf
         conf[hit] = np.inf
+
+
+def _predicted(pset: PrototypeSet, k: int, pts: np.ndarray) -> np.ndarray:
+    """Predicted classes of checked points, without keeping any per-class scores."""
+    n = len(pts)
+    predicted = np.empty(n, dtype=np.intp)
+    _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
+    return predicted
 
 
 def evaluate_points(

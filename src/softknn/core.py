@@ -212,10 +212,33 @@ def validate(pset: PrototypeSet) -> list[str]:
         errors.extend(f"prototype {i}: {msg}" for msg in _label_violations(label, pset.label_kind))
     # Duplicate positions break inverse-distance weighting.
     if np.all(np.isfinite(pos)):
-        for i in range(len(pos) - 1):
-            close = np.linalg.norm(pos[i] - pos[i + 1 :], axis=1) < COINCIDENT_TOL
-            errors.extend(f"prototypes {i} and {j}: duplicate position" for j in i + 1 + np.flatnonzero(close))
+        errors.extend(f"prototypes {i} and {j}: duplicate position" for i, j in _coincident_pairs(pos))
     return errors
+
+
+def _coincident_pairs(pos: np.ndarray) -> list[tuple[int, int]]:
+    """Every pair i < j with ``norm(pos[i] - pos[j]) < COINCIDENT_TOL``, in order of i, then j.
+
+    The positions are sorted along their widest axis, and each is compared
+    only with those that follow it within a window of twice the tolerance
+    on that axis: a coincident pair differs by less than the tolerance in
+    every coordinate, and the doubled window absorbs rounding. Step d
+    compares every sorted position with the one d places after it, for all
+    windows that reach that far at once. The distance of each candidate
+    pair is the same ``np.linalg.norm`` of ``pos[i] - pos[j]``, so the same
+    pairs are found as by comparing every pair.
+    """
+    axis = int(np.argmax(np.ptp(pos, axis=0)))
+    order = np.argsort(pos[:, axis], kind="stable")
+    keys = pos[order, axis]
+    reach = np.searchsorted(keys, keys + 2 * COINCIDENT_TOL, side="right") - np.arange(len(keys))
+    pairs: list[tuple[int, int]] = []
+    for d in range(1, int(reach.max())):
+        s = np.flatnonzero(reach > d)
+        first, second = np.minimum(order[s], order[s + d]), np.maximum(order[s], order[s + d])
+        close = np.linalg.norm(pos[first] - pos[second], axis=1) < COINCIDENT_TOL
+        pairs.extend(zip(first[close].tolist(), second[close].tolist()))
+    return sorted(pairs)
 
 
 def label_softmax(label: SoftLabel) -> SoftLabel:

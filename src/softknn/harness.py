@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import evaluate_points
+from .classifier import _check_rule_args, _predicted, evaluate_points
 from .constructions import Construction
 from .core import LabelKind, PrototypeSet
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
@@ -168,16 +168,22 @@ def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol:
 
 
 def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_000) -> CheckResult:
-    """Sample each circle densely; every sample must take its circle's class."""
+    """Sample each circle densely; every sample must take its circle's class.
+
+    The samples go to the classifier in angle order, so consecutive ones
+    form short arcs and the kernel's culling keeps few prototypes per tile;
+    no per-class scores are kept.
+    """
     if cons.circle_spec is None:
         raise ValueError("construction carries no circle specification")
     require_positive("samples_per_circle", samples_per_circle)
+    _check_rule_args(cons.set, cons.required_k)
     angles = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
     per_circle = []
     total_bad = 0
     for radius, cls in cons.circle_spec:
         pts = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-        bad = int(np.count_nonzero(evaluate_points(cons.set, cons.required_k, pts)[1] != cls))
+        bad = int(np.count_nonzero(_predicted(cons.set, cons.required_k, pts) != cls))
         per_circle.append({"radius": radius, "class": cls, "misclassified": bad})
         total_bad += bad
     return CheckResult(

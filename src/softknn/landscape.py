@@ -16,9 +16,12 @@ does not change any result.
 Rasterization splits a grid's rows into blocks. Grids of at least four
 chunks per worker (512x512 and up on two cores) run one block per
 available core on a thread pool opened for the call; smaller ones stay on
-the calling thread. It is deterministic: the per-cell computation is
-independent of how cells are partitioned into blocks, so any
-``partitions`` value, and any core count, yields bit-identical grids.
+the calling thread. Where the classifier culls prototypes per tile (k < M
+on sets of 16 or more), a block hands each chunk of rows over in strips
+32 columns wide, so that each culling tile is a compact patch of cells.
+It is deterministic: the per-cell computation is independent of how cells
+are partitioned into blocks, strips and tiles, so any ``partitions``
+value, and any core count, yields bit-identical grids.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .classifier import _check_rule_args, _evaluate_into
+from .classifier import _check_rule_args, _culls, _evaluate_into, _predicted
 from .core import PrototypeSet
 
 # Fixed palette for class maps (class index cycles through these RGBs).
@@ -48,6 +51,9 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 # Cells per rasterize chunk: the cell centers of a chunk of whole grid rows
 # are built in one reused buffer of this many points (512 KiB).
 _CHUNK_CELLS = 1 << 15
+# Width of the column strips in which a chunk's cells are ordered when the
+# classifier culls, so that its culling tiles are compact patches of cells.
+_PATCH_COLS = 32
 # A grid is split across cores only if every worker gets this many chunks:
 # below that, starting threads and a per-worker buffer set cost more than
 # they save (a 256x256 grid is two chunks and stays on the calling thread).
@@ -153,11 +159,16 @@ def rasterize(
     classified independently.
 
     Each block fills its rows in chunks of whole rows whose cell centers
-    are built in the block's own reused buffer, and the classifier writes
-    each chunk straight into the block's rows of ``classes`` and
-    ``confidence``; per-class scores exist only one tile at a time, so
-    memory beyond the outputs is bounded by one chunk and one tile per
-    running block.
+    are built in the block's own reused buffer. Where the classifier culls
+    (k < M, 16 prototypes or more) a chunk's centers are ordered strip by
+    strip, ``_PATCH_COLS`` columns wide and row by row within a strip, so
+    that each of the classifier's culling tiles covers a patch of cells
+    about 32 wide and 16 high instead of a full-width row strip; the
+    classifier writes into the block's own buffers, whose values are then
+    copied to their grid cells. Otherwise the classifier writes each chunk
+    straight into the block's rows of ``classes`` and ``confidence``.
+    Per-class scores exist only one tile at a time, so memory beyond the
+    outputs is bounded by one chunk and one tile per running block.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -182,21 +193,36 @@ def rasterize(
     classes = np.empty((height, width), dtype=np.int32)
     confidence = np.empty((height, width), dtype=float)
     chunk_rows = max(1, _CHUNK_CELLS // width)
+    # Culling pays only on compact tiles, so culled cells go over in strips.
+    patch = min(_PATCH_COLS, width) if _culls(len(pset), k) else width
+    full = width - width % patch  # columns in whole strips; the rest form one narrower strip
 
     def fill(b0: int, b1: int) -> list[tuple[int, int]]:
         """Classify rows b0..b1-1 through this block's own buffers; return its exact hits."""
         chunk = min(b1 - b0, chunk_rows)
-        centers = np.empty((chunk, width, 2))
-        centers[:, :, 0] = xs
-        exact = np.empty(chunk * width, dtype=bool)
+        centers = np.empty((chunk * width, 2))
+        exact = np.empty((chunk, width), dtype=bool)
+        if patch < width:  # the kernel's outputs in strip order, before they go to their grid rows
+            staged = tuple(np.empty(chunk * width, dtype=t) for t in (np.int32, float, bool))
         hits: list[tuple[int, int]] = []
         for r0 in range(b0, b1, chunk):
             r1 = min(r0 + chunk, b1)
-            centers[: r1 - r0, :, 1] = ys[r0:r1, None]
-            ex = exact[: (r1 - r0) * width]
-            pts = centers[: r1 - r0].reshape(-1, 2)
-            _evaluate_into(pset, k, pts, classes[r0:r1].reshape(-1), confidence[r0:r1].reshape(-1), ex)
-            hits.extend((r0 + int(flat) // width, int(flat) % width) for flat in np.flatnonzero(ex))
+            rows, cells = r1 - r0, (r1 - r0) * width
+            strips = centers[: rows * full].reshape(-1, rows, patch, 2)
+            strips[..., 0] = xs[:full].reshape(-1, 1, patch)
+            strips[..., 1] = ys[r0:r1, None]
+            rest = centers[rows * full : cells].reshape(rows, width - full, 2)
+            rest[..., 0] = xs[full:]
+            rest[..., 1] = ys[r0:r1, None]
+            out = (classes[r0:r1], confidence[r0:r1], exact[:rows])
+            if patch == width:
+                _evaluate_into(pset, k, centers[:cells], *(a.reshape(-1) for a in out))
+            else:
+                _evaluate_into(pset, k, centers[:cells], *(a[:cells] for a in staged))
+                for src, dst in zip(staged, out):
+                    dst[:, :full] = src[: rows * full].reshape(-1, rows, patch).transpose(1, 0, 2).reshape(rows, full)
+                    dst[:, full:] = src[rows * full : cells].reshape(rows, -1)
+            hits.extend((r0 + int(flat) // width, int(flat) % width) for flat in np.flatnonzero(exact[:rows]))
         return hits
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -284,14 +310,6 @@ def bisect_many(on_lo_side, lo, hi, tol: float) -> np.ndarray:
             lo[which[side]] = mid[side]
             hi[which[~side]] = mid[~side]
     return 0.5 * (lo + hi)
-
-
-def _predicted(pset: PrototypeSet, k: int, pts: np.ndarray) -> np.ndarray:
-    """Predicted classes of checked points, without keeping any per-class scores."""
-    n = len(pts)
-    predicted = np.empty(n, dtype=np.intp)
-    _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
-    return predicted
 
 
 def boundary_bisect(

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from softknn import (
+    COINCIDENT_TOL,
     LabelKind,
+    circle_hard_baseline,
+    classifier,
     classify,
     classify_batch,
     evaluate_points,
     make_prototype_set,
     three_from_two,
 )
-from softknn.classifier import _BLOCK_ENTRIES
+from softknn.classifier import _BLOCK_ENTRIES, score_block
 
 # Relative confidence gap below which a prediction is a tie-break artifact,
 # not class structure; invariance assertions skip such queries.
@@ -267,6 +270,126 @@ class TestDistanceTies:
         np.testing.assert_array_equal(scores, [1.0, 0.5, 0.0])
         reversed_set = self._hard_set(positions[::-1], classes[::-1])
         np.testing.assert_array_equal(classify(reversed_set, 2, (0.0, 0.0)).scores, [1.0, 0.0, 0.5])
+
+
+@pytest.mark.usefixtures("forced_culling")
+class TestKernelPathsCulled(TestKernelPaths):
+    """The kernel paths with every tile culled."""
+
+
+@pytest.mark.usefixtures("forced_culling")
+class TestDistanceTiesCulled(TestDistanceTies):
+    """Index tie-breaking with every one-point call culled."""
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``classifier.<name>``."""
+    calls = []
+    original = getattr(classifier, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classifier, name, spy)
+    return calls
+
+
+def _brute_scores(pset, k, pts, rows=256):
+    """Scores and exact-hit flags from unculled ``score_block`` calls over all prototypes, ``rows`` points each."""
+    m, ncls = pset.labels.shape
+    out = np.empty((len(pts), ncls))
+    hit = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), rows):
+        sl = slice(start, start + rows)
+        size = len(pts[sl])
+        nearest, nearest_dist = score_block(
+            pset.positions, pset.labels, k, pts[sl], out[sl], np.empty((2, size, m)), np.empty((size, ncls))
+        )
+        hit[sl] = nearest_dist < COINCIDENT_TOL
+        out[sl][hit[sl]] = pset.labels[nearest[hit[sl]]]
+    return out, hit
+
+
+class TestCulling:
+    """Culled tiles give the bits of the unculled kernel."""
+
+    @pytest.mark.parametrize("margin", [0.0, classifier._CULL_MARGIN])
+    @pytest.mark.parametrize("offset", [0.0, 2.0**-40], ids=["on-bound", "past-bound"])
+    def test_prototype_on_the_bound(self, monkeypatch, forced_culling, margin, offset):
+        # Tile (0, 0)-(1, 0), k = 1. Prototype 1 is 0.5 from the box's far
+        # end, which makes 0.5 the bound, and prototype 0 is 0.5 + offset from
+        # the box: exactly on the bound, or just past it and culled. On the
+        # bound it ties prototype 1 at (1, 0) and wins by its lower index.
+        monkeypatch.setattr(classifier, "_CULL_MARGIN", margin)
+        positions = [(1.5 + offset, 0.0), (0.5, 0.0), (10.0, 10.0), (-10.0, 5.0)]
+        pset = make_prototype_set(positions, np.eye(4), kind=LabelKind.HARD)
+        pts = np.array([(0.0, 0.0), (1.0, 0.0)])
+        kept = _spy(monkeypatch, "_kept")
+        scores, predicted, _, _ = evaluate_points(pset, 1, pts)
+        assert len(kept) == 1
+        expected, _ = _brute_scores(pset, 1, pts)
+        assert scores.tobytes() == expected.tobytes()
+        assert predicted.tolist() == ([1, 0] if offset == 0.0 else [1, 1])
+
+    @pytest.mark.parametrize("tile", [1, 3, 7, 64])
+    def test_index_ties_on_a_lattice(self, monkeypatch, forced_culling, tile):
+        # Integer positions and half-integer queries in row order make many
+        # exact distance ties, at the k-th place and across the cull.
+        monkeypatch.setattr(classifier, "_CULL_TILE", tile)
+        rng = np.random.default_rng(tile)
+        cells = rng.choice(100, size=30, replace=False)
+        positions = np.column_stack((cells % 10, cells // 10)).astype(float)
+        labels = rng.uniform(-1, 2, size=(30, 4))
+        pset = make_prototype_set(positions, labels, kind=LabelKind.UNRESTRICTED)
+        gx, gy = np.meshgrid(np.arange(-1.0, 10.5, 0.5), np.arange(-1.0, 10.5, 0.5))
+        pts = np.column_stack((gx.ravel(), gy.ravel()))
+        for k in (1, 2, 3, 5, 29):
+            scores, _, _, exact = evaluate_points(pset, k, pts)
+            expected, hit = _brute_scores(pset, k, pts)
+            assert scores.tobytes() == expected.tobytes()
+            assert np.array_equal(exact, hit) and hit.any()
+
+    def test_kept_count_of_k_stays_on_the_sorted_path(self, monkeypatch, forced_culling):
+        # At (0, 0) the three nearest are prototypes 2, 1, 0 at distances
+        # 1, 2, 3, and the bound keeps exactly those three. Added nearest
+        # first their weighted labels give other bits than in index order,
+        # which the kernel's k = M path would use on a kept set of size k.
+        positions = [(0.0, 3.0), (2.0, 0.0), (0.0, -1.0), (50.0, 50.0), (-50.0, 50.0), (50.0, -50.0)]
+        labels = np.array([[0.1], [0.7], [0.3], [1.0], [1.0], [1.0]])
+        terms = labels[[2, 1, 0], 0] / [1.0, 2.0, 3.0]
+        assert (terms[0] + terms[1]) + terms[2] != (terms[2] + terms[1]) + terms[0]
+        pset = make_prototype_set(positions, labels, kind=LabelKind.UNRESTRICTED)
+        blocks = _spy(monkeypatch, "score_block")
+        scores = evaluate_points(pset, 3, np.zeros((1, 2)))[0]
+        assert [len(call[0]) for call in blocks] == [4]
+        assert scores.tobytes() == _brute_scores(pset, 3, np.zeros((1, 2)))[0].tobytes()
+        assert scores[0, 0] == (terms[0] + terms[1]) + terms[2]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_circle_samples_match_brute_force(self, k):
+        # The hard baseline at n = 20, sampled in angle order as the
+        # harness does; sample 0 of each circle lands on a prototype.
+        cons = circle_hard_baseline(20)
+        assert len(cons.set) >= classifier._CULL_MIN_PROTOTYPES
+        angles = 2.0 * math.pi * np.arange(1500) / 1500
+        pts = np.concatenate([np.column_stack((r * np.cos(angles), r * np.sin(angles))) for r, _ in cons.circle_spec])
+        scores, _, _, exact = evaluate_points(cons.set, k, pts)
+        expected, hit = _brute_scores(cons.set, k, pts)
+        assert scores.tobytes() == expected.tobytes()
+        assert np.array_equal(exact, hit) and hit.any()
+
+    def test_when_tiles_are_culled(self, monkeypatch):
+        kept = _spy(monkeypatch, "_kept")
+        rng = np.random.default_rng(0)
+        big = make_prototype_set(rng.uniform(-1, 1, (250, 2)), rng.uniform(0, 1, (250, 3)))
+        small = make_prototype_set(rng.uniform(-1, 1, (8, 2)), rng.uniform(0, 1, (8, 3)))
+        evaluate_points(big, 1, rng.uniform(-1, 1, (5, 2)))  # a small call
+        evaluate_points(big, 250, rng.uniform(-1, 1, (600, 2)))  # k = M
+        evaluate_points(small, 2, rng.uniform(-1, 1, (600, 2)))  # a small set
+        assert kept == []
+        evaluate_points(big, 1, rng.uniform(-1, 1, (600, 2)))
+        assert len(kept) == 1 and len(kept[0][2]) == 600
 
 
 # --- Property tests ----------------------------------------------------------

@@ -192,6 +192,14 @@ class TestCircles:
         data = json.loads(report.read_text())
         assert data["pass"] is True
 
+    def test_hard_mode_at_forty_circles(self, capsys):
+        # 2594 hard prototypes against 400 000 samples: brute force took
+        # seconds, per-tile culling keeps a few dozen prototypes per tile.
+        assert run("circles", "--n", "40", "--mode", "hard") == 0
+        stdout = capsys.readouterr().out
+        assert "prototypes: 2594" in stdout
+        assert "PASS circle_separation: 0 misclassified" in stdout
+
 
 class TestErrors:
     def test_unknown_subcommand_usage_error(self, capsys):

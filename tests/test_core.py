@@ -94,6 +94,81 @@ class TestValidate:
             )
 
 
+def _pair_loop_validate(pset):
+    """``validate`` as it was before the sorted duplicate scan: every pair, one numpy call per row."""
+    errors = []
+    pos = pset.positions
+    for i, (position, label) in enumerate(zip(pos, pset.labels)):
+        if not np.all(np.isfinite(position)):
+            errors.append(f"prototype {i}: non-finite position")
+        errors.extend(f"prototype {i}: {msg}" for msg in label_violations(SoftLabel(label, pset.label_kind)))
+    if np.all(np.isfinite(pos)):
+        for i in range(len(pos) - 1):
+            close = np.linalg.norm(pos[i] - pos[i + 1 :], axis=1) < COINCIDENT_TOL
+            errors.extend(f"prototypes {i} and {j}: duplicate position" for j in i + 1 + np.flatnonzero(close))
+    return errors
+
+
+class TestSortedDuplicateScan:
+    """The sort-and-window duplicate scan reports what the all-pairs loop reported, in the same order."""
+
+    @staticmethod
+    def _planted(seed, m, dim, scale):
+        # Random positions, then pairs planted just inside and just outside
+        # the tolerance, a few exact copies, and a run sharing one sort key.
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-scale, scale, size=(m, dim))
+        for factor in (0.5, 0.999, 0.999999, 1.0, 1.000001, 1.001, 2.0):
+            i, j = rng.choice(m, size=2, replace=False)
+            step = rng.normal(size=dim)
+            pos[j] = pos[i] + factor * COINCIDENT_TOL * step / np.linalg.norm(step)
+        for _ in range(3):
+            i, j = rng.choice(m, size=2, replace=False)
+            pos[j] = pos[i]
+        run = rng.choice(m, size=6, replace=False)
+        pos[run, 0] = pos[run[0], 0]
+        return pos
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_pairs(self, seed, dim, scale):
+        pos = self._planted(seed, 60, dim, scale)
+        pset = make_prototype_set(pos, np.ones((60, 1)), kind=LabelKind.UNRESTRICTED)
+        expected = _pair_loop_validate(pset)
+        assert validate(pset) == expected
+        if scale == 1.0:
+            assert any("duplicate" in e for e in expected)
+
+    def test_clusters_within_tolerance(self):
+        # Chains of points each within the tolerance of the next, so windows overlap.
+        rng = np.random.default_rng(11)
+        pos = np.repeat(rng.uniform(-1, 1, size=(8, 2)), 5, axis=0)
+        pos += rng.uniform(-0.6, 0.6, size=pos.shape) * COINCIDENT_TOL
+        pos = pos[rng.permutation(len(pos))]
+        pset = make_prototype_set(pos, np.ones((len(pos), 1)), kind=LabelKind.UNRESTRICTED)
+        assert validate(pset) == _pair_loop_validate(pset)
+
+    def test_vertical_line_sorts_by_the_other_axis(self):
+        pos = np.column_stack((np.zeros(30), np.arange(30.0)))
+        pos[17] = pos[4]
+        pset = make_prototype_set(pos, np.ones((30, 1)), kind=LabelKind.UNRESTRICTED)
+        assert validate(pset) == _pair_loop_validate(pset) == ["prototypes 4 and 17: duplicate position"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_skip_the_scan(self, bad):
+        pos = self._planted(3, 40, 2, 1.0)
+        pos[[5, 21], 1] = bad
+        pset = make_prototype_set(pos, np.ones((40, 1)), kind=LabelKind.UNRESTRICTED)
+        expected = _pair_loop_validate(pset)
+        assert validate(pset) == expected
+        assert expected == ["prototype 5: non-finite position", "prototype 21: non-finite position"]
+
+    def test_one_prototype(self):
+        pset = make_prototype_set([(0.0, 0.0)], np.ones((1, 1)), kind=LabelKind.UNRESTRICTED)
+        assert validate(pset) == []
+
+
 class TestSoftmax:
     def test_two_zeros_split_evenly(self):
         out = label_softmax(unrestricted([0.0, 0.0]))

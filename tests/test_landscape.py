@@ -16,6 +16,7 @@ from softknn import (
     PALETTE,
     RasterGrid,
     boundary_bisect,
+    circle_hard_baseline,
     circle_soft_fit,
     class_csv_bytes,
     concentric_ellipses,
@@ -35,7 +36,7 @@ from softknn import (
     star_pairs,
     three_from_two,
 )
-from softknn import landscape
+from softknn import classifier, landscape
 from softknn.classifier import _BLOCK_ENTRIES, _TILE_SCORE_ENTRIES
 from softknn.harness import _crossing_segments
 from softknn.landscape import _CHUNK_CELLS, _CHUNKS_PER_WORKER, RegionReport, bisect_many
@@ -214,6 +215,28 @@ class TestRasterTiles:
         finally:
             tracemalloc.stop()
         assert peak - grid.classes.nbytes - grid.confidence.nbytes < 4 * 2**20
+
+
+@pytest.mark.usefixtures("forced_culling")
+class TestRasterTilesCulled(TestRasterTiles):
+    """Raster tiles with every tile culled and chunks handed over in ragged 8-column strips."""
+
+
+class TestPatchOrder:
+    """Cells handed over in column strips give the bytes of cells handed over in grid order."""
+
+    @pytest.mark.parametrize("partitions", [1, 3, None])
+    @pytest.mark.parametrize("width, height", [(300, 170), (31, 40), (1100, 40)])
+    def test_strips_match_grid_order(self, monkeypatch, partitions, width, height):
+        _fake_cores(monkeypatch, 2)
+        cons = circle_hard_baseline(6)
+        assert landscape._culls(len(cons.set), 1)
+        grid = rasterize(cons.set, 1, None, width, height, partitions)
+        monkeypatch.setattr(classifier, "_CULL_MIN_PROTOTYPES", len(cons.set) + 1)
+        plain = rasterize(cons.set, 1, None, width, height, partitions)
+        assert grid.classes.tobytes() == plain.classes.tobytes()
+        assert grid.confidence.tobytes() == plain.confidence.tobytes()
+        assert grid.exact_hits == plain.exact_hits
 
 
 def _fake_cores(monkeypatch, n):
