@@ -14,6 +14,11 @@ bit-identical to evaluating each point on its own. The rule is written
 once, in :func:`score_block`; the radial label fitter in
 :mod:`softknn.constructions` calls the same kernel with candidate labels.
 
+The public entries and the scores-free ``_predicted`` check k, the set
+and the query points in one place (``_checked_points``) and then run the
+one tile loop, ``_evaluate_into``; the rasterizer builds its own finite
+cell centers, checks k and the set, and calls the tile loop directly.
+
 For k < M, on sets of at least 16 prototypes and calls of at least 64
 points, batches are scored in culling tiles of 512 consecutive points.
 Each tile first drops the prototypes that cannot be among the k nearest
@@ -215,43 +220,6 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     return kept
 
 
-def _score_culled(
-    pset: PrototypeSet,
-    k: int,
-    pts: np.ndarray,
-    span: int,
-    sc: np.ndarray,
-    exact: np.ndarray,
-    prod: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Score ``pts`` into ``sc`` per culling tile of ``span`` points, each against its kept prototypes.
-
-    Sets ``exact`` and gives exact hits the struck prototype's own label, as
-    :func:`_evaluate_into` does for an unculled tile. A tile scores in
-    pieces of at most ``_BLOCK_ENTRIES`` distance entries (one row if a row
-    is longer). The distance matrices live in the flat ``work`` array,
-    which is replaced by a larger one when a piece needs more; the array in
-    use at the end is returned for the next call.
-    """
-    positions, labs = pset.positions, pset.labels
-    for p0, keep in zip(range(0, len(pts), span), _kept(positions.T, k, pts, span)):
-        p1 = min(p0 + span, len(pts))
-        pos, lab = (positions, labs) if keep is None else (positions[keep], labs[keep])
-        mk = len(pos)
-        step = max(1, min(p1 - p0, _BLOCK_ENTRIES // mk))
-        if work.size < 2 * step * mk:
-            work = np.empty(2 * step * mk)
-        for q0 in range(p0, p1, step):
-            q1 = min(q0 + step, p1)
-            part, scratch = sc[q0:q1], work[: 2 * (q1 - q0) * mk].reshape(2, q1 - q0, mk)
-            nearest, nearest_dist = score_block(pos, lab, k, pts[q0:q1], part, scratch, prod[: q1 - q0])
-            hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[q0:q1])
-            if hit.any():
-                part[hit] = labs[nearest[hit] if keep is None else keep[nearest[hit]]]
-    return work
-
-
 def _evaluate_into(
     pset: PrototypeSet,
     k: int,
@@ -270,14 +238,20 @@ def _evaluate_into(
     A tile holds at most ``_TILE_SCORE_ENTRIES`` scores. Where
     :func:`_culls` says no (k = M, or fewer than ``_CULL_MIN_PROTOTYPES``
     prototypes) and in calls of fewer than ``_CULL_MIN_POINTS`` points, a
-    tile is scored against every prototype, and its rows are also bounded
-    by ``_BLOCK_ENTRIES`` distance entries. Otherwise a tile is a whole
-    number of culling tiles of ``_CULL_TILE`` consecutive points, which
-    :func:`_score_culled` scores against their kept prototypes. Either way
-    the tile's argmax and confidence gap are then taken together. Results
-    do not depend on the culling (see :func:`_kept`).
+    tile is one :func:`score_block` call against every prototype, and its
+    rows are also bounded by ``_BLOCK_ENTRIES`` distance entries; the
+    verify harness's many five-point calls take this path. Otherwise a
+    tile is a whole number of culling tiles of ``_CULL_TILE`` consecutive
+    points, and each culling tile is scored against its kept prototypes in
+    pieces of at most ``_BLOCK_ENTRIES`` distance entries (one row if a row
+    is longer). The pieces' distance matrices share one flat work array of
+    the call, replaced by a larger one when a piece needs more. Either way
+    an exact hit takes the struck prototype's own label (a kept label is
+    the set's label of that prototype), and the tile's argmax and
+    confidence gap are then taken together. Results do not depend on the
+    culling (see :func:`_kept`).
     """
-    labs = pset.labels
+    positions, labs = pset.positions, pset.labels
     n, (m, ncls) = len(pts), labs.shape
     score_rows = _TILE_SCORE_ENTRIES // ncls
     cull = _culls(m, k) and n >= _CULL_MIN_POINTS
@@ -296,14 +270,26 @@ def _evaluate_into(
         sl = slice(start, start + rows)
         size = min(rows, n - start)
         sc = tile[:size] if scores is None else scores[sl]
-        if cull:
-            work = _score_culled(pset, k, pts[sl], span, sc, exact[sl], prod, work)
-            hit = exact[sl]
-        else:
-            nearest, nearest_dist = score_block(pset.positions, labs, k, pts[sl], sc, scratch[:, :size], prod[:size])
-            hit = np.less(nearest_dist, COINCIDENT_TOL, out=exact[sl])
-            if hit.any():
+        hit, block = exact[sl], pts[sl]
+        if not cull:
+            nearest, nearest_dist = score_block(positions, labs, k, block, sc, scratch[:, :size], prod[:size])
+            if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
                 sc[hit] = labs[nearest[hit]]
+        else:
+            for p0, keep in zip(range(0, size, span), _kept(positions.T, k, block, span)):
+                p1 = min(p0 + span, size)
+                pos, lab = (positions, labs) if keep is None else (positions[keep], labs[keep])
+                mk = len(pos)
+                step = max(1, min(p1 - p0, _BLOCK_ENTRIES // mk))
+                if work.size < 2 * step * mk:
+                    work = np.empty(2 * step * mk)
+                for q0 in range(p0, p1, step):
+                    q1 = min(q0 + step, p1)
+                    part, struck = sc[q0:q1], hit[q0:q1]
+                    piece = work[: 2 * (q1 - q0) * mk].reshape(2, q1 - q0, mk)
+                    nearest, nearest_dist = score_block(pos, lab, k, block[q0:q1], part, piece, prod[: q1 - q0])
+                    if np.less(nearest_dist, COINCIDENT_TOL, out=struck).any():
+                        part[struck] = lab[nearest[struck]]
         if not np.isfinite(sc).all():
             raise ValueError("scores overflow to a non-finite value; the label weights are too large")
         predicted[sl] = sc.argmax(axis=1)
@@ -317,8 +303,22 @@ def _evaluate_into(
         conf[hit] = np.inf
 
 
-def _predicted(pset: PrototypeSet, k: int, pts: np.ndarray) -> np.ndarray:
-    """Predicted classes of checked points, without keeping any per-class scores."""
+def _checked_points(pset: PrototypeSet, k: int, points) -> np.ndarray:
+    """Check ``k`` and the set for the rule, and return ``points`` as finite (n, dim) floats."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:  # one point; an empty vector is no points, not one of dimension 0
+        pts = pts[None, :] if pts.size else pts.reshape(0, pset.dim)
+    _check_rule_args(pset, k)
+    if pts.ndim != 2 or pts.shape[1] != pset.dim:
+        raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("query points must be finite")
+    return pts
+
+
+def _predicted(pset: PrototypeSet, k: int, points) -> np.ndarray:
+    """Predicted classes of ``points``, checked as in :func:`evaluate_points`, without keeping any per-class scores."""
+    pts = _checked_points(pset, k, points)
     n = len(pts)
     predicted = np.empty(n, dtype=np.intp)
     _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
@@ -336,15 +336,7 @@ def evaluate_points(
     buffers. Distance ties are broken by prototype index (see
     :func:`score_block`), argmax ties by lowest class index.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:  # one point; an empty vector is no points, not one of dimension 0
-        pts = pts[None, :] if pts.size else pts.reshape(0, pset.dim)
-    _check_rule_args(pset, k)
-    if pts.ndim != 2 or pts.shape[1] != pset.dim:
-        raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("query points must be finite")
-
+    pts = _checked_points(pset, k, points)
     n = len(pts)
     scores = np.empty((n, pset.num_classes))
     predicted = np.empty(n, dtype=int)

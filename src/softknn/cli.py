@@ -173,11 +173,12 @@ def _cmd_raster(args) -> int:
     pset = core.load_json(args.set)
     width, height = args.res
     grid = landscape.rasterize(pset, args.k, args.bounds, width, height, partitions=args.partitions)
+    # Render the risk map first, so that a refused percentile writes no file.
+    intensity = landscape.risk_render(grid, mode=args.risk, percentile=args.percentile) if args.risk else None
     landscape.write_ppm(grid, args.output)
     written = [args.output]
     base = Path(args.output)
     if args.risk:
-        intensity = landscape.risk_render(grid, mode=args.risk, percentile=args.percentile)
         pgm = base.with_suffix(".pgm")
         landscape.write_pgm(intensity, pgm)
         written.append(str(pgm))

@@ -86,25 +86,31 @@ class SoftLabel:
 
 def label_violations(label: SoftLabel) -> list[str]:
     """Return human-readable descriptions of every invariant the label breaks."""
-    return _label_violations(label.values, label.kind)
+    return _label_violations(label.values[None], label.kind)[0]
 
 
-def _label_violations(v: np.ndarray, kind: LabelKind) -> list[str]:
-    out: list[str] = []
-    if not np.all(np.isfinite(v)):
-        out.append("non-finite element")
-        return out
+def _label_violations(labels: np.ndarray, kind: LabelKind) -> list[list[str]]:
+    """Per row of the (M, C) ``labels``, a description of every invariant of ``kind`` that the row breaks.
+
+    A row with a non-finite element gets that message alone. The finite
+    rows are checked together, in a C-ordered copy, so that each row's sum
+    adds its elements as ``row.sum()`` does and prints the same ``repr``.
+    """
+    finite = np.isfinite(labels).all(axis=1)
+    rows: list[list[str]] = [[] if ok else ["non-finite element"] for ok in finite.tolist()]
+    checked = np.flatnonzero(finite)
+    v = labels[checked]
     if kind == LabelKind.HARD:
-        ones = int(np.count_nonzero(v == 1.0))
-        zeros = int(np.count_nonzero(v == 0.0))
-        if ones != 1 or zeros != len(v) - 1:
-            out.append("hard label is not a one-hot vector")
+        broken = (np.count_nonzero(v == 1.0, axis=1) != 1) | (np.count_nonzero(v == 0.0, axis=1) != v.shape[1] - 1)
+        for i in checked[broken].tolist():
+            rows[i].append("hard label is not a one-hot vector")
     elif kind == LabelKind.PROBABILISTIC:
-        if np.any(v < 0):
-            out.append("negative element")
-        if abs(float(v.sum()) - 1.0) > PROB_SUM_TOL:
-            out.append(f"elements sum to {float(v.sum())!r}, not 1")
-    return out
+        for i, negative, total in zip(checked.tolist(), np.any(v < 0, axis=1).tolist(), v.sum(axis=1).tolist()):
+            if negative:
+                rows[i].append("negative element")
+            if abs(total - 1.0) > PROB_SUM_TOL:
+                rows[i].append(f"elements sum to {total!r}, not 1")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +211,14 @@ def validate(pset: PrototypeSet) -> list[str]:
     kind's invariant, and duplicate positions. It never raises.
     """
     errors: list[str] = []
-    pos = pset.positions
-    for i, (position, label) in enumerate(zip(pos, pset.labels)):
-        if not np.all(np.isfinite(position)):
+    finite = np.isfinite(pset.positions).all(axis=1)
+    for i, (ok, messages) in enumerate(zip(finite.tolist(), _label_violations(pset.labels, pset.label_kind))):
+        if not ok:
             errors.append(f"prototype {i}: non-finite position")
-        errors.extend(f"prototype {i}: {msg}" for msg in _label_violations(label, pset.label_kind))
+        errors.extend(f"prototype {i}: {msg}" for msg in messages)
     # Duplicate positions break inverse-distance weighting.
-    if np.all(np.isfinite(pos)):
-        errors.extend(f"prototypes {i} and {j}: duplicate position" for i, j in _coincident_pairs(pos))
+    if finite.all():
+        errors.extend(f"prototypes {i} and {j}: duplicate position" for i, j in _coincident_pairs(pset.positions))
     return errors
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import _check_rule_args, _predicted, evaluate_points
+from .classifier import _predicted, evaluate_points
 from .constructions import Construction
 from .core import LabelKind, PrototypeSet
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
@@ -177,7 +177,6 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_00
     if cons.circle_spec is None:
         raise ValueError("construction carries no circle specification")
     require_positive("samples_per_circle", samples_per_circle)
-    _check_rule_args(cons.set, cons.required_k)
     angles = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
     per_circle = []
     total_bad = 0

@@ -281,8 +281,8 @@ def risk_render(grid: RasterGrid, mode: str = "clip", percentile: float = 99.0) 
     if mode == "log":
         np.log1p(transformed, out=transformed)
         denom = float(np.log1p(ceiling))
-    if denom <= 0.0:
-        return np.ones_like(conf)
+    if denom <= 0.0:  # no finite confidence above 0: only +inf cells are safe
+        return np.where(conf > 0.0, 0.0, 1.0)
     transformed /= denom
     np.subtract(1.0, transformed, out=transformed)
     return np.clip(transformed, 0.0, 1.0, out=transformed)
@@ -345,13 +345,10 @@ def boundary_bisect(
     b = np.asarray(b, dtype=float)
     stacked = a.ndim == 2
     a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
-    _check_rule_args(pset, k)
     if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] != pset.dim:
         raise ValueError(f"segment ends must both be ({pset.dim},) or (S, {pset.dim}), got {a.shape} and {b.shape}")
     ts = np.linspace(0.0, 1.0, scan + 1)
     pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
-    if not np.isfinite(pts).all():
-        raise ValueError("query points must be finite")
     predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), scan + 1)
     expected = None if class_pair is None else np.broadcast_to(np.asarray(class_pair, dtype=int), (len(a2), 2))
     lo, hi = np.empty(len(a2)), np.empty(len(a2))

@@ -198,6 +198,51 @@ class TestEmptyQuery:
             evaluate_points(pset, 2, np.empty((0, 2)))
 
 
+ENTRIES = [pytest.param(evaluate_points, id="evaluate_points"), pytest.param(classifier._predicted, id="predicted")]
+
+
+class TestEveryEntryChecked:
+    """The scores-free ``_predicted`` refuses what ``evaluate_points`` refuses, with the same message."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "k, points, match",
+        [
+            (3, [(1.0, 0.0)], r"^k=3 out of range for 2 prototypes$"),
+            (0, np.empty((0, 2)), r"^k=0 out of range for 2 prototypes$"),
+            (2.0, [(1.0, 0.0)], r"^k must be an integer, got 2\.0$"),
+            (True, [(1.0, 0.0)], r"^k must be an integer, got True$"),
+            (2, [(1.0, 0.0, 0.0)], r"^query points must have dimension 2, got shape \(1, 3\)$"),
+            (2, np.empty((0, 5)), r"^query points must have dimension 2, got shape \(0, 5\)$"),
+            (2, np.zeros((2, 2, 2)), r"^query points must have dimension 2, got shape \(2, 2, 2\)$"),
+            (2, [(np.nan, 0.0)], r"^query points must be finite$"),
+            (2, [(0.5, 0.0), (0.0, -np.inf)], r"^query points must be finite$"),
+        ],
+        ids=["k-too-large", "bad-k-no-points", "float-k", "bool-k", "bad-dimension", "bad-dimension-no-points",
+             "three-axes", "nan-query", "inf-query"],
+    )
+    def test_refused(self, pair_set, entry, k, points, match):
+        with pytest.raises(ValueError, match=match):
+            entry(pair_set, k, points)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "positions, labels",
+        [([(0.0, 0.0), (3.0, 0.0)], [[np.nan, 1.0], [0.0, 1.0]]), ([(0.0, 0.0), (np.inf, 0.0)], [[1.0, 0.0], [0.0, 1.0]])],
+        ids=["nan-label", "position-at-infinity"],
+    )
+    def test_non_finite_set_refused(self, entry, positions, labels):
+        pset = make_prototype_set(positions, np.array(labels))
+        for points in ([(1.0, 0.0)], np.empty((0, 2))):
+            with pytest.raises(ValueError, match=r"^prototype positions and labels must be finite; run validate\(\)"):
+                entry(pset, 2, points)
+
+    def test_vectors_are_one_point_or_none(self, pair_set):
+        # As evaluate_points reads them (TestEmptyQuery, classify).
+        np.testing.assert_array_equal(classifier._predicted(pair_set, 2, (2.9, 0.0)), [2])
+        assert classifier._predicted(pair_set, 2, []).shape == (0,)
+
+
 def _reference_scores(positions, labels, k, points):
     """The decision rule written out directly: every distance, then a sort.
 

@@ -85,6 +85,16 @@ class TestRaster:
         )
         assert "distinct classes: 3" in capsys.readouterr().out
 
+    def test_refused_percentile_writes_no_file(self, pair_json, tmp_path, capsys):
+        target = tmp_path / "m.ppm"
+        code = run(
+            "raster", "-s", str(pair_json), "-k", "2", "--res", "32x32",
+            "--risk", "clip", "--percentile", "40", "-o", str(target),
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pair_json]  # neither the PPM nor the PGM
+
 
 class TestVerify:
     def test_named_construction_passes(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Label model, conversions, validation, and JSON round-trips."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from softknn import (
     to_json_dict,
     validate,
 )
+from softknn.core import _coincident_pairs
 
 # Unrestricted vector with a wide weight spread: the sixth entry dominates.
 SPREAD_VECTOR = [-10.0, 0.5, 0.5, 1.0, 1.5, 4.1, 1.0, 2.2, -0.2, 1.0]
@@ -167,6 +169,82 @@ class TestSortedDuplicateScan:
     def test_one_prototype(self):
         pset = make_prototype_set([(0.0, 0.0)], np.ones((1, 1)), kind=LabelKind.UNRESTRICTED)
         assert validate(pset) == []
+
+
+def _row_label_violations(v, kind):
+    """The per-row label check as it was before ``validate`` checked all rows at once."""
+    if not np.all(np.isfinite(v)):
+        return ["non-finite element"]
+    out = []
+    if kind == LabelKind.HARD:
+        ones = int(np.count_nonzero(v == 1.0))
+        zeros = int(np.count_nonzero(v == 0.0))
+        if ones != 1 or zeros != len(v) - 1:
+            out.append("hard label is not a one-hot vector")
+    elif kind == LabelKind.PROBABILISTIC:
+        if np.any(v < 0):
+            out.append("negative element")
+        if abs(float(v.sum()) - 1.0) > 1e-9:
+            out.append(f"elements sum to {float(v.sum())!r}, not 1")
+    return out
+
+
+def _row_loop_validate(pset):
+    """``validate`` with one label check per row."""
+    errors = []
+    for i, (position, label) in enumerate(zip(pset.positions, pset.labels)):
+        if not np.all(np.isfinite(position)):
+            errors.append(f"prototype {i}: non-finite position")
+        errors.extend(f"prototype {i}: {msg}" for msg in _row_label_violations(label, pset.label_kind))
+    if np.all(np.isfinite(pset.positions)):
+        errors.extend(f"prototypes {i} and {j}: duplicate position" for i, j in _coincident_pairs(pset.positions))
+    return errors
+
+
+class TestLabelChecksAtOnce:
+    """``validate`` checks every label row at once and reports what the per-row check reported, in the same order."""
+
+    @staticmethod
+    def _labels(rng, kind, m, c):
+        # Valid rows of the kind, then rows broken in every way the check names.
+        if kind == LabelKind.HARD:
+            labels = np.eye(c)[rng.integers(0, c, size=m)]
+        elif kind == LabelKind.PROBABILISTIC:
+            labels = rng.dirichlet(np.full(c, 0.3), size=m) * rng.choice([1.0, 1.0 + 3e-10, 1.0 - 1.5e-9, 1.2], size=(m, 1))
+        else:
+            labels = rng.normal(scale=5.0, size=(m, c))
+        for value in (np.nan, np.inf, -np.inf, -0.25, 1.0, 0.0, 0.5, 2.0, 1e300):
+            rows = rng.choice(m, size=3, replace=False)
+            labels[rows, rng.integers(0, c, size=3)] = value
+        if c >= 2:  # a sum of inf and -inf must not warn
+            labels[rng.integers(m), :2] = (np.inf, -np.inf)
+        return labels
+
+    @pytest.mark.parametrize("kind", list(LabelKind))
+    @pytest.mark.parametrize("c", [1, 3, 9, 17, 130])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets(self, seed, c, kind):
+        rng = np.random.default_rng([seed, c])
+        m = 60
+        pos = rng.uniform(-1, 1, size=(m, 2))
+        pos[rng.integers(m)] = np.nan if seed % 2 else pos[rng.integers(m)]
+        labels = self._labels(rng, kind, m, c)
+        for order in ("C", "F"):  # F-ordered rows must still add up as row.sum() adds them
+            pset = make_prototype_set(pos, np.array(labels, order=order), kind=kind)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert validate(pset) == _row_loop_validate(pset)
+            for row in pset.labels[:12]:
+                assert label_violations(SoftLabel(row, kind)) == _row_label_violations(row, kind)
+
+    def test_sums_off_by_an_ulp_print_their_own_repr(self):
+        # Twelve classes sum pairwise, not left to right; the message quotes the sum the row check took.
+        rng = np.random.default_rng(5)
+        labels = rng.dirichlet(np.ones(12), size=400) * (1.0 + rng.uniform(-2e-9, 2e-9, size=(400, 1)))
+        pset = make_prototype_set(rng.uniform(size=(400, 2)), np.asfortranarray(labels))
+        expected = _row_loop_validate(pset)
+        assert validate(pset) == expected
+        assert any("sum" in e for e in expected) and len(expected) < 400
 
 
 class TestSoftmax:

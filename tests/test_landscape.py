@@ -356,6 +356,11 @@ class TestRiskRender:
             intensity = risk_render(grid, mode)
             for row, col in grid.exact_hits:
                 assert intensity[row, col] == 0.0
+        # One class: every cell is +inf, exact hits included, and no finite confidence is above 0.
+        grid = rasterize(n_from_two(1).set, 2, HIT_BOUNDS, 500, 400)
+        assert grid.exact_hits and np.all(grid.confidence == np.inf)
+        for mode in ("clip", "log"):
+            assert np.all(risk_render(grid, mode) == 0.0)
 
     def test_intensity_peaks_at_boundaries(self, pair, pair_grid):
         intensity = risk_render(pair_grid, "clip")
@@ -438,6 +443,22 @@ class TestBoundaryBisect:
     def test_scan_below_one_rejected(self, pair):
         with pytest.raises(ValueError, match="scan"):
             boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0.0, 0.0), (np.inf, 0.0)), ((np.nan, 0.0), (1.5, 0.0)), ((-1e308, 0.0), (1e308, 0.0)),
+         ([(0.0, 0.0), (0.0, 0.0)], [(1.5, 0.0), (1.5, -np.inf)])],
+        ids=["infinite-end", "nan-end", "overflowing-span", "stacked"],
+    )
+    def test_non_finite_segment_refused(self, pair, a, b):
+        # Checked by the classifier entry that scores the pre-scan, before any bisection step.
+        with pytest.raises(ValueError, match="^query points must be finite$"):
+            boundary_bisect(pair.set, 2, a, b)
+
+    @pytest.mark.parametrize("k, match", [(3, "^k=3 out of range for 2 prototypes$"), (1.5, "^k must be an integer")])
+    def test_bad_k_refused(self, pair, k, match):
+        with pytest.raises(ValueError, match=match):
+            boundary_bisect(pair.set, k, (0.0, 0.0), (1.5, 0.0))
 
 
 def bisect_reference(on_lo_side, lo: float, hi: float, tol: float) -> float:
