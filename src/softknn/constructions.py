@@ -21,9 +21,11 @@ Class index conventions (0-based), fixed per generator:
 * circle generators: points on the t-th circle (radius t*c) belong to
   class t-1.
 
-Probabilistic labels are assembled from exact rationals and summed
-symbolically before float conversion, so they satisfy the distribution
-invariant by construction.
+Star tips, polygon vertices and hard circle prototypes sit on rings about
+the origin: the first prototype of a ring at angle 0, the rest at equal
+steps counterclockwise. Probabilistic labels are assembled from exact
+rationals and summed symbolically before float conversion, so they satisfy
+the distribution invariant by construction.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set
+from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set, require_positive
 from . import classifier
 from .landscape import bisect_many
 
@@ -85,6 +87,17 @@ class Construction:
                     raise ValueError(f"boundary fractions for pair ({a},{b}) must be strictly increasing")
 
 
+def _ring(count: int, radius: float) -> list[tuple[float, float]]:
+    """``count`` points equally spaced on the circle of ``radius`` about the origin, from angle 0."""
+    angles = [2.0 * math.pi * i / count for i in range(count)]
+    return [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+
+
+def _exact_label(n_classes: int, weights: dict[int, Fraction]) -> SoftLabel:
+    """A probabilistic label with the given exact weights and 0 on every other class."""
+    return SoftLabel.from_exact([weights.get(i, 0) for i in range(n_classes)])
+
+
 def three_from_two(spacing: float = 3.0) -> Construction:
     """Two prototypes whose shared middle class splits their segment in three.
 
@@ -100,8 +113,7 @@ def three_from_two(spacing: float = 3.0) -> Construction:
 
 def n_from_two_labels(n: int) -> list[Fraction]:
     """Exact label weights for the first prototype of :func:`n_from_two`."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    require_positive("n", n)
     if n == 1:
         return [Fraction(1)]
     denom = 2 * sum(j * j for j in range(1, n))
@@ -155,19 +167,10 @@ def star_pairs(m: int, radius: float = 1.0) -> Construction:
         raise ValueError(f"radius must be positive, got {radius}")
     n_classes = 2 * m - 1
     tips = m - 1
-    hub = [Fraction(0)] * n_classes
-    hub[0] = Fraction(3, 2 * m + 1)
-    for i in range(tips):
-        hub[m + i] = Fraction(2, 2 * m + 1)
-    labels = [SoftLabel.from_exact(hub)]
-    positions = [(0.0, 0.0)]
-    for i in range(tips):
-        tip = [Fraction(0)] * n_classes
-        tip[1 + i] = Fraction(3, 5)
-        tip[m + i] = Fraction(2, 5)
-        labels.append(SoftLabel.from_exact(tip))
-        angle = 2.0 * math.pi * i / tips
-        positions.append((radius * math.cos(angle), radius * math.sin(angle)))
+    hub = {0: Fraction(3, 2 * m + 1)} | {m + i: Fraction(2, 2 * m + 1) for i in range(tips)}
+    labels = [_exact_label(n_classes, hub)]
+    labels += [_exact_label(n_classes, {1 + i: Fraction(3, 5), m + i: Fraction(2, 5)}) for i in range(tips)]
+    positions = [(0.0, 0.0)] + _ring(tips, radius)
     pset = make_prototype_set(positions, labels, name=f"star_pairs(m={m}, radius={radius})")
     inner = 5.0 / (4 * m + 7)
     outer = 10.0 / (2 * m + 11)
@@ -194,16 +197,12 @@ def polygon_pairs(m: int, circumradius: float = 1.0) -> Construction:
     if not circumradius > 0:
         raise ValueError(f"circumradius must be positive, got {circumradius}")
     n_classes = 2 * m
-    labels = []
-    positions = []
-    for j in range(m):
-        lab = [Fraction(0)] * n_classes
-        lab[j] = Fraction(3, 7)
-        lab[m + j] = Fraction(2, 7)  # edge to the next vertex
-        lab[m + (j - 1) % m] = Fraction(2, 7)  # edge from the previous vertex
-        labels.append(SoftLabel.from_exact(lab))
-        angle = 2.0 * math.pi * j / m
-        positions.append((circumradius * math.cos(angle), circumradius * math.sin(angle)))
+    # Own class, the edge to the next vertex, the edge from the previous one.
+    labels = [
+        _exact_label(n_classes, {j: Fraction(3, 7), m + j: Fraction(2, 7), m + (j - 1) % m: Fraction(2, 7)})
+        for j in range(m)
+    ]
+    positions = _ring(m, circumradius)
     pset = make_prototype_set(positions, labels, name=f"polygon_pairs(m={m}, circumradius={circumradius})")
     spec: BoundarySpec = [((j, (j + 1) % m), [1.0 / 3.0, 2.0 / 3.0]) for j in range(m)]
     return Construction(
@@ -250,22 +249,13 @@ def polygon_with_center(m: int) -> Construction:
     v = m - 1
     n_classes = 3 * m - 2
     (alpha, beta), (gamma, delta, eps) = polygon_with_center_labels(v)
-
-    hub = [Fraction(0)] * n_classes
-    hub[0] = alpha
-    for j in range(v):
-        hub[m + j] = beta
-    labels = [SoftLabel.from_exact(hub)]
-    positions = [(0.0, 0.0)]
-    for j in range(v):
-        lab = [Fraction(0)] * n_classes
-        lab[1 + j] = gamma
-        lab[m + j] = delta
-        lab[2 * m - 1 + j] = eps  # edge to vertex j+1
-        lab[2 * m - 1 + (j - 1) % v] = eps  # edge from vertex j-1
-        labels.append(SoftLabel.from_exact(lab))
-        angle = 2.0 * math.pi * j / v
-        positions.append((math.cos(angle), math.sin(angle)))
+    labels = [_exact_label(n_classes, {0: alpha} | {m + j: beta for j in range(v)})]
+    # Own class, the hub-vertex class, the edges to vertex j+1 and from vertex j-1.
+    labels += [
+        _exact_label(n_classes, {1 + j: gamma, m + j: delta, 2 * m - 1 + j: eps, 2 * m - 1 + (j - 1) % v: eps})
+        for j in range(v)
+    ]
+    positions = [(0.0, 0.0)] + _ring(v, 1.0)
     pset = make_prototype_set(positions, labels, name=f"polygon_with_center(m={m})")
     return Construction(
         set=pset,
@@ -466,21 +456,16 @@ def circle_prototype_count(t: int) -> int:
 def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
     """Hard-label prototypes on N concentric circles, separated by 1NN.
 
-    Circle t (radius t*c) carries :func:`circle_prototype_count` prototypes
-    equally spaced from angle 0, all labeled class t-1. The bound stated
-    there puts every point of a circle nearest one of its own prototypes;
+    Circle t (radius t*c) carries a ring of :func:`circle_prototype_count`
+    prototypes, all labeled class t-1. The bound stated there puts every
+    point of a circle nearest one of its own prototypes;
     :func:`softknn.harness.verify_circle_separation` checks it by sampling.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    require_positive("n", n)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     counts = [circle_prototype_count(t) for t in range(1, n + 1)]
-    positions = []
-    for t, count in enumerate(counts, start=1):
-        radius = t * c
-        angles = 2.0 * math.pi * np.arange(count) / count
-        positions += [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    positions = [point for t, count in enumerate(counts, start=1) for point in _ring(count, t * c)]
     labels = np.repeat(np.eye(n), counts, axis=0)
     pset = make_prototype_set(
         positions, labels, kind=LabelKind.HARD, name=f"circle_hard_baseline(n={n}, c={c}, counts={counts})"
@@ -503,8 +488,7 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
     between adjacent circles. The distant quadruple keeps the bands nearly
     circular, so the midpoint margins hold at every angle.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    require_positive("n", n)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     s = 4.0 * n * c

@@ -33,6 +33,12 @@ PROB_SUM_TOL = 1e-9
 COINCIDENT_TOL = 1e-12
 
 
+def require_positive(name: str, value: int) -> None:
+    """Refuse a count below 1: a check that compares nothing would pass."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 class LabelKind(str, Enum):
     """How a label's weight vector is constrained."""
 
@@ -42,7 +48,7 @@ class LabelKind(str, Enum):
 
 
 def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -93,8 +99,8 @@ def _label_violations(labels: np.ndarray, kind: LabelKind) -> list[list[str]]:
     """Per row of the (M, C) ``labels``, a description of every invariant of ``kind`` that the row breaks.
 
     A row with a non-finite element gets that message alone. The finite
-    rows are checked together, in a C-ordered copy, so that each row's sum
-    adds its elements as ``row.sum()`` does and prints the same ``repr``.
+    rows are checked together; sets keep their labels in C order, so each
+    row's sum adds its elements as ``row.sum()`` does.
     """
     finite = np.isfinite(labels).all(axis=1)
     rows: list[list[str]] = [[] if ok else ["non-finite element"] for ok in finite.tolist()]
@@ -134,8 +140,8 @@ class PrototypeSet:
     ``num_classes`` and ``len`` always agree with the arrays; value errors
     (non-finite entries, broken label invariants, duplicate positions) are
     left to :func:`validate`, so such sets can still be built and diagnosed.
-    The arrays are read-only copies, which makes the set immutable and safe
-    for unrestricted concurrent use.
+    The arrays are read-only C-ordered copies, which makes the set immutable
+    and safe for unrestricted concurrent use.
     """
 
     positions: np.ndarray

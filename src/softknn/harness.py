@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .classifier import _predicted, evaluate_points
 from .constructions import Construction
-from .core import LabelKind, PrototypeSet
+from .core import LabelKind, PrototypeSet, require_positive
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 
 # Prediction comparisons skip queries whose confidence gap is below this
@@ -76,12 +76,6 @@ class VerificationReport:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
-def require_positive(name: str, value: int) -> None:
-    """Refuse a count below 1: a check that compares nothing would pass."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
 def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 1024)) -> CheckResult:
     """Rasterize at each resolution and compare distinct classes to the claim.
 
@@ -97,11 +91,10 @@ def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 
     return CheckResult("class_count", passed, observed, cons.claimed_classes)
 
 
-def _segment_windows(fractions: list[float]) -> list[tuple[float, float]]:
-    edges = [0.0]
-    edges += [0.5 * (f1 + f2) for f1, f2 in zip(fractions, fractions[1:])]
-    edges.append(1.0)
-    return [(edges[i], edges[i + 1]) for i in range(len(fractions))]
+def _windows(values, first: float, last: float) -> list[tuple[float, float]]:
+    """One ``(lo, hi)`` window per value, split at the midpoints of neighbouring values."""
+    edges = [first, *(0.5 * (v1 + v2) for v1, v2 in zip(values, values[1:])), last]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list[tuple[dict, float, float]]]:
@@ -118,17 +111,15 @@ def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list
         pos = cons.set.positions
         for (ia, ib), fractions in cons.boundary_spec:
             a, b = pos[ia], pos[ib]
-            for expected, (lo, hi) in zip(fractions, _segment_windows(fractions)):
+            for expected, (lo, hi) in zip(fractions, _windows(fractions, 0.0, 1.0)):
                 starts.append(a + lo * (b - a))
                 ends.append(a + hi * (b - a))
                 windows.append(({"segment": [ia, ib], "expected": expected}, lo, hi))
 
     if cons.radial_spec:
-        radii = list(cons.radial_spec.radii)
-        edges = [0.5 * radii[0]]
-        edges += [0.5 * (r1 + r2) for r1, r2 in zip(radii, radii[1:])]
-        edges.append(radii[-1] + 0.5 * (radii[-1] - radii[-2]) if len(radii) > 1 else 1.5 * radii[-1])
-        for expected, lo, hi in zip(radii, edges[:-1], edges[1:]):
+        radii = cons.radial_spec.radii
+        last = radii[-1] + 0.5 * (radii[-1] - radii[-2]) if len(radii) > 1 else 1.5 * radii[-1]
+        for expected, (lo, hi) in zip(radii, _windows(radii, 0.5 * radii[0], last)):
             starts.append((lo, 0.0))
             ends.append((hi, 0.0))
             windows.append(({"ray": True, "expected": expected}, lo, hi))

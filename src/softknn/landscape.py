@@ -348,7 +348,8 @@ def boundary_bisect(
     if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] != pset.dim:
         raise ValueError(f"segment ends must both be ({pset.dim},) or (S, {pset.dim}), got {a.shape} and {b.shape}")
     ts = np.linspace(0.0, 1.0, scan + 1)
-    pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite points are refused by _predicted
+        pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
     predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), scan + 1)
     expected = None if class_pair is None else np.broadcast_to(np.asarray(class_pair, dtype=int), (len(a2), 2))
     lo, hi = np.empty(len(a2)), np.empty(len(a2))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import softknn
-from softknn import circle_hard_baseline, polygon_pairs, polygon_with_center
+from softknn import circle_hard_baseline, polygon_pairs, polygon_with_center, star_pairs
 from softknn.cli import main
 from softknn.landscape import pgm_bytes, ppm_bytes, rasterize, risk_render
 
@@ -24,6 +24,13 @@ VERIFY_DIGESTS = {
     ("polygon_with_center", "--m", "6"): "33f9ed4d4110e673b5634053594aaad98018909e7a7d04eb86564f00e006a2a9",
     ("concentric_ellipses", "--num-classes", "6"): "d0b9da06d2c211f2fbf6b85a84bf3469083259ae1db03b36f2985dd94bda735f",
     ("circle_soft_fit", "--n", "6"): "6d75a545ceb8825263530b951be785c71e0d8f4dcb55ead89062cd514a6d30e4",
+}
+
+# Verify reports whose ray check has one crossing, so the window past it is
+# half the crossing radius again; run as VERIFY_DIGESTS are.
+ONE_RADIUS_VERIFY_DIGESTS = {
+    ("concentric_ellipses", "--num-classes", "2"): "2a772123088d7005a0b3e14522613e0e5fd6e66dbbdf433e32189fc037875041",
+    ("circle_soft_fit", "--n", "2"): "d46d59ba549c853418eab0c127a3ffad79c083a0b4b98de3a86d8c2836cdd12f",
 }
 
 # `softknn circles --n 12 --mode MODE -o SET --report REPORT`: SHA-256 of SET and REPORT.
@@ -45,6 +52,19 @@ CONSTRUCT_DIGESTS = {
     ("concentric_ellipses", "--num-classes", "6"): "c0020f3cb727023613eaeafa8903bbf3951ac3b19d7db13219a048c787a34aa2",
     ("circle_hard_baseline", "--n", "20"): "1c3e621564f1979f57a5c1f2c31ba97f6ca707be60c8dd5ea14628857a7c1fc6",
 }
+
+# SHA-256 over `positions.tobytes()` then `labels.tobytes()` of each ring
+# construction, in the order `_ring_builds` makes them.
+RING_ARRAYS_DIGEST = "f63bff4ff1fdf4f5019f1fe972d6e62dee23a6cd05fd5159f756940fa638e3e7"
+
+
+def _ring_builds() -> list:
+    builds = [star_pairs(m, 1.7) for m in range(2, 40)]
+    builds += [polygon_pairs(m, 0.3) for m in range(3, 40)]
+    builds += [polygon_with_center(m) for m in range(4, 40)]
+    builds += [circle_hard_baseline(n, c) for n in range(1, 30) for c in (0.37, 1.0, 2.5)]
+    return builds
+
 
 # One construction per selection path of the kernel, rasterized at 256x256
 # over its default bounds with k = required_k: SHA-256 of the PPM bytes and
@@ -83,6 +103,25 @@ def test_verify_report_bytes_pinned(tmp_path, target):
     argv = ["verify", *target, "--resolutions", "256", "--seed", "0", "--report", str(report)]
     assert main(argv) == 0
     assert sha256(report) == VERIFY_DIGESTS[target]
+
+
+@pytest.mark.parametrize("target", list(ONE_RADIUS_VERIFY_DIGESTS), ids=lambda t: t[0])
+def test_one_radius_report_bytes_pinned(tmp_path, target):
+    report = tmp_path / "report.json"
+    argv = ["verify", *target, "--resolutions", "256", "--seed", "0", "--report", str(report)]
+    assert main(argv) == 0
+    assert sha256(report) == ONE_RADIUS_VERIFY_DIGESTS[target]
+
+
+def test_ring_construction_arrays_pinned():
+    # Every prototype position and label of the ring constructions, bit for bit.
+    builds = _ring_builds()
+    assert len(builds) == 198
+    digest = hashlib.sha256()
+    for cons in builds:
+        digest.update(cons.set.positions.tobytes())
+        digest.update(cons.set.labels.tobytes())
+    assert digest.hexdigest() == RING_ARRAYS_DIGEST
 
 
 def test_circles_soft_bytes_pinned(tmp_path):

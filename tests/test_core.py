@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from softknn import (
     COINCIDENT_TOL,
     LabelKind,
+    PrototypeSet,
     SoftLabel,
     class_weight_sum,
+    evaluate_points,
     from_json_dict,
     label_argmax,
     label_softmax,
@@ -357,6 +359,19 @@ class TestImmutability:
             pset.positions[0, 0] = 9.0
         with pytest.raises(ValueError):
             pset.labels[0, 0] = 9.0
+
+
+class TestMemoryOrder:
+    def test_fortran_ordered_input_is_stored_in_c_order(self):
+        rng = np.random.default_rng(13)
+        pos, labels = rng.uniform(-3, 3, size=(20, 2)), rng.normal(size=(20, 9))
+        c_set = PrototypeSet(pos, labels, LabelKind.UNRESTRICTED)
+        f_set = PrototypeSet(np.asfortranarray(pos), np.asfortranarray(labels), LabelKind.UNRESTRICTED)
+        assert f_set.positions.flags.c_contiguous and f_set.labels.flags.c_contiguous
+        points = rng.uniform(-4, 4, size=(300, 2))
+        for k in (20, 3):  # the k = M path and the selecting path
+            for got, want in zip(evaluate_points(f_set, k, points), evaluate_points(c_set, k, points)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestExactConstruction:
