@@ -174,8 +174,21 @@ class PrototypeSet:
         return tuple(Prototype(p, SoftLabel(l, self.label_kind)) for p, l in zip(self.positions, self.labels))
 
 
-def _check_rows(rows, what: str) -> list[np.ndarray]:
-    """Convert per-prototype vectors to float rows of one width, naming the first ragged row."""
+def _check_rows(rows, what: str) -> np.ndarray | list[np.ndarray]:
+    """Convert per-prototype vectors to float rows of one width, naming the first ragged row.
+
+    All rows are converted in one call; a 1-D result holds one scalar per
+    prototype and becomes a column. Only where that call fails or nests
+    deeper are the rows converted one by one, which names the first ragged
+    row and still takes rows that do not stack in one call, such as
+    ``[0.0, [1.0]]``.
+    """
+    try:
+        stacked = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # the row-by-row pass below names what is wrong
+        stacked = np.empty(())
+    if stacked.ndim in (1, 2) and len(stacked):
+        return stacked.reshape(len(stacked), -1)
     rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in rows]
     if not rows:
         raise ValueError("a prototype set needs at least one prototype")

@@ -16,11 +16,11 @@ does not change any result.
 Rasterization splits a grid's rows into blocks. Grids of at least four
 chunks per worker (512x512 and up on two cores) run one block per
 available core on a thread pool opened for the call; smaller ones stay on
-the calling thread. Where the classifier culls prototypes per tile (k < M
-on sets of 16 or more), a block hands each chunk of rows over in strips
-32 columns wide, so that each culling tile is a compact patch of cells.
+the calling thread. A block hands its cells to the classifier in
+rectangles at most 32 columns wide, so that wherever the classifier culls
+prototypes per tile, each culling tile is a compact patch of cells.
 It is deterministic: the per-cell computation is independent of how cells
-are partitioned into blocks, strips and tiles, so any ``partitions``
+are partitioned into blocks, rectangles and tiles, so any ``partitions``
 value, and any core count, yields bit-identical grids.
 """
 
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .classifier import _check_rule_args, _culls, _evaluate_into, _predicted
+from .classifier import _check_rule_args, _evaluate_into, _predicted
 from .core import PrototypeSet
 
 # Fixed palette for class maps (class index cycles through these RGBs).
@@ -48,16 +48,22 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
     (154, 99, 36), (255, 216, 177),
 )
 
-# Cells per rasterize chunk: the cell centers of a chunk of whole grid rows
-# are built in one reused buffer of this many points (512 KiB).
+# Cells per rasterize chunk, the unit of work that sizes row blocks: a
+# block's rectangles hold at most this many cells, so its reused buffers
+# of cell centers (512 KiB) and staged outputs are bounded by it.
 _CHUNK_CELLS = 1 << 15
-# Width of the column strips in which a chunk's cells are ordered when the
-# classifier culls, so that its culling tiles are compact patches of cells.
+# Width of the rectangles in which a block hands its cells to the
+# classifier, so that any culling tile is a compact patch of cells.
 _PATCH_COLS = 32
 # A grid is split across cores only if every worker gets this many chunks:
 # below that, starting threads and a per-worker buffer set cost more than
 # they save (a 256x256 grid is two chunks and stays on the calling thread).
 _CHUNKS_PER_WORKER = 4
+
+
+def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of the n equal cells that split [lo, hi], the one rule for raster cell coordinates."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
 class BisectionError(ValueError):
@@ -92,11 +98,11 @@ class RasterGrid:
 
     def cell_centers_x(self) -> np.ndarray:
         xmin, xmax, _, _ = self.bounds
-        return xmin + (np.arange(self.width) + 0.5) * (xmax - xmin) / self.width
+        return _cell_centers(xmin, xmax, self.width)
 
     def cell_centers_y(self) -> np.ndarray:
         _, _, ymin, ymax = self.bounds
-        return ymin + (np.arange(self.height) + 0.5) * (ymax - ymin) / self.height
+        return _cell_centers(ymin, ymax, self.height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +164,17 @@ def rasterize(
     The output is bit-identical for every split because each cell is
     classified independently.
 
-    Each block fills its rows in chunks of whole rows whose cell centers
-    are built in the block's own reused buffer. Where the classifier culls
-    (k < M, 16 prototypes or more) a chunk's centers are ordered strip by
-    strip, ``_PATCH_COLS`` columns wide and row by row within a strip, so
-    that each of the classifier's culling tiles covers a patch of cells
-    about 32 wide and 16 high instead of a full-width row strip; the
-    classifier writes into the block's own buffers, whose values are then
-    copied to their grid cells. Otherwise the classifier writes each chunk
-    straight into the block's rows of ``classes`` and ``confidence``.
-    Per-class scores exist only one tile at a time, so memory beyond the
-    outputs is bounded by one chunk and one tile per running block.
+    Each block walks its rows in rectangles ``_PATCH_COLS`` columns wide
+    (narrower at the right edge or on a narrower grid) and at most
+    ``_CHUNK_CELLS // _PATCH_COLS`` rows high. A rectangle's cell centers are
+    built row by row in the block's own reused buffer, the classifier
+    writes into the block's staged class, confidence and exact-hit
+    buffers, and those are copied to the rectangle's grid cells. Wherever
+    the classifier culls prototypes (k < M, 16 prototypes or more), each
+    culling tile of 512 points then covers a patch of cells about 32 wide
+    and 16 high instead of a full-width row strip. Per-class scores exist
+    only one tile at a time, so memory beyond the outputs is bounded by one
+    rectangle and one tile per running block.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -185,44 +191,33 @@ def rasterize(
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
     _check_rule_args(pset, k)
-    xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
-    ys = ymin + (np.arange(height) + 0.5) * (ymax - ymin) / height
+    xs, ys = _cell_centers(xmin, xmax, width), _cell_centers(ymin, ymax, height)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError(f"cell centers must be finite, got bounds {bounds}")
 
     classes = np.empty((height, width), dtype=np.int32)
     confidence = np.empty((height, width), dtype=float)
-    chunk_rows = max(1, _CHUNK_CELLS // width)
-    # Culling pays only on compact tiles, so culled cells go over in strips.
-    patch = min(_PATCH_COLS, width) if _culls(len(pset), k) else width
-    full = width - width % patch  # columns in whole strips; the rest form one narrower strip
+    patch = min(_PATCH_COLS, width)
 
     def fill(b0: int, b1: int) -> list[tuple[int, int]]:
-        """Classify rows b0..b1-1 through this block's own buffers; return its exact hits."""
-        chunk = min(b1 - b0, chunk_rows)
-        centers = np.empty((chunk * width, 2))
-        exact = np.empty((chunk, width), dtype=bool)
-        if patch < width:  # the kernel's outputs in strip order, before they go to their grid rows
-            staged = tuple(np.empty(chunk * width, dtype=t) for t in (np.int32, float, bool))
+        """Classify rows b0..b1-1 rectangle by rectangle through this block's own buffers; return its exact hits."""
+        rows = min(b1 - b0, _CHUNK_CELLS // patch)
+        centers = np.empty((rows * patch, 2))
+        staged = tuple(np.empty(rows * patch, dtype=t) for t in (np.int32, float, bool))
         hits: list[tuple[int, int]] = []
-        for r0 in range(b0, b1, chunk):
-            r1 = min(r0 + chunk, b1)
-            rows, cells = r1 - r0, (r1 - r0) * width
-            strips = centers[: rows * full].reshape(-1, rows, patch, 2)
-            strips[..., 0] = xs[:full].reshape(-1, 1, patch)
-            strips[..., 1] = ys[r0:r1, None]
-            rest = centers[rows * full : cells].reshape(rows, width - full, 2)
-            rest[..., 0] = xs[full:]
-            rest[..., 1] = ys[r0:r1, None]
-            out = (classes[r0:r1], confidence[r0:r1], exact[:rows])
-            if patch == width:
-                _evaluate_into(pset, k, centers[:cells], *(a.reshape(-1) for a in out))
-            else:
-                _evaluate_into(pset, k, centers[:cells], *(a[:cells] for a in staged))
-                for src, dst in zip(staged, out):
-                    dst[:, :full] = src[: rows * full].reshape(-1, rows, patch).transpose(1, 0, 2).reshape(rows, full)
-                    dst[:, full:] = src[rows * full : cells].reshape(rows, -1)
-            hits.extend((r0 + int(flat) // width, int(flat) % width) for flat in np.flatnonzero(exact[:rows]))
+        for r0 in range(b0, b1, rows):
+            r1 = min(r0 + rows, b1)
+            for c0 in range(0, width, patch):
+                c1 = min(c0 + patch, width)
+                cells = (r1 - r0) * (c1 - c0)
+                rect = centers[:cells].reshape(r1 - r0, c1 - c0, 2)
+                rect[..., 0] = xs[c0:c1]
+                rect[..., 1] = ys[r0:r1, None]
+                out = [a[:cells] for a in staged]
+                _evaluate_into(pset, k, centers[:cells], *out)
+                classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
+                i, j = np.nonzero(exact)
+                hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
         return hits
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

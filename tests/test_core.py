@@ -451,6 +451,41 @@ class TestJson:
         with pytest.raises(ValueError, match="^malformed prototype-set JSON: "):
             from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "positions, labels, message",
+        [
+            pytest.param(
+                [(0.0, 0.0), (3.0, 0.0, 1.0)], np.eye(2),
+                "prototype 1: position has length 3, expected 2", id="position",
+            ),
+            pytest.param(
+                [(0.0, 0.0), (3.0, 0.0)], [(1.0, 0.0, 0.0), (0.0, 1.0)],
+                "prototype 1: label has length 2, expected 3", id="label",
+            ),
+            pytest.param(
+                [(0.0, 0.0), ((1, 2), (3, 4))], np.eye(2),
+                "prototype 1: position has length 4, expected 2", id="nested",
+            ),
+        ],
+    )
+    def test_ragged_row_messages(self, positions, labels, message):
+        with pytest.raises(ValueError) as raised:
+            make_prototype_set(positions, labels, kind=LabelKind.HARD)
+        assert str(raised.value) == message
+        entries = [{"position": p, "label": list(l)} for p, l in zip(positions, labels)]
+        data = {"label_kind": "hard", "dim": 2, "num_classes": 2, "prototypes": entries}
+        with pytest.raises(ValueError) as raised:
+            from_json_dict(data)
+        assert str(raised.value) == f"malformed prototype-set JSON: {message}"
+
+    def test_rows_that_do_not_stack_at_once(self):
+        # A scalar and a one-element row are each one coordinate.
+        pset = make_prototype_set([0.0, [1.0]], [[1.0, 0.0], np.array([0.0, 1.0])], kind=LabelKind.HARD)
+        assert pset.positions.tolist() == [[0.0], [1.0]]
+        assert pset.labels.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        scalars = make_prototype_set([0.0, 1.0], np.eye(2), kind=LabelKind.HARD)
+        assert scalars.positions.tolist() == [[0.0], [1.0]]
+
     def test_label_kind_round_trips_all_kinds(self, tmp_path):
         for kind in LabelKind:
             values = np.array([[1.0, 0.0]]) if kind == LabelKind.HARD else np.array([[0.25, 0.75]])

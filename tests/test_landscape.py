@@ -149,6 +149,17 @@ def _assert_matches_reference(pset, k, bounds, width, height, partitions=1):
     return grid
 
 
+# (resolution, construction, k) for the raster memory bound: polygon_with_center(8)
+# at k = 8 is scored unculled; circle_hard_baseline(6) at k = 1 has 68
+# prototypes, so its tiles are culled.
+MEMORY_CASES = [
+    pytest.param(256, lambda: polygon_with_center(8), 8, id="256"),
+    pytest.param(512, lambda: polygon_with_center(8), 8, id="512"),
+    pytest.param(256, lambda: circle_hard_baseline(6), 1, id="culled-256"),
+    pytest.param(512, lambda: circle_hard_baseline(6), 1, id="culled-512"),
+]
+
+
 class TestRasterTiles:
     """Rasters filled chunk by chunk and tile by tile equal the all-at-once evaluation."""
 
@@ -193,6 +204,14 @@ class TestRasterTiles:
         pset = self._soft_set(30, 6, partitions)
         _assert_matches_reference(pset, 4, (0.0, 301.0, 0.0, 37.0), 301, 37, partitions)
 
+    def test_several_row_bands_of_rectangles(self):
+        # One block of 1100 rows is walked in two bands of rectangles, 1024
+        # rows and then 76, each band 32 columns wide and then 1.
+        assert _CHUNK_CELLS // 32 == 1024
+        pset = self._soft_set(30, 4, 11)
+        grid = _assert_matches_reference(pset, 3, (180.0, 213.0, 0.0, 1100.0), 33, 1100)
+        assert (230, 20) in grid.exact_hits
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_refuses_non_planar_sets(self, dim):
         pset = make_prototype_set(np.eye(2, dim), np.eye(2), kind=LabelKind.HARD)
@@ -203,14 +222,15 @@ class TestRasterTiles:
         with pytest.raises(ValueError, match="cell centers must be finite"):
             rasterize(pair.set, 2, (-1e308, 1e308, 0, 1), 4, 4)
 
-    @pytest.mark.parametrize("res", [256, 512])
-    def test_memory_bounded_by_tile(self, res):
-        # Beyond its two outputs, rasterize holds one chunk of cell centers
-        # and one tile of work buffers, whatever the grid size or class count.
-        pset = polygon_with_center(8).set
+    @pytest.mark.parametrize("res, build, k", MEMORY_CASES)
+    def test_memory_bounded_by_tile(self, res, build, k):
+        # Beyond its two outputs, rasterize holds one rectangle of cell
+        # centers and staged outputs and one tile of work buffers, whatever
+        # the grid size or class count, culled or not.
+        pset = build().set
         tracemalloc.start()
         try:
-            grid = rasterize(pset, 8, None, res, res)
+            grid = rasterize(pset, k, None, res, res)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,16 +241,23 @@ class TestRasterTiles:
 class TestRasterTilesCulled(TestRasterTiles):
     """Raster tiles with every tile culled and chunks handed over in ragged 8-column strips."""
 
+    # The polygon set is culled here too. The hard circle set would only
+    # measure the forced 5-point culling tiles: 52 000 of them at 512x512,
+    # about 16 s, where the raster's own culling tiles hold 512 points.
+    @pytest.mark.parametrize("res, build, k", MEMORY_CASES[:2])
+    def test_memory_bounded_by_tile(self, res, build, k):
+        super().test_memory_bounded_by_tile(res, build, k)
+
 
 class TestPatchOrder:
-    """Cells handed over in column strips give the bytes of cells handed over in grid order."""
+    """Culled rasters give the bytes of unculled rasters of the same set."""
 
     @pytest.mark.parametrize("partitions", [1, 3, None])
     @pytest.mark.parametrize("width, height", [(300, 170), (31, 40), (1100, 40)])
     def test_strips_match_grid_order(self, monkeypatch, partitions, width, height):
         _fake_cores(monkeypatch, 2)
         cons = circle_hard_baseline(6)
-        assert landscape._culls(len(cons.set), 1)
+        assert classifier._culls(len(cons.set), 1)
         grid = rasterize(cons.set, 1, None, width, height, partitions)
         monkeypatch.setattr(classifier, "_CULL_MIN_PROTOTYPES", len(cons.set) + 1)
         plain = rasterize(cons.set, 1, None, width, height, partitions)
