@@ -38,10 +38,11 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("bounds must be xmin,xmax,ymin,ymax")
-    return tuple(parts)  # type: ignore[return-value]
+    try:
+        xmin, xmax, ymin, ymax = (float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bounds must be xmin,xmax,ymin,ymax, got {text!r}") from exc
+    return xmin, xmax, ymin, ymax
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -63,12 +64,14 @@ def _parse_resolutions(text: str) -> tuple[int, ...]:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        if int(hi) < int(lo):
-            raise argparse.ArgumentTypeError(f"empty k range {text!r}")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+    lo, dots, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f'k must be a range "1..5" or a list "1,3,5", got {text!r}') from exc
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty k range {text!r}")
+    return ks
 
 
 def _construction_params(args: argparse.Namespace) -> dict:

@@ -209,71 +209,37 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
 
 
-def _uniform(u, low: float, high: float):
-    """Scale doubles from ``Generator.random`` as ``Generator.uniform(low, high)`` does, bit for bit."""
-    return low + (high - low) * u
-
-
 def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, count: int, k: int):
     """Off-boundary queries, their predicted classes and the transform draws of every trial.
 
-    The doubles of ``rng.random`` are read in a per-trial layout: ``x[count]``
-    and ``y[count]`` of the padded frame, another ``x[count]``, ``y[count]``
-    per rejected attempt, then θ, ``shift[2]``, ``c`` and ``d``. Queries whose
-    confidence gap is within rounding of zero are rejected and the trial
-    draws again: exactly-on-boundary predictions are tie-break artifacts,
-    not class structure, so invariance is not asserted there. All pending
-    trials are drawn and classified in one call; at a rejection, the trials
-    before it are kept and the rest are drawn again from the next attempt
-    on. A trial that finds too few queries in 200 attempts is an error.
+    θ, the shift, ``log c`` and ``d`` are drawn first, one ``rng.uniform``
+    call each over all trials; then x and y of every query, uniform over the
+    padded frame. Each round classifies the pending queries in one call and
+    keeps those whose confidence gap is above rounding; only the rejected
+    ones are drawn again. Exactly-on-boundary predictions are tie-break
+    artifacts, not class structure, so invariance is not asserted there.
+    Queries still rejected after 200 rounds are an error.
 
     Returns the (trials, count, 2) queries, their (trials, count)
     predictions, and per trial θ, the (2,) shift, ``c`` and ``d``.
     """
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=trials)
+    shift = rng.uniform(-10.0, 10.0, size=(trials, 2))
+    c = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=trials))
+    d = rng.uniform(-5.0, 5.0, size=trials)
     xmin, xmax, ymin, ymax = default_bounds(pset)
-    per = 2 * count + 5
-    queries = np.empty((trials, count, 2))
-    base = np.empty((trials, count), dtype=int)
-    draws = np.empty((trials, 5))
-    stream, cursor = np.empty(0), 0
-    done = held = failed = 0
-    while done < trials:
-        n = trials - done
-        short = n * per - (len(stream) - cursor)
-        if short > 0:
-            stream, cursor = np.concatenate((stream[cursor:], rng.random(short))), 0
-        u = stream[cursor : cursor + n * per].reshape(n, per)
-        cand = np.stack((_uniform(u[:, :count], xmin, xmax), _uniform(u[:, count : 2 * count], ymin, ymax)), axis=-1)
-        scores, predicted, conf, _ = evaluate_points(pset, k, cand.reshape(-1, 2))
-        good = (conf > NEAR_TIE_GAP * np.maximum(1.0, np.abs(scores).max(axis=1))).reshape(n, count)
-        predicted = predicted.reshape(n, count)
-
-        def keep(i: int, start: int) -> int:
-            take = np.flatnonzero(good[i])[: count - start]
-            queries[done + i, start : start + len(take)] = cand[i, take]
-            base[done + i, start : start + len(take)] = predicted[i, take]
-            return start + len(take)
-
-        complete = good.all(axis=1)
-        held = keep(0, held)
-        complete[0] = held == count
-        ok = n if complete.all() else int(np.argmin(complete))
-        queries[done + 1 : done + ok] = cand[1:ok]
-        base[done + 1 : done + ok] = predicted[1:ok]
-        draws[done : done + ok] = u[:ok, 2 * count :]
-        if ok == n:
-            break
-        failed = failed + 1 if ok == 0 else 1
-        if failed == 200:
-            raise RuntimeError("could not sample off-boundary queries")
-        if ok:
-            held = keep(ok, 0)
-        cursor += ok * per + 2 * count
-        done += ok
-
-    c = np.array([np.exp(v) for v in _uniform(draws[:, 3], math.log(0.1), math.log(10.0))])
-    theta = _uniform(draws[:, 0], 0.0, 2.0 * math.pi)
-    return queries, base, theta, _uniform(draws[:, 1:3], -10.0, 10.0), c, _uniform(draws[:, 4], -5.0, 5.0)
+    queries = np.empty((trials * count, 2))
+    base = np.empty(trials * count, dtype=int)
+    pending = np.arange(trials * count)
+    for _ in range(200):
+        queries[pending] = rng.uniform((xmin, ymin), (xmax, ymax), size=(len(pending), 2))
+        scores, predicted, conf, _ = evaluate_points(pset, k, queries[pending])
+        good = conf > NEAR_TIE_GAP * np.maximum(1.0, np.abs(scores).max(axis=1))
+        base[pending[good]] = predicted[good]
+        pending = pending[~good]
+        if len(pending) == 0:
+            return queries.reshape(trials, count, 2), base.reshape(trials, count), theta, shift, c, d
+    raise RuntimeError("could not sample off-boundary queries")
 
 
 def verify_invariances(
@@ -281,11 +247,11 @@ def verify_invariances(
 ) -> list[CheckResult]:
     """Predicted classes must survive rigid motions, label scalings, shifts.
 
-    Each trial draws a fresh transform and fresh off-boundary queries from
-    the padded frame; the transformed set is queried at the matching
-    transformed points. The queries of all trials are drawn and classified
-    together, and each variant set is queried once per trial.
-    Deterministic given the seed.
+    Each trial has its own transform and its own off-boundary queries from
+    the padded frame, all drawn by :func:`_draw_trials`; the transformed set
+    is queried at the matching transformed points, once per trial and
+    variant. Deterministic given the seed. A report holds only counts, so
+    on a set that passes, which queries a seed draws changes no report byte.
     """
     require_positive("trials", trials)
     require_positive("queries_per_trial", queries_per_trial)

@@ -130,7 +130,7 @@ def default_bounds(pset: PrototypeSet) -> tuple[float, float, float, float]:
     """
     pos = pset.positions
     if pset.dim != 2:
-        raise ValueError("default_bounds requires 2-dimensional prototypes")
+        raise ValueError(f"default_bounds requires 2-dimensional prototypes, got dimension {pset.dim}")
     mins, maxs = pos.min(axis=0), pos.max(axis=0)
     spans = maxs - mins
     ref = float(spans.max()) if spans.max() > 0 else 1.0

@@ -265,6 +265,47 @@ class TestErrors:
         assert run("verify", "circle_hard_baseline", "--n", "12", "--resolutions", text) == 2
         assert "argument --resolutions:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["classify", "-s", "set.json", "-k", "2", "-x", "1,a"],
+                "argument -x/--point: expected comma-separated numbers, got '1,a'",
+                id="point",
+            ),
+            pytest.param(
+                ["raster", "-s", "set.json", "-k", "2", "--bounds=a,b,c,d", "-o", "out.ppm"],
+                "argument --bounds: bounds must be xmin,xmax,ymin,ymax, got 'a,b,c,d'",
+                id="bounds-not-numbers",
+            ),
+            pytest.param(
+                ["raster", "-s", "set.json", "-k", "2", "--bounds=1,2,3", "-o", "out.ppm"],
+                "argument --bounds: bounds must be xmin,xmax,ymin,ymax, got '1,2,3'",
+                id="bounds-three-numbers",
+            ),
+            pytest.param(
+                ["raster", "-s", "set.json", "-k", "2", "--res", "12", "-o", "out.ppm"],
+                "argument --res: resolution must look like 512x512",
+                id="res",
+            ),
+            pytest.param(
+                ["sweep-k", "-s", "set.json", "--k", "a..3", "-o", "out"],
+                'argument --k: k must be a range "1..5" or a list "1,3,5", got \'a..3\'',
+                id="k-range",
+            ),
+            pytest.param(
+                ["sweep-k", "-s", "set.json", "--k", "1,x", "-o", "out"],
+                'argument --k: k must be a range "1..5" or a list "1,3,5", got \'1,x\'',
+                id="k-list",
+            ),
+        ],
+    )
+    def test_malformed_argument_named(self, argv, message, capsys):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "_parse" not in err
+
     def test_empty_k_range_refused(self, pair_json, tmp_path, capsys):
         outdir = tmp_path / "sweep"
         assert run("sweep-k", "-s", str(pair_json), "--k", "5..1", "-o", str(outdir)) == 2

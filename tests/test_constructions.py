@@ -189,6 +189,10 @@ class TestStarPairs:
         with pytest.raises(ValueError):
             star_pairs(1)
 
+    def test_rejects_non_positive_radius(self):
+        with pytest.raises(ValueError, match="radius must be positive, got 0"):
+            star_pairs(3, radius=0)
+
 
 class TestPolygonPairs:
     def test_vertex_label_structure(self):
@@ -218,6 +222,10 @@ class TestPolygonPairs:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             polygon_pairs(2)
+
+    def test_rejects_non_positive_circumradius(self):
+        with pytest.raises(ValueError, match="circumradius must be positive, got -1"):
+            polygon_pairs(4, circumradius=-1)
 
 
 class TestPolygonWithCenter:
@@ -389,6 +397,14 @@ class TestCircleHardBaseline:
         assert cons.params["counts"] == counts
         assert len(cons.set) == sum(counts)
 
+    def test_rejects_non_positive_gap(self):
+        with pytest.raises(ValueError, match="c must be positive, got 0"):
+            circle_hard_baseline(3, c=0)
+
+    def test_count_rejects_circle_index_zero(self):
+        with pytest.raises(ValueError, match="circle index must be >= 1, got 0"):
+            circle_prototype_count(0)
+
 
 class TestCircleSoftFit:
     def test_five_prototypes_and_residual(self):
@@ -402,6 +418,17 @@ class TestCircleSoftFit:
     def test_targets_between_circles(self):
         cons = circle_soft_fit(4, 2.0)
         np.testing.assert_allclose(cons.radial_spec.radii, [3.0, 5.0, 7.0], atol=1e-12)
+
+    def test_one_circle_needs_no_fit(self):
+        cons = circle_soft_fit(1, 2.0)
+        assert len(cons.set) == 5 and cons.claimed_classes == 1
+        assert np.array_equal(cons.set.labels, np.ones((5, 1)))
+        assert cons.fit_residual == 0.0 and cons.radial_spec is None
+        assert cons.circle_spec == ((2.0, 0),)
+
+    def test_rejects_non_positive_gap(self):
+        with pytest.raises(ValueError, match="c must be positive, got -1"):
+            circle_soft_fit(3, c=-1)
 
 
 class TestConstructionType:

@@ -51,6 +51,8 @@ CONSTRUCT_DIGESTS = {
     ("three_from_two", "--spacing", "2"): "665418dca765d0d394615732c2543077455a07c96fadaeac7db5a5cfe049c12a",
     ("concentric_ellipses", "--num-classes", "6"): "c0020f3cb727023613eaeafa8903bbf3951ac3b19d7db13219a048c787a34aa2",
     ("circle_hard_baseline", "--n", "20"): "1c3e621564f1979f57a5c1f2c31ba97f6ca707be60c8dd5ea14628857a7c1fc6",
+    # One circle: five prototypes with the one-class label 1, no fit.
+    ("circle_soft_fit", "--n", "1"): "ba430890d670a4c668e01d88b0dc355e0912fda6b9005f4fbe1703aa0b2bd478",
 }
 
 # SHA-256 over `positions.tobytes()` then `labels.tobytes()` of each ring

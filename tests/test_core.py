@@ -361,6 +361,21 @@ class TestImmutability:
             pset.labels[0, 0] = 9.0
 
 
+class TestShapes:
+    @pytest.mark.parametrize(
+        "positions, labels, shapes",
+        [
+            pytest.param(np.zeros(2), np.eye(2), "(2,) and (2, 2)", id="one-dimensional-positions"),
+            pytest.param(np.zeros((3, 2)), np.eye(2), "(3, 2) and (2, 2)", id="row-counts-differ"),
+        ],
+    )
+    def test_malformed_arrays_refused(self, positions, labels, shapes):
+        message = f"need non-empty (M, dim) and (M, num_classes) arrays, got {shapes}"
+        with pytest.raises(ValueError) as raised:
+            PrototypeSet(positions, labels, LabelKind.UNRESTRICTED)
+        assert str(raised.value) == message
+
+
 class TestMemoryOrder:
     def test_fortran_ordered_input_is_stored_in_c_order(self):
         rng = np.random.default_rng(13)

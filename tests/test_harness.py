@@ -1,5 +1,6 @@
 """Verification harness: class counts, boundaries, circles, invariances, reports."""
 
+import hashlib
 import json
 import math
 
@@ -168,88 +169,106 @@ class TestInvariances:
         assert [c.observed for c in a] == [c.observed for c in b]
 
 
-def sample_queries_reference(pset, rng, count, k, attempts):
-    """The per-trial sampling loop that the batched draw replaced, kept as its oracle."""
-    xmin, xmax, ymin, ymax = default_bounds(pset)
-    out = np.empty((count, 2))
-    found = 0
-    for _ in range(200):
-        attempts.append(1)
-        cand = np.column_stack(
-            (rng.uniform(xmin, xmax, size=count), rng.uniform(ymin, ymax, size=count))
-        )
-        scores, _, conf, _ = evaluate_points(pset, k, cand)
-        scale = np.maximum(1.0, np.abs(scores).max(axis=1))
-        good = cand[conf > harness.NEAR_TIE_GAP * scale]
-        take = min(len(good), count - found)
-        out[found : found + take] = good[:take]
-        found += take
-        if found == count:
-            return out
-    raise RuntimeError("could not sample off-boundary queries")
+def assert_valid_draws(cons, seed, trials=100, count=5):
+    """Shapes, dtypes and ranges of one draw; every query off-boundary with its own prediction."""
+    drawn = harness._draw_trials(cons.set, np.random.default_rng(seed), trials, count, cons.required_k)
+    queries, base, theta, shift, c, d = drawn
+    shapes = [(trials, count, 2), (trials, count), (trials,), (trials, 2), (trials,), (trials,)]
+    assert [a.shape for a in drawn] == shapes
+    assert base.dtype == int and all(a.dtype == float for a in (queries, theta, shift, c, d))
+    xmin, xmax, ymin, ymax = default_bounds(cons.set)
+    x, y = queries[..., 0], queries[..., 1]
+    assert np.all((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax))
+    scores, predicted, conf, _ = evaluate_points(cons.set, cons.required_k, queries.reshape(-1, 2))
+    assert np.all(conf > harness.NEAR_TIE_GAP * np.maximum(1.0, np.abs(scores).max(axis=1)))
+    assert np.array_equal(base.ravel(), predicted)
+    assert np.all((0.0 <= theta) & (theta <= 2.0 * math.pi))
+    assert np.all((-10.0 <= shift) & (shift <= 10.0))
+    assert np.all((0.1 * (1 - 1e-12) <= c) & (c <= 10.0 * (1 + 1e-12)))
+    assert np.all((-5.0 <= d) & (d <= 5.0))
+    return drawn
 
 
-def draw_trials_reference(pset, seed, trials, count, k, attempts):
-    """Queries, base predictions and transform draws, one trial at a time."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(trials):
-        queries = sample_queries_reference(pset, rng, count, k, attempts)
-        base = evaluate_points(pset, k, queries)[1]
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        shift = rng.uniform(-10.0, 10.0, size=2)
-        c = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        d = float(rng.uniform(-5.0, 5.0))
-        drawn.append((queries, base, theta, shift, c, d))
-    return [np.array(column) for column in zip(*drawn)]
+def counting_classifier(monkeypatch):
+    """Count the harness's classifier calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate_points(*args)
+
+    monkeypatch.setattr("softknn.harness.evaluate_points", counted)
+    return calls
 
 
-def assert_same_draws(cons, seed, trials=100, count=5):
-    attempts = []
-    want = draw_trials_reference(cons.set, seed, trials, count, cons.required_k, attempts)
-    got = harness._draw_trials(cons.set, np.random.default_rng(seed), trials, count, cons.required_k)
-    assert len(got) == len(want) == 6
-    for name, g, w in zip(("queries", "base", "theta", "shift", "c", "d"), got, want):
-        assert g.shape == w.shape, name
-        assert np.array_equal(g, w), name
-    return len(attempts)
+# SHA-256 over the bytes of the six arrays that `_draw_trials` returns for
+# n_from_two(12) at seed 0, 100 trials of 5 queries, in return order.
+DRAWS_DIGEST = "cb37f44fec40990e77c32729d6609a27435209fb78cdabccec946b8bcc6d6954"
 
 
 class TestBatchedDraws:
+    """All trials drawn in one batch call per quantity, rejected queries drawn again per round."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "build",
         [lambda: n_from_two(12), lambda: polygon_with_center(6), lambda: circle_soft_fit(6)],
         ids=["n_from_two-12", "polygon_with_center-6", "circle_soft_fit-6"],
     )
-    def test_same_draws_as_per_trial_loop(self, build, seed):
-        assert_same_draws(build(), seed)
+    def test_valid_draws(self, build, seed):
+        assert_valid_draws(build(), seed)
 
     @pytest.mark.parametrize("gap", [0.03, 0.2])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_resume_after_rejections(self, monkeypatch, gap, seed):
-        # A gap this wide rejects a tenth, or half, of the candidates: many
-        # trials need more than one attempt, some keep a partial draw.
+    def test_rejected_queries_drawn_again(self, monkeypatch, gap, seed):
+        # A gap this wide rejects a tenth, or half, of the candidates, so
+        # the rejected ones are drawn again in later rounds.
         monkeypatch.setattr("softknn.harness.NEAR_TIE_GAP", gap)
-        trials = 30
-        attempts = assert_same_draws(three_from_two(3.0), seed, trials=trials)
-        assert attempts > trials
+        calls = counting_classifier(monkeypatch)
+        assert_valid_draws(three_from_two(3.0), seed, trials=30)
+        assert len(calls) > 1
+
+    def test_deterministic_given_seed(self):
+        cons = n_from_two(12)
+        first, again, other = (
+            harness._draw_trials(cons.set, np.random.default_rng(seed), 100, 5, cons.required_k) for seed in (7, 7, 8)
+        )
+        for name, a, b, c in zip(("queries", "base", "theta", "shift", "c", "d"), first, again, other):
+            assert np.array_equal(a, b), name
+            assert not np.array_equal(a, c), name
+
+    def test_draws_pinned(self):
+        # A change to the order or layout of the draws is a visible edit here.
+        cons = n_from_two(12)
+        digest = hashlib.sha256()
+        for array in harness._draw_trials(cons.set, np.random.default_rng(0), 100, 5, cons.required_k):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == DRAWS_DIGEST
 
     def test_attempt_limit_kept(self, monkeypatch):
         monkeypatch.setattr("softknn.harness.NEAR_TIE_GAP", np.inf)
-        cons = three_from_two(3.0)
+        calls = counting_classifier(monkeypatch)
         with pytest.raises(RuntimeError, match="off-boundary"):
-            draw_trials_reference(cons.set, 0, 3, 5, 2, [])
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return evaluate_points(*args)
-
-        monkeypatch.setattr("softknn.harness.evaluate_points", counted)
-        with pytest.raises(RuntimeError, match="off-boundary"):
-            harness._draw_trials(cons.set, np.random.default_rng(0), 3, 5, 2)
+            harness._draw_trials(three_from_two(3.0).set, np.random.default_rng(0), 3, 5, 2)
         assert len(calls) == 200
+
+    def test_checks_can_fail(self, monkeypatch):
+        # Predictions of every variant set are shifted by one class, those of
+        # the construction's own set are not: every comparison mismatches.
+        cons = n_from_two(5)
+
+        def wrong_on_variants(pset, k, points):
+            scores, predicted, conf, exact = evaluate_points(pset, k, points)
+            if pset is not cons.set:
+                predicted = (predicted + 1) % pset.num_classes
+            return scores, predicted, conf, exact
+
+        monkeypatch.setattr("softknn.harness.evaluate_points", wrong_on_variants)
+        checks = verify_invariances(cons, trials=20, seed=0)
+        assert len(checks) == 3
+        for check in checks:
+            assert not check.passed
+            assert check.observed["mismatches"] == check.observed["comparisons"] == 100
 
 
 class TestHardLabelOracle:
@@ -257,6 +276,17 @@ class TestHardLabelOracle:
         check = verify_hard_label_oracle(instances=1000, seed=0)
         assert check.passed
         assert check.observed == {"mismatches": 0, "instances": 1000, "seed": 0}
+
+    def test_wrong_kernel_fails(self, monkeypatch):
+        # A kernel that names the next class never matches the nearest prototype's.
+        def next_class(pset, k, points):
+            scores, predicted, conf, exact = evaluate_points(pset, k, points)
+            return scores, predicted + 1, conf, exact
+
+        monkeypatch.setattr("softknn.harness.evaluate_points", next_class)
+        check = verify_hard_label_oracle(instances=20, seed=0)
+        assert not check.passed
+        assert check.observed == {"mismatches": 20, "instances": 20, "seed": 0}
 
 
 class TestReports:

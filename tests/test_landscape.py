@@ -69,6 +69,11 @@ class TestDefaultBounds:
         np.testing.assert_allclose((xmin, xmax), (-1.0, 5.0))
         np.testing.assert_allclose((ymin, ymax), (-0.5, 0.5))
 
+    def test_refuses_non_planar_sets(self):
+        pset = make_prototype_set(np.eye(2, 3), np.eye(2), kind=LabelKind.HARD)
+        with pytest.raises(ValueError, match="^default_bounds requires 2-dimensional prototypes, got dimension 3$"):
+            default_bounds(pset)
+
 
 class TestRasterize:
     def test_single_prototype_everything_one_class(self):
@@ -178,9 +183,10 @@ class TestRasterTiles:
 
     @pytest.mark.parametrize("k", [1, 3, 40], ids=["k1", "sorted", "kM"])
     def test_selection_paths(self, k):
-        # Several chunks of rows, the last one ragged.
-        chunk = _CHUNK_CELLS // self.WIDTH
-        assert 1 < self.HEIGHT // chunk and self.HEIGHT % chunk
+        # The grid spans several rectangles of _PATCH_COLS columns, the last
+        # one ragged: 301 = 9 * 32 + 13, or 37 * 8 + 5 when culling is forced.
+        patch = landscape._PATCH_COLS
+        assert 1 < self.WIDTH // patch and self.WIDTH % patch
         pset = self._soft_set(40, 5, k)
         grid = _assert_matches_reference(pset, k, self.BOUNDS, self.WIDTH, self.HEIGHT)
         assert (230, 200) in grid.exact_hits
