@@ -19,6 +19,15 @@ and the query points in one place (``_checked_points``) and then run the
 one tile loop, ``_evaluate_into``; the rasterizer builds its own finite
 cell centers, checks k and the set, and calls the tile loop directly.
 
+A stack of sets that differ per trial in their positions or their labels
+(the verify harness's invariance variants), each with its own queries, is
+scored by ``_evaluate_stacked`` in one call. It tiles the rows of every
+set together, gathers each row's own positions and labels for the tile,
+at most ``_TILE_SCORE_ENTRIES`` label entries (rows x M x C), and hands
+them to :func:`score_block` in its per-row form. Both loops end each tile
+in ``_finish_tile`` and give every set the bits of a call for that set
+alone.
+
 For k < M, on sets of at least 16 prototypes and calls of at least 64
 points, batches are scored in culling tiles of 512 consecutive points.
 Each tile first drops the prototypes that cannot be among the k nearest
@@ -84,13 +93,14 @@ class Classification:
     exact_hit: bool
 
 
-def _check_rule_args(pset: PrototypeSet, k: int) -> None:
-    m = len(pset)
+def _check_rule_args(positions: np.ndarray, labels: np.ndarray, k: int) -> None:
+    """Refuse a k that is not an integer in 1..M and a set, or a stack of sets, that is not finite."""
+    m = positions.shape[-2]
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for {m} prototypes")
-    if not (np.isfinite(pset.positions).all() and np.isfinite(pset.labels).all()):
+    if not (np.isfinite(positions).all() and np.isfinite(labels).all()):
         raise ValueError("prototype positions and labels must be finite; run validate() for details")
 
 
@@ -112,6 +122,16 @@ def score_block(
     labels (unused at k=1); both are overwritten, so a caller scoring many
     tiles allocates them once.
 
+    ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
+    point. Either may instead be per-row, (n, M, dim) or (n, M, C): row r
+    of ``points`` is then scored against ``positions[r]`` or ``labels[r]``
+    only. Per-row positions are read by broadcasting their (dim, n, M)
+    transpose against the query columns, and per-row labels by indexing with
+    the row (``labels[rows, nearest]``, ``labels[:, i]``,
+    ``labels[rows, order[:, i]]``); each element sees the same operations
+    in the same order as in a call for its own set alone, so the bits are
+    those of that call.
+
     Squared distances are summed coordinate by coordinate, coordinate 0
     first. Neighbours are selected by one of three paths, each breaking
     distance ties by prototype index: k=1 takes the first minimum
@@ -128,9 +148,11 @@ def score_block(
     exactly k prototypes for 1<k<M, which would switch to the k=M path and
     its index-order sum.
     """
-    m = len(positions)
+    m = positions.shape[-2]
+    per_row = labels.ndim == 3
+    rows = np.arange(len(points))
     dist, tmp = scratch[0], scratch[1]
-    cols, pcols = points.T, positions.T
+    cols, pcols = points.T, positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
     np.subtract(cols[0][:, None], pcols[0], out=dist)
     dist *= dist
     for d in range(1, len(cols)):
@@ -142,20 +164,23 @@ def score_block(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k == 1 or k == m:
             nearest = dist.argmin(axis=1)
-            nearest_dist = dist[np.arange(len(dist)), nearest]
+            nearest_dist = dist[rows, nearest]
             if k == 1:
-                out += labels[nearest] * (1.0 / nearest_dist)[:, None]
+                out += (labels[rows, nearest] if per_row else labels[nearest]) * (1.0 / nearest_dist)[:, None]
             else:
                 inv = np.divide(1.0, dist, out=tmp)
                 for i in range(m):
-                    np.multiply(labels[i], inv[:, i, None], out=prod)
+                    np.multiply(labels[:, i] if per_row else labels[i], inv[:, i, None], out=prod)
                     out += prod
             return nearest, nearest_dist
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        dk = dist[np.arange(len(dist))[:, None], order]
+        dk = dist[rows[:, None], order]
         inv = 1.0 / dk
         for i in range(k):
-            labels.take(order[:, i], axis=0, out=prod)
+            if per_row:
+                prod[...] = labels[rows, order[:, i]]
+            else:
+                labels.take(order[:, i], axis=0, out=prod)
             prod *= inv[:, i, None]
             out += prod
     return order[:, 0], dk[:, 0]
@@ -290,17 +315,70 @@ def _evaluate_into(
                     nearest, nearest_dist = score_block(pos, lab, k, block[q0:q1], part, piece, prod[: q1 - q0])
                     if np.less(nearest_dist, COINCIDENT_TOL, out=struck).any():
                         part[struck] = lab[nearest[struck]]
-        if not np.isfinite(sc).all():
-            raise ValueError("scores overflow to a non-finite value; the label weights are too large")
-        predicted[sl] = sc.argmax(axis=1)
-        conf = confidence[sl]
-        if ncls >= 2:
-            top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
-            np.subtract(top2[:, 1], top2[:, 0], out=conf)
-            np.abs(conf, out=conf)
-        else:
-            conf[...] = np.inf
-        conf[hit] = np.inf
+        _finish_tile(sc, hit, predicted[sl], confidence[sl])
+
+
+def _finish_tile(sc: np.ndarray, hit: np.ndarray, predicted: np.ndarray, confidence: np.ndarray) -> None:
+    """Refuse a tile's non-finite scores, then write its argmax and confidence gap, +inf on exact hits."""
+    if not np.isfinite(sc).all():
+        raise ValueError("scores overflow to a non-finite value; the label weights are too large")
+    predicted[...] = sc.argmax(axis=1)
+    ncls = sc.shape[1]
+    if ncls >= 2:
+        top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
+        np.subtract(top2[:, 1], top2[:, 0], out=confidence)
+        np.abs(confidence, out=confidence)
+    else:
+        confidence[...] = np.inf
+    confidence[hit] = np.inf
+
+
+def _evaluate_stacked(
+    positions: np.ndarray, labels: np.ndarray, k: int, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score ``pts[s]`` against the s-th set of a stack of sets, for every s.
+
+    ``pts`` is (S, Q, dim), ``positions`` (S, M, dim) and ``labels``
+    (S, M, C); either of the last two may instead be (M, dim) or (M, C),
+    shared by every set. Returns ``(scores, predicted, confidence,
+    exact_hit)`` shaped (S, Q, C), (S, Q), (S, Q), (S, Q), and each row is
+    bit for bit what :func:`evaluate_points` returns for its set alone:
+    k and the sets are checked as there (the caller's points are taken as
+    finite), an exact hit takes the struck prototype's label from its row's
+    own set, overflowing scores are refused, and argmax ties go to the
+    lowest class index.
+
+    The S*Q rows are scored in tiles. Each tile gathers its rows' own
+    positions and labels into reused (rows, M, dim) and (rows, M, C)
+    buffers and makes one :func:`score_block` call in its per-row form, so
+    the S-fold stacks are never repeated per query. A tile holds at most
+    ``_TILE_SCORE_ENTRIES`` gathered label entries (rows x M x C). Nothing
+    is culled: a five-point :func:`evaluate_points` call culls nothing
+    either, and culling cannot change a bit.
+    """
+    _check_rule_args(positions, labels, k)
+    sets, per_set, dim = pts.shape
+    m, ncls = labels.shape[-2:]
+    n = sets * per_set
+    flat = pts.reshape(n, dim)
+    scores = np.empty((n, ncls))
+    predicted, confidence, exact = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=bool)
+    rows = max(1, min(n, _TILE_SCORE_ENTRIES // (m * ncls)))
+    scratch = np.empty((2, rows, m))
+    prod = np.empty((rows if k > 1 else 0, ncls))
+    stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]
+    for start in range(0, n, rows):
+        sl = slice(start, start + rows)
+        size = min(rows, n - start)
+        owner = np.arange(start, start + size) // per_set
+        pos, lab = (a if buf is None else np.take(a, owner, axis=0, out=buf[:size]) for a, buf in stacks)
+        sc, hit = scores[sl], exact[sl]
+        nearest, nearest_dist = score_block(pos, lab, k, flat[sl], sc, scratch[:, :size], prod[:size])
+        if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
+            sc[hit] = lab[hit, nearest[hit]] if lab.ndim == 3 else lab[nearest[hit]]
+        _finish_tile(sc, hit, predicted[sl], confidence[sl])
+    shape = (sets, per_set)
+    return scores.reshape(shape + (ncls,)), predicted.reshape(shape), confidence.reshape(shape), exact.reshape(shape)
 
 
 def _checked_points(pset: PrototypeSet, k: int, points) -> np.ndarray:
@@ -308,7 +386,7 @@ def _checked_points(pset: PrototypeSet, k: int, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:  # one point; an empty vector is no points, not one of dimension 0
         pts = pts[None, :] if pts.size else pts.reshape(0, pset.dim)
-    _check_rule_args(pset, k)
+    _check_rule_args(pset.positions, pset.labels, k)
     if pts.ndim != 2 or pts.shape[1] != pset.dim:
         raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
     if not np.isfinite(pts).all():

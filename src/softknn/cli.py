@@ -50,7 +50,7 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         w, h = text.lower().split("x")
         return int(w), int(h)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("resolution must look like 512x512") from exc
+        raise argparse.ArgumentTypeError(f"resolution must look like 512x512, got {text!r}") from exc
 
 
 def _parse_resolutions(text: str) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import _predicted, evaluate_points
+from .classifier import _TILE_SCORE_ENTRIES, _evaluate_stacked, _predicted, evaluate_points
 from .constructions import Construction
 from .core import LabelKind, PrototypeSet, require_positive
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
@@ -249,25 +249,36 @@ def verify_invariances(
 
     Each trial has its own transform and its own off-boundary queries from
     the padded frame, all drawn by :func:`_draw_trials`; the transformed set
-    is queried at the matching transformed points, once per trial and
-    variant. Deterministic given the seed. A report holds only counts, so
-    on a set that passes, which queries a seed draws changes no report byte.
+    is queried at the matching transformed points. Trials are taken in
+    tiles of at most ``_TILE_SCORE_ENTRIES`` label entries (trials x M x C).
+    Per tile, each variant kind stacks its trials' sets, built as
+    :func:`transformed_set`, :func:`scaled_label_set` and
+    :func:`shifted_label_set` build them (a per-trial ``positions @ rot.T +
+    shift``, ``labels * c``, ``labels + d``), and scores them all in one
+    stacked classifier call, bit for bit as one call per trial would.
+    Deterministic given the seed. A report holds only counts, so on a set
+    that passes, which queries a seed draws changes no report byte.
     """
     require_positive("trials", trials)
     require_positive("queries_per_trial", queries_per_trial)
     pset, k = cons.set, cons.required_k
-    draws = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
+    queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
-
-    for queries, base, theta, shift, c, d in zip(*draws):
-        rot = _rotation(float(theta))
+    span = max(1, _TILE_SCORE_ENTRIES // pset.labels.size)
+    for t in range(0, trials, span):
+        sl = slice(t, t + span)
+        motions = [(_rotation(float(a)), s) for a, s in zip(theta[sl], shift[sl])]
         variants = {
-            "rigid_motion": (transformed_set(pset, rot, shift), queries @ rot.T + shift),
-            "label_scale": (scaled_label_set(pset, float(c)), queries),
-            "label_shift": (shifted_label_set(pset, float(d)), queries),
+            "rigid_motion": (
+                np.stack([pset.positions @ rot.T + s for rot, s in motions]),
+                pset.labels,
+                np.stack([q @ rot.T + s for q, (rot, s) in zip(queries[sl], motions)]),
+            ),
+            "label_scale": (pset.positions, pset.labels * c[sl, None, None], queries[sl]),
+            "label_shift": (pset.positions, pset.labels + d[sl, None, None], queries[sl]),
         }
-        for name, (other, points) in variants.items():
-            failures[name] += int(np.count_nonzero(evaluate_points(other, k, points)[1] != base))
+        for name, (positions, labels, points) in variants.items():
+            failures[name] += int(np.count_nonzero(_evaluate_stacked(positions, labels, k, points)[1] != base[sl]))
 
     total = trials * queries_per_trial
     return [

@@ -1,21 +1,27 @@
 """Decision rule: examples with hand-computed scores plus invariance properties."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softknn import (
     COINCIDENT_TOL,
     LabelKind,
+    PrototypeSet,
     circle_hard_baseline,
     classifier,
     classify,
     classify_batch,
     evaluate_points,
     make_prototype_set,
+    scaled_label_set,
+    shifted_label_set,
     three_from_two,
+    transformed_set,
 )
 from softknn.classifier import _BLOCK_ENTRIES, score_block
 
@@ -531,3 +537,110 @@ def test_hard_label_reduction_is_weighted_vote(instance):
     top = np.sort(votes)[-2:]
     assume(top[1] - top[0] > GAP * scale)
     assert result.predicted == int(np.argmax(votes))
+
+
+# --- Stacked sets: the invariance variants of many trials in one call --------
+
+# Sparse label rows: exact zeros of both signs, negative and inexact weights.
+LABEL_VALUES = (0.0, 0.0, -0.0, 1.0, 0.5, -0.75, 1.0 / 3.0, 0.1, 2.5)
+
+
+def _turn(theta, dim):
+    """A rotation by theta in the plane of the first two axes (the identity in one dimension)."""
+    rot = np.eye(dim)
+    if dim >= 2:
+        rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    return rot
+
+
+@st.composite
+def stacked_case(draw):
+    """A set on a small lattice, one k per selection path, and per trial a transform and its queries.
+
+    Lattice positions and half-step queries make many exact distance ties
+    and some coincident prototypes; a query index of -1 keeps the lattice
+    query, any other puts the query exactly on that (moved) prototype.
+    """
+    path = draw(st.sampled_from(["k1", "sorted", "kM"]))
+    m = draw(st.integers(3 if path == "sorted" else 1, 40))
+    k = {"k1": 1, "kM": m}.get(path) or draw(st.integers(2, m - 1))
+    dim, ncls = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    trials, per = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    positions = draw(arrays(float, (m, dim), elements=st.integers(-3, 3).map(float)))
+    labels = draw(arrays(float, (m, ncls), elements=st.sampled_from(LABEL_VALUES)))
+    queries = draw(arrays(float, (trials, per, dim), elements=st.integers(-8, 8).map(lambda v: v / 2)))
+    on = draw(arrays(np.intp, (trials, per), elements=st.integers(-1, m - 1)))
+    theta = draw(arrays(float, trials, elements=st.floats(0.0, 2 * math.pi)))
+    shift = draw(arrays(float, (trials, dim), elements=st.floats(-10.0, 10.0)))
+    c = draw(arrays(float, trials, elements=st.floats(0.1, 10.0)))
+    d = draw(arrays(float, trials, elements=st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)))
+    tile = draw(st.integers(1, 30))
+    pset = PrototypeSet(positions, labels, LabelKind.UNRESTRICTED, "lattice")
+    return pset, k, queries, on, theta, shift, c, d, tile
+
+
+def _variants(pset, queries, on, theta, shift, c, d):
+    """Per variant kind: the per-trial reference sets and points, and the stacks the harness builds for them."""
+    rots = [_turn(a, pset.dim) for a in theta]
+    moved = [transformed_set(pset, rot, s) for rot, s in zip(rots, shift)]
+    moved_points = np.stack([q @ rot.T + s for q, rot, s in zip(queries, rots, shift)])
+    points = queries.copy()
+    for t, j in zip(*np.nonzero(on >= 0)):
+        moved_points[t, j] = moved[t].positions[on[t, j]]
+        points[t, j] = pset.positions[on[t, j]]
+    return {
+        "rigid_motion": (
+            moved,
+            moved_points,
+            np.stack([pset.positions @ rot.T + s for rot, s in zip(rots, shift)]),
+            pset.labels,
+        ),
+        "label_scale": ([scaled_label_set(pset, float(x)) for x in c], points, pset.positions, pset.labels * c[:, None, None]),
+        "label_shift": ([shifted_label_set(pset, float(x)) for x in d], points, pset.positions, pset.labels + d[:, None, None]),
+    }
+
+
+@pytest.mark.parametrize(
+    "k, shift, match",
+    [
+        (3, 0.0, r"^k=3 out of range for 2 prototypes$"),
+        (2.0, 0.0, r"^k must be an integer, got 2\.0$"),
+        (2, np.nan, r"^prototype positions and labels must be finite; run validate\(\)"),
+    ],
+    ids=["k-too-large", "float-k", "one-set-not-finite"],
+)
+def test_stacked_sets_checked(pair_set, k, shift, match):
+    labels = pair_set.labels + np.array([0.0, shift])[:, None, None]
+    with pytest.raises(ValueError, match=match):
+        classifier._evaluate_stacked(pair_set.positions, labels, k, np.zeros((2, 1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_case())
+def test_stacked_sets_match_per_trial_calls(case):
+    # The stacked entry, in tiles of a drawn number of rows, and one per-row
+    # score_block call over every row give the bytes that one evaluate_points
+    # call per trial gives on the reference variant sets.
+    pset, k, queries, on, theta, shift, c, d, tile = case
+    trials, per = on.shape
+    m, ncls = pset.labels.shape
+    for name, (sets, points, positions, labels) in _variants(pset, queries, on, theta, shift, c, d).items():
+        expected = [np.stack(parts) for parts in zip(*(evaluate_points(s, k, p) for s, p in zip(sets, points)))]
+        with mock.patch.object(classifier, "_TILE_SCORE_ENTRIES", tile * m * ncls):
+            got = classifier._evaluate_stacked(positions, labels, k, points)
+        for what, a, b in zip(("scores", "predicted", "confidence", "exact_hit"), got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, what)
+            assert a.tobytes() == b.tobytes(), (name, what)
+
+        rows = np.arange(trials * per)
+        row_positions = np.repeat(np.broadcast_to(positions, (trials, m, pset.dim)), per, axis=0)
+        row_labels = np.repeat(np.broadcast_to(labels, (trials, m, ncls)), per, axis=0)
+        out = np.empty((trials * per, ncls))
+        nearest, nearest_dist = score_block(
+            row_positions, row_labels, k, points.reshape(-1, pset.dim), out,
+            np.empty((2, trials * per, m)), np.empty((trials * per, ncls)),
+        )
+        hit = nearest_dist < COINCIDENT_TOL
+        out[hit] = row_labels[rows[hit], nearest[hit]]
+        assert out.tobytes() == expected[0].reshape(-1, ncls).tobytes(), name
+        assert hit.tobytes() == expected[3].reshape(-1).tobytes(), name

@@ -289,6 +289,11 @@ class TestErrors:
                 id="res",
             ),
             pytest.param(
+                ["raster", "-s", "set.json", "-k", "2", "--res", "axb", "-o", "out.ppm"],
+                "argument --res: resolution must look like 512x512, got 'axb'",
+                id="res-not-numbers",
+            ),
+            pytest.param(
                 ["sweep-k", "-s", "set.json", "--k", "a..3", "-o", "out"],
                 'argument --k: k must be a range "1..5" or a list "1,3,5", got \'a..3\'',
                 id="k-range",

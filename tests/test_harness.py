@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from softknn import (
     circle_hard_baseline,
     circle_soft_fit,
+    classifier,
     classify,
     concentric_ellipses,
     default_bounds,
@@ -163,6 +165,41 @@ class TestInvariances:
         assert moved.predicted == base.predicted
         assert not np.allclose(moved.scores, base.scores)
 
+    @pytest.mark.parametrize("build, trials, calls", [(lambda: polygon_pairs(8), 100, 3), (lambda: circle_hard_baseline(6), 100, 6)])
+    def test_one_stacked_call_per_variant_kind_and_tile_of_trials(self, monkeypatch, build, trials, calls):
+        # A tile of trials holds at most _TILE_SCORE_ENTRIES = 32768 label
+        # entries: polygon_pairs(8) has 8 x 16 per trial, so its 100 trials are
+        # one tile; circle_hard_baseline(6) has 68 x 6, so tiles of 80 and 20.
+        cons = build()
+        seen = []
+
+        def spy(positions, labels, k, points):
+            seen.append(len(points))
+            return classifier._evaluate_stacked(positions, labels, k, points)
+
+        monkeypatch.setattr("softknn.harness._evaluate_stacked", spy)
+        assert all(c.passed for c in verify_invariances(cons, trials=trials, seed=0))
+        assert len(seen) == calls and sum(seen) == 3 * trials
+
+    def test_memory_bounded_by_tile(self):
+        # The variant sets are built and scored one tile of trials at a time,
+        # so the peak is the draws', not trials x queries x M x C. In-process
+        # tracemalloc peaks of this call (2-core Xeon VM, Python 3.11.7,
+        # numpy 2.4.6): 3.28 MiB when every trial built three sets and scored
+        # them in its own calls, 3.07 MiB with the stacked calls. The 0.21 MiB
+        # between them is the draws' own: each classifier tile's partition
+        # copy is now freed with its tile. Labels repeated for every query row
+        # would take 9.8 MiB on their own.
+        cons = polygon_pairs(8)
+        tracemalloc.start()
+        try:
+            checks = verify_invariances(cons, trials=2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak < 3.28 * 2**20
+
     def test_deterministic_given_seed(self):
         a = verify_invariances(star_pairs(3), trials=10, seed=123)
         b = verify_invariances(star_pairs(3), trials=10, seed=123)
@@ -257,13 +294,11 @@ class TestBatchedDraws:
         # the construction's own set are not: every comparison mismatches.
         cons = n_from_two(5)
 
-        def wrong_on_variants(pset, k, points):
-            scores, predicted, conf, exact = evaluate_points(pset, k, points)
-            if pset is not cons.set:
-                predicted = (predicted + 1) % pset.num_classes
-            return scores, predicted, conf, exact
+        def wrong_on_variants(positions, labels, k, points):
+            scores, predicted, conf, exact = classifier._evaluate_stacked(positions, labels, k, points)
+            return scores, (predicted + 1) % labels.shape[-1], conf, exact
 
-        monkeypatch.setattr("softknn.harness.evaluate_points", wrong_on_variants)
+        monkeypatch.setattr("softknn.harness._evaluate_stacked", wrong_on_variants)
         checks = verify_invariances(cons, trials=20, seed=0)
         assert len(checks) == 3
         for check in checks:
