@@ -23,10 +23,26 @@ A stack of sets that differ per trial in their positions or their labels
 (the verify harness's invariance variants), each with its own queries, is
 scored by ``_evaluate_stacked`` in one call. It tiles the rows of every
 set together, gathers each row's own positions and labels for the tile,
-at most ``_TILE_SCORE_ENTRIES`` label entries (rows x M x C), and hands
+at most ``_STACK_ENTRIES`` floats with the distance scratch, and hands
 them to :func:`score_block` in its per-row form. Both loops end each tile
 in ``_finish_tile`` and give every set the bits of a call for that set
 alone.
+
+At k = M with one set of labels, a batch large enough to pay for it is
+scored class-major: a tile is the (rows, C) view of a (C, rows) array,
+and for each prototype in index order and each class where its label
+weight is nonzero, the weighted distances are added to that class's row,
+which starts at +0.0. The skipped terms would each be ±0.0 (a zero weight
+times a finite positive weight; an infinite weight means distance zero,
+an exact hit, whose row is replaced), and adding ±0.0 changes a sum only
+if the sum is -0.0, which a sum that starts at +0.0 never becomes under
+round-to-nearest. The epilogue then reduces the class rows: the maximum,
+the lowest class holding it, and the maximum once that entry is masked
+to -inf, which are the classes and floats that ``argmax`` and
+``np.partition`` give on a row-major tile. So no bit depends on the
+layout. Small batches and densely labelled sets, where one numpy call
+per nonzero weight would cover too few entries, stay row-major
+(``_class_major``).
 
 For k < M, on sets of at least 16 prototypes and calls of at least 64
 points, batches are scored in culling tiles of 512 consecutive points.
@@ -54,8 +70,8 @@ from .core import COINCIDENT_TOL, PrototypeSet
 # matrix, and rows*classes of the score and product buffers. Small enough
 # that a tile's temporaries stay cache-resident and memory is bounded by the
 # tile, not by the number of points times the number of classes. The
-# distance matrix, its temporary, the product buffer (k>1) and, when the
-# caller keeps no scores, the score buffer are allocated once per call and
+# distance matrix, its temporary, the product buffer (k>1, row-major) and,
+# when the caller keeps no scores, the score buffer are allocated once per call and
 # reused by every tile; the last, ragged tile takes their leading rows.
 # Culled tiles keep their distance matrices in one flat array that grows to
 # the largest kept set times rows seen in the call.
@@ -63,6 +79,15 @@ from .core import COINCIDENT_TOL, PrototypeSet
 # prototype unsorted, and 1<k<M takes a stable argsort.
 _BLOCK_ENTRIES = 1 << 17
 _TILE_SCORE_ENTRIES = 1 << 15
+# At k=M with shared labels, a class-major tile makes two numpy calls per
+# nonzero label weight where a row-major one makes two per prototype; it is
+# used only where each call then still covers _CALL_ENTRIES or more of the
+# rows*M*C entries that the row-major tile works through (see _class_major).
+_CALL_ENTRIES = 2048
+# A tile of stacked sets holds at most this many floats of gathered
+# positions, gathered labels and distance scratch, and a tile of invariance
+# trials at most this many floats of variant sets (see _tile_rows).
+_STACK_ENTRIES = 1 << 16
 # For k < M, points are culled in tiles of _CULL_TILE consecutive points:
 # each tile keeps only the prototypes that can be among the k nearest of one
 # of its points (see _kept). The bound costs O(M) per tile and the kernel's
@@ -93,15 +118,19 @@ class Classification:
     exact_hit: bool
 
 
-def _check_rule_args(positions: np.ndarray, labels: np.ndarray, k: int) -> None:
-    """Refuse a k that is not an integer in 1..M and a set, or a stack of sets, that is not finite."""
-    m = positions.shape[-2]
+def _check_k(k: int, m: int) -> None:
+    """Refuse a k that is not an integer in 1..m."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for {m} prototypes")
-    if not (np.isfinite(positions).all() and np.isfinite(labels).all()):
-        raise ValueError("prototype positions and labels must be finite; run validate() for details")
+
+
+def _check_rule_args(pset: PrototypeSet, k: int) -> None:
+    """Refuse a k that is not an integer in 1..M and a set with non-finite values or coincident positions."""
+    _check_k(k, len(pset))
+    if pset.defect is not None:
+        raise ValueError(f"{pset.defect}; run validate() for details")
 
 
 def score_block(
@@ -119,8 +148,8 @@ def score_block(
     calls it to measure its crossings. ``scratch`` is a (2, len(points), M)
     work array holding the distance matrix and its temporary, and ``prod``
     a work array shaped like ``out`` that holds one neighbour's weighted
-    labels (unused at k=1); both are overwritten, so a caller scoring many
-    tiles allocates them once.
+    labels (unused at k=1 and on class-major tiles); both are overwritten,
+    so a caller scoring many tiles allocates them once.
 
     ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
     point. Either may instead be per-row, (n, M, dim) or (n, M, C): row r
@@ -140,6 +169,16 @@ def score_block(
     Returns each point's nearest prototype index and distance. Rows at
     distance zero hold inf or nan.
 
+    At k=M with shared labels, ``out`` may be class-major, the (rows, C)
+    view of a (C, rows) array (told apart by its strides, so at least two
+    rows). The distances are then prototype-major, ``scratch`` read as
+    (2, M, rows) with the same operations per entry, and the nearest
+    prototype is the lowest index holding each column's minimum. For each
+    prototype i in index order and each class j with ``labels[i, j] != 0``,
+    ``inv[i] * labels[i, j]`` is added to class row j, and ``prod`` is not
+    used. The skipped ±0.0 terms change no bit of a sum that starts at +0.0
+    (see the module docstring), so either layout gives the same scores.
+
     Every distance, selection and sum is computed per point from that
     point's own row, so the tile loop may pass any subset of the prototypes
     that holds each point's k nearest (distance ties broken by index), in
@@ -148,20 +187,39 @@ def score_block(
     exactly k prototypes for 1<k<M, which would switch to the k=M path and
     its index-order sum.
     """
-    m = positions.shape[-2]
+    m, n = positions.shape[-2], len(points)
     per_row = labels.ndim == 3
-    rows = np.arange(len(points))
-    dist, tmp = scratch[0], scratch[1]
-    cols, pcols = points.T, positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
-    np.subtract(cols[0][:, None], pcols[0], out=dist)
+    by_class = k == m and not per_row and out.strides[0] < out.strides[1]
+    cols = points.T
+    if by_class:
+        # Prototype-major distances: every pass runs along the points.
+        dist, tmp = (a.reshape(m, n, copy=False) for a in scratch)
+        q, p = cols[:, None, :], positions.T[:, :, None] if positions.ndim == 2 else positions.transpose(2, 1, 0)
+    else:
+        dist, tmp = scratch[0], scratch[1]
+        q, p = cols[:, :, None], positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
+    np.subtract(q[0], p[0], out=dist)
     dist *= dist
     for d in range(1, len(cols)):
-        np.subtract(cols[d][:, None], pcols[d], out=tmp)
+        np.subtract(q[d], p[d], out=tmp)
         tmp *= tmp
         dist += tmp
     np.sqrt(dist, out=dist)
     out[...] = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if by_class:
+            nearest_dist = dist.min(axis=0)
+            nearest = _first_holding(dist, nearest_dist)
+            # Each prototype's weights are a row of inv; the distances' buffer,
+            # dead now, holds one term.
+            inv = np.divide(1.0, dist, out=tmp)
+            term, acc = dist.reshape(-1)[:n], list(out.T)
+            for inv_i, row in zip(inv, labels):
+                for j in np.flatnonzero(row).tolist():
+                    np.multiply(inv_i, row[j], out=term)
+                    np.add(acc[j], term, out=acc[j])
+            return nearest, nearest_dist
+        rows = np.arange(n)
         if k == 1 or k == m:
             nearest = dist.argmin(axis=1)
             nearest_dist = dist[rows, nearest]
@@ -245,6 +303,34 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     return kept
 
 
+def _tile_rows(n: int, per_row: int, budget: int) -> int:
+    """Rows of a tile that allocates ``per_row`` per row within ``budget`` (floats or bytes alike): at least 1, at most n."""
+    return max(1, min(n, budget // per_row))
+
+
+def _first_holding(rows: np.ndarray, value: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per column of ``rows``, the lowest row index whose entry equals ``value``: the largest len(rows) - i among them."""
+    held = np.equal(rows, value) * np.arange(len(rows), 0, -1, dtype=np.min_scalar_type(len(rows)))[:, None]
+    return np.subtract(len(rows), held.max(axis=0), out=out)
+
+
+def _class_major(labels: np.ndarray, k: int, rows: int) -> bool:
+    """Whether tiles of ``rows`` rows score the shared (M, C) ``labels`` at k class-major (see _CALL_ENTRIES).
+
+    A one-row tile is never class-major: :func:`score_block` tells the
+    layouts apart by their strides, which are equal there.
+    """
+    m, ncls = labels.shape
+    return k == m > 1 and rows > 1 and np.count_nonzero(labels) * _CALL_ENTRIES <= rows * m * ncls
+
+
+def _score_tile(positions, labels, k, block, sc, hit, scratch, prod) -> None:
+    """One :func:`score_block` call, then each exact hit takes the struck prototype's label (from its row's own set)."""
+    nearest, nearest_dist = score_block(positions, labels, k, block, sc, scratch, prod)
+    if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
+        sc[hit] = labels[hit, nearest[hit]] if labels.ndim == 3 else labels[nearest[hit]]
+
+
 def _evaluate_into(
     pset: PrototypeSet,
     k: int,
@@ -257,49 +343,65 @@ def _evaluate_into(
     """Classify the checked ``pts`` one tile at a time (no tiles for no points).
 
     Writes into the caller's length-n ``predicted``, ``confidence`` and
-    ``exact`` and, if given, the (n, C) ``scores``; without ``scores`` the
-    per-class scores live only in one reused tile buffer.
+    ``exact`` and, if given, the (n, C) ``scores``.
 
-    A tile holds at most ``_TILE_SCORE_ENTRIES`` scores. Where
-    :func:`_culls` says no (k = M, or fewer than ``_CULL_MIN_PROTOTYPES``
-    prototypes) and in calls of fewer than ``_CULL_MIN_POINTS`` points, a
-    tile is one :func:`score_block` call against every prototype, and its
-    rows are also bounded by ``_BLOCK_ENTRIES`` distance entries; the
-    verify harness's many five-point calls take this path. Otherwise a
-    tile is a whole number of culling tiles of ``_CULL_TILE`` consecutive
-    points, and each culling tile is scored against its kept prototypes in
-    pieces of at most ``_BLOCK_ENTRIES`` distance entries (one row if a row
-    is longer). The pieces' distance matrices share one flat work array of
-    the call, replaced by a larger one when a piece needs more. Either way
-    an exact hit takes the struck prototype's own label (a kept label is
-    the set's label of that prototype), and the tile's argmax and
-    confidence gap are then taken together. Results do not depend on the
-    culling (see :func:`_kept`).
+    At k = M, where :func:`_class_major` says it pays, a tile is
+    class-major: the (rows, C) view of a reused (C, rows) buffer, copied to
+    ``scores`` when the caller keeps them. It gets as many rows as fit in
+    the bytes of the full row-major tile it replaces (distances, product
+    buffer, partition copy and, without ``scores``, the tile itself), at
+    8(2M + C + 8) + 2(M + C) bytes per row.
+
+    Otherwise a tile holds at most ``_TILE_SCORE_ENTRIES`` row-major
+    scores, and without ``scores`` it lives in one reused buffer. Where
+    :func:`_culls` says no (fewer than ``_CULL_MIN_PROTOTYPES`` prototypes)
+    and in calls of fewer than ``_CULL_MIN_POINTS`` points, a tile is one
+    :func:`score_block` call against every prototype, and its rows are also
+    bounded by ``_BLOCK_ENTRIES`` distance entries; the verify harness's
+    small calls take this path. Otherwise a tile is a whole number of
+    culling tiles of ``_CULL_TILE`` consecutive points, and each culling
+    tile is scored against its kept prototypes in pieces of at most
+    ``_BLOCK_ENTRIES`` distance entries (one row if a row is longer). The
+    pieces' distance matrices share one flat work array of the call,
+    replaced by a larger one when a piece needs more. Either way an exact
+    hit takes the struck prototype's own label (a kept label is the set's
+    label of that prototype), and :func:`_finish_tile` then takes the
+    tile's argmax and confidence gap. Results do not depend on the culling
+    (see :func:`_kept`).
     """
     positions, labs = pset.positions, pset.labels
     n, (m, ncls) = len(pts), labs.shape
     score_rows = _TILE_SCORE_ENTRIES // ncls
+    full = max(1, min(score_rows, _BLOCK_ENTRIES // m))
+    # A class-major tile spends the bytes of a full row-major one on rows of
+    # distances, tile, about 8 floats of per-row vectors, and two bytes per
+    # prototype and per class for the lowest-index searches.
+    budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
+    wide = _tile_rows(n, 8 * (2 * m + ncls + 8) + 2 * (m + ncls), budget)
+    class_major = _class_major(labs, k, wide)
     cull = _culls(m, k) and n >= _CULL_MIN_POINTS
-    if cull:
+    if class_major:
+        rows = wide
+    elif cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
         span = max(1, min(_CULL_TILE, score_rows))
         rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * pset.dim * m))))
         work = np.empty(0)
     else:
-        rows = max(1, min(n, score_rows, _BLOCK_ENTRIES // m))
+        rows = max(1, min(n, full))
+    if not cull:
         scratch = np.empty((2, rows, m))
-    # k=1 adds one weighted label per point and needs no product buffer.
-    prod = np.empty((rows if k > 1 else 0, ncls))
-    tile = np.empty((rows, ncls)) if scores is None else None
+    # Row-major paths for k > 1 add one prototype's weighted labels at a time.
+    prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
+    staged = class_major or scores is None
+    tile = (np.empty((ncls, rows)).T if class_major else np.empty((rows, ncls))) if staged else None
     for start in range(0, n, rows):
         sl = slice(start, start + rows)
         size = min(rows, n - start)
-        sc = tile[:size] if scores is None else scores[sl]
+        sc = tile[:size] if staged else scores[sl]
         hit, block = exact[sl], pts[sl]
         if not cull:
-            nearest, nearest_dist = score_block(positions, labs, k, block, sc, scratch[:, :size], prod[:size])
-            if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
-                sc[hit] = labs[nearest[hit]]
+            _score_tile(positions, labs, k, block, sc, hit, scratch[:, :size], prod[:size])
         else:
             for p0, keep in zip(range(0, size, span), _kept(positions.T, k, block, span)):
                 p1 = min(p0 + span, size)
@@ -310,25 +412,42 @@ def _evaluate_into(
                     work = np.empty(2 * step * mk)
                 for q0 in range(p0, p1, step):
                     q1 = min(q0 + step, p1)
-                    part, struck = sc[q0:q1], hit[q0:q1]
                     piece = work[: 2 * (q1 - q0) * mk].reshape(2, q1 - q0, mk)
-                    nearest, nearest_dist = score_block(pos, lab, k, block[q0:q1], part, piece, prod[: q1 - q0])
-                    if np.less(nearest_dist, COINCIDENT_TOL, out=struck).any():
-                        part[struck] = lab[nearest[struck]]
+                    _score_tile(pos, lab, k, block[q0:q1], sc[q0:q1], hit[q0:q1], piece, prod[: q1 - q0])
+        if staged and scores is not None:
+            scores[sl] = sc
         _finish_tile(sc, hit, predicted[sl], confidence[sl])
 
 
 def _finish_tile(sc: np.ndarray, hit: np.ndarray, predicted: np.ndarray, confidence: np.ndarray) -> None:
-    """Refuse a tile's non-finite scores, then write its argmax and confidence gap, +inf on exact hits."""
+    """Refuse a tile's non-finite scores, then write its argmax and confidence gap, +inf on exact hits.
+
+    A row-major tile takes ``argmax`` and the top two of ``np.partition``.
+    A class-major tile, the (rows, C) view of a (C, rows) array (told apart
+    by its strides, as in :func:`score_block`), is reduced over its class
+    rows instead, and its scores are overwritten: top1 is the maximum, the
+    class is the lowest index that holds it (the largest C - j over the
+    classes j equal to top1), and top2 is the maximum once that entry is
+    set to -inf. Every score is finite, so top1 and top2 are the floats
+    that ``np.partition`` puts last, and either way the gap is top1 - top2.
+    That is -0.0 only where top1 is -0.0 and top2 +0.0, a struck label.
+    """
     if not np.isfinite(sc).all():
         raise ValueError("scores overflow to a non-finite value; the label weights are too large")
-    predicted[...] = sc.argmax(axis=1)
     ncls = sc.shape[1]
-    if ncls >= 2:
-        top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
-        np.subtract(top2[:, 1], top2[:, 0], out=confidence)
-        np.abs(confidence, out=confidence)
+    if sc.strides[0] < sc.strides[1]:
+        acc = sc.T
+        top1 = acc.max(axis=0)
+        _first_holding(acc, top1, out=predicted)
+        if ncls >= 2:
+            acc[predicted, np.arange(len(top1))] = -np.inf
+            np.subtract(top1, acc.max(axis=0), out=confidence)
     else:
+        predicted[...] = sc.argmax(axis=1)
+        if ncls >= 2:
+            top2 = np.partition(sc, ncls - 2, axis=1)[:, ncls - 2 :]
+            np.subtract(top2[:, 1], top2[:, 0], out=confidence)
+    if ncls < 2:
         confidence[...] = np.inf
     confidence[hit] = np.inf
 
@@ -351,31 +470,39 @@ def _evaluate_stacked(
     The S*Q rows are scored in tiles. Each tile gathers its rows' own
     positions and labels into reused (rows, M, dim) and (rows, M, C)
     buffers and makes one :func:`score_block` call in its per-row form, so
-    the S-fold stacks are never repeated per query. A tile holds at most
-    ``_TILE_SCORE_ENTRIES`` gathered label entries (rows x M x C). Nothing
-    is culled: a five-point :func:`evaluate_points` call culls nothing
-    either, and culling cannot change a bit.
+    the S-fold stacks are never repeated per query. A tile's rows are sized
+    by what it gathers per row, positions (M x dim) and labels (M x C)
+    where they are per set, and its distance scratch (2M), within
+    ``_STACK_ENTRIES`` floats. With shared labels at k = M the tile is
+    class-major, as in :func:`_evaluate_into`. Nothing is culled: a
+    five-point :func:`evaluate_points` call culls nothing either, and
+    culling cannot change a bit.
     """
-    _check_rule_args(positions, labels, k)
+    _check_k(k, labels.shape[-2])
+    if not (np.isfinite(positions).all() and np.isfinite(labels).all()):
+        raise ValueError("prototype positions and labels must be finite; run validate() for details")
     sets, per_set, dim = pts.shape
     m, ncls = labels.shape[-2:]
     n = sets * per_set
     flat = pts.reshape(n, dim)
     scores = np.empty((n, ncls))
     predicted, confidence, exact = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=bool)
-    rows = max(1, min(n, _TILE_SCORE_ENTRIES // (m * ncls)))
+    gathered = sum(a[0].size for a in (positions, labels) if a.ndim == 3)
+    rows = _tile_rows(n, gathered + 2 * m, _STACK_ENTRIES)
+    class_major = labels.ndim == 2 and _class_major(labels, k, rows)
     scratch = np.empty((2, rows, m))
-    prod = np.empty((rows if k > 1 else 0, ncls))
+    prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
+    tile = np.empty((ncls, rows)).T if class_major else None
     stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]
     for start in range(0, n, rows):
         sl = slice(start, start + rows)
         size = min(rows, n - start)
         owner = np.arange(start, start + size) // per_set
         pos, lab = (a if buf is None else np.take(a, owner, axis=0, out=buf[:size]) for a, buf in stacks)
-        sc, hit = scores[sl], exact[sl]
-        nearest, nearest_dist = score_block(pos, lab, k, flat[sl], sc, scratch[:, :size], prod[:size])
-        if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
-            sc[hit] = lab[hit, nearest[hit]] if lab.ndim == 3 else lab[nearest[hit]]
+        sc, hit = tile[:size] if class_major else scores[sl], exact[sl]
+        _score_tile(pos, lab, k, flat[sl], sc, hit, scratch[:, :size], prod[:size])
+        if class_major:
+            scores[sl] = sc
         _finish_tile(sc, hit, predicted[sl], confidence[sl])
     shape = (sets, per_set)
     return scores.reshape(shape + (ncls,)), predicted.reshape(shape), confidence.reshape(shape), exact.reshape(shape)
@@ -386,7 +513,7 @@ def _checked_points(pset: PrototypeSet, k: int, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:  # one point; an empty vector is no points, not one of dimension 0
         pts = pts[None, :] if pts.size else pts.reshape(0, pset.dim)
-    _check_rule_args(pset.positions, pset.labels, k)
+    _check_rule_args(pset, k)
     if pts.ndim != 2 or pts.shape[1] != pset.dim:
         raise ValueError(f"query points must have dimension {pset.dim}, got shape {pts.shape}")
     if not np.isfinite(pts).all():

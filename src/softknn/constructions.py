@@ -303,11 +303,12 @@ def _measure_crossings(
 
     def scores(radii) -> np.ndarray:
         # The ray must avoid prototype positions: exact hits are not replaced.
+        # Scores are class-major where the classifier's tile loop would make them so.
         r = np.asarray(radii, dtype=float)
         pts = np.column_stack((r, np.zeros_like(r)))
-        out = np.empty((len(pts), weights.shape[1]))
-        scratch = np.empty((2, len(pts), len(positions)))
-        classifier.score_block(positions, weights, len(positions), pts, out, scratch, np.empty_like(out))
+        n, (m, ncls) = len(pts), weights.shape
+        out = np.empty((ncls, n)).T if classifier._class_major(weights, m, n) else np.empty((n, ncls))
+        classifier.score_block(positions, weights, m, pts, out, np.empty((2, n, m)), np.empty((n, ncls)))
         return out
 
     samples = np.linspace(r_max * 1e-4, r_max, 1024)

@@ -15,6 +15,7 @@ kinds (softmax, argmax), validation, and the JSON interchange format.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -140,7 +141,8 @@ class PrototypeSet:
     ``num_classes`` and ``len`` always agree with the arrays; value errors
     (non-finite entries, broken label invariants, duplicate positions) are
     left to :func:`validate`, so such sets can still be built and diagnosed.
-    The arrays are read-only C-ordered copies, which makes the set immutable
+    The classifier refuses a set whose :attr:`defect` is not None. The
+    arrays are read-only C-ordered copies, which makes the set immutable
     and safe for unrestricted concurrent use.
     """
 
@@ -159,6 +161,18 @@ class PrototypeSet:
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    @functools.cached_property
+    def defect(self) -> str | None:
+        """Why the decision rule refuses this set, or None: non-finite values, else coincident positions.
+
+        Worked out on first use and kept; :func:`validate` names the rows.
+        """
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.labels).all()):
+            return "prototype positions and labels must be finite"
+        if _coincident_pairs(self.positions):
+            return "prototype positions must be distinct"
+        return None
 
     @property
     def dim(self) -> int:

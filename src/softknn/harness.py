@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import _TILE_SCORE_ENTRIES, _evaluate_stacked, _predicted, evaluate_points
+from .classifier import _STACK_ENTRIES, _evaluate_stacked, _predicted, _tile_rows, evaluate_points
 from .constructions import Construction
 from .core import LabelKind, PrototypeSet, require_positive
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
@@ -250,8 +250,10 @@ def verify_invariances(
     Each trial has its own transform and its own off-boundary queries from
     the padded frame, all drawn by :func:`_draw_trials`; the transformed set
     is queried at the matching transformed points. Trials are taken in
-    tiles of at most ``_TILE_SCORE_ENTRIES`` label entries (trials x M x C).
-    Per tile, each variant kind stacks its trials' sets, built as
+    tiles sized by the classifier's rule for stacked tiles: at most
+    ``_STACK_ENTRIES`` floats of what a tile builds per trial, moved
+    positions and queries (M x 2 + queries x 2) and two label stacks
+    (2 x M x C). Per tile, each variant kind stacks its trials' sets, built as
     :func:`transformed_set`, :func:`scaled_label_set` and
     :func:`shifted_label_set` build them (a per-trial ``positions @ rot.T +
     shift``, ``labels * c``, ``labels + d``), and scores them all in one
@@ -264,7 +266,8 @@ def verify_invariances(
     pset, k = cons.set, cons.required_k
     queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
-    span = max(1, _TILE_SCORE_ENTRIES // pset.labels.size)
+    m, dim = pset.positions.shape
+    span = _tile_rows(trials, m * dim + 2 * pset.labels.size + queries_per_trial * dim, _STACK_ENTRIES)
     for t in range(0, trials, span):
         sl = slice(t, t + span)
         motions = [(_rotation(float(a)), s) for a, s in zip(theta[sl], shift[sl])]

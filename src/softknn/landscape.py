@@ -190,7 +190,7 @@ def rasterize(
             raise ValueError(f"partitions must be an integer, got {partitions!r}")
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
-    _check_rule_args(pset.positions, pset.labels, k)
+    _check_rule_args(pset, k)
     xs, ys = _cell_centers(xmin, xmax, width), _cell_centers(ymin, ymax, height)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError(f"cell centers must be finite, got bounds {bounds}")
@@ -405,7 +405,7 @@ def k_sweep(
     """Rasterize and report regions for each k in ``k_values``, every k checked before the first raster."""
     k_values = list(k_values)
     for k in k_values:
-        _check_rule_args(pset.positions, pset.labels, k)
+        _check_rule_args(pset, k)
     out = []
     for k in k_values:
         grid = rasterize(pset, k, bounds, width, height)

@@ -1,6 +1,8 @@
 """Decision rule: examples with hand-computed scores plus invariance properties."""
 
 import math
+import tracemalloc
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -13,15 +15,22 @@ from softknn import (
     LabelKind,
     PrototypeSet,
     circle_hard_baseline,
+    circle_soft_fit,
     classifier,
     classify,
     classify_batch,
+    concentric_ellipses,
+    core,
     evaluate_points,
+    landscape,
     make_prototype_set,
+    polygon_with_center,
+    rasterize,
     scaled_label_set,
     shifted_label_set,
     three_from_two,
     transformed_set,
+    validate,
 )
 from softknn.classifier import _BLOCK_ENTRIES, score_block
 
@@ -545,6 +554,13 @@ def test_hard_label_reduction_is_weighted_vote(instance):
 LABEL_VALUES = (0.0, 0.0, -0.0, 1.0, 0.5, -0.75, 1.0 / 3.0, 0.1, 2.5)
 
 
+def _distinct_rows(positions):
+    """Move every row that repeats an earlier one along axis 0, off the drawn lattice: the rule refuses coincident prototypes."""
+    repeats = np.setdiff1d(np.arange(len(positions)), np.unique(positions, axis=0, return_index=True)[1])
+    positions[repeats, 0] += 7.0 * np.arange(1, len(repeats) + 1)
+    return positions
+
+
 def _turn(theta, dim):
     """A rotation by theta in the plane of the first two axes (the identity in one dimension)."""
     rot = np.eye(dim)
@@ -557,16 +573,18 @@ def _turn(theta, dim):
 def stacked_case(draw):
     """A set on a small lattice, one k per selection path, and per trial a transform and its queries.
 
-    Lattice positions and half-step queries make many exact distance ties
-    and some coincident prototypes; a query index of -1 keeps the lattice
-    query, any other puts the query exactly on that (moved) prototype.
+    Lattice positions and half-step queries make many exact distance ties;
+    the rule refuses coincident prototypes, so a row that repeats an earlier
+    one is moved along axis 0, off the drawn lattice. A query index of -1
+    keeps the lattice query, any other puts the query exactly on that
+    (moved) prototype.
     """
     path = draw(st.sampled_from(["k1", "sorted", "kM"]))
     m = draw(st.integers(3 if path == "sorted" else 1, 40))
     k = {"k1": 1, "kM": m}.get(path) or draw(st.integers(2, m - 1))
     dim, ncls = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     trials, per = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    positions = draw(arrays(float, (m, dim), elements=st.integers(-3, 3).map(float)))
+    positions = _distinct_rows(draw(arrays(float, (m, dim), elements=st.integers(-3, 3).map(float))))
     labels = draw(arrays(float, (m, ncls), elements=st.sampled_from(LABEL_VALUES)))
     queries = draw(arrays(float, (trials, per, dim), elements=st.integers(-8, 8).map(lambda v: v / 2)))
     on = draw(arrays(np.intp, (trials, per), elements=st.integers(-1, m - 1)))
@@ -626,7 +644,8 @@ def test_stacked_sets_match_per_trial_calls(case):
     m, ncls = pset.labels.shape
     for name, (sets, points, positions, labels) in _variants(pset, queries, on, theta, shift, c, d).items():
         expected = [np.stack(parts) for parts in zip(*(evaluate_points(s, k, p) for s, p in zip(sets, points)))]
-        with mock.patch.object(classifier, "_TILE_SCORE_ENTRIES", tile * m * ncls):
+        gathered = m * pset.dim if name == "rigid_motion" else m * ncls
+        with mock.patch.object(classifier, "_STACK_ENTRIES", tile * (gathered + 2 * m)):
             got = classifier._evaluate_stacked(positions, labels, k, points)
         for what, a, b in zip(("scores", "predicted", "confidence", "exact_hit"), got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape, (name, what)
@@ -644,3 +663,194 @@ def test_stacked_sets_match_per_trial_calls(case):
         out[hit] = row_labels[rows[hit], nearest[hit]]
         assert out.tobytes() == expected[0].reshape(-1, ncls).tobytes(), name
         assert hit.tobytes() == expected[3].reshape(-1).tobytes(), name
+
+
+# --- One bit-level contract for every scoring route ---------------------------
+
+# LABEL_VALUES plus the smallest negative subnormal, whose weighted term
+# rounds to -0.0 beyond distance 2.
+CONTRACT_VALUES = LABEL_VALUES + (-5e-324,)
+
+
+@st.composite
+def contract_case(draw):
+    """A set on a small lattice, a k on one selection path, and queries on half steps or exactly on prototypes.
+
+    Lattice positions and half-step queries make many exact distance ties.
+    Labels are one-hot, probabilistic (counts over their total) or any of
+    ``CONTRACT_VALUES``; every kind has sparse rows, and its zeros are +0.0
+    or -0.0 (unrestricted rows also hold negative weights).
+    """
+    path = draw(st.sampled_from(["k1", "sorted", "kM"]))
+    m = draw(st.integers(3 if path == "sorted" else 1, 40))
+    k = {"k1": 1, "kM": m}.get(path) or draw(st.integers(2, m - 1))
+    dim, ncls = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(list(LabelKind)))
+    positions = _distinct_rows(draw(arrays(float, (m, dim), elements=st.integers(-3, 3).map(float))))
+    zeros = draw(arrays(float, (m, ncls), elements=st.sampled_from([0.0, -0.0])))
+    if kind == LabelKind.HARD:
+        labels = zeros
+        labels[np.arange(m), draw(arrays(np.intp, m, elements=st.integers(0, ncls - 1)))] = 1.0
+    elif kind == LabelKind.PROBABILISTIC:
+        counts = draw(arrays(float, (m, ncls), elements=st.integers(0, 3).map(float)))
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+        labels = np.where(counts > 0, counts / counts.sum(axis=1, keepdims=True), zeros)
+    else:
+        labels = draw(arrays(float, (m, ncls), elements=st.sampled_from(CONTRACT_VALUES)))
+    count = draw(st.integers(1, 24))
+    queries = draw(arrays(float, (count, dim), elements=st.integers(-8, 8).map(lambda v: v / 2)))
+    on = draw(arrays(np.intp, count, elements=st.integers(-1, m - 1)))
+    queries[on >= 0] = positions[on[on >= 0]]
+    return PrototypeSet(positions, labels, kind, "lattice"), k, queries
+
+
+def _reference_outputs(pset, k, points):
+    """``evaluate_points``' four arrays from the rule written out (``_reference_scores``).
+
+    A query within ``COINCIDENT_TOL`` of a prototype takes the struck
+    prototype's label and an infinite confidence; otherwise the class is
+    the first maximum and the confidence the gap between the two largest
+    scores of a sort.
+    """
+    positions, labels = pset.positions, pset.labels
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _reference_scores(positions, labels, k, points)
+    dist = np.sqrt(((points[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2))
+    nearest = dist.argmin(axis=1)
+    hit = dist[np.arange(len(points)), nearest] < COINCIDENT_TOL
+    scores[hit] = labels[nearest[hit]]
+    top = np.sort(scores, axis=1)
+    confidence = top[:, -1] - top[:, -2] if labels.shape[1] > 1 else np.full(len(points), np.inf)
+    confidence[hit] = np.inf
+    return scores, scores.argmax(axis=1), confidence, hit
+
+
+# Cell centres of this frame are the half steps from -3.5 to 3.5.
+CONTRACT_BOUNDS, CONTRACT_CELLS = (-3.75, 3.75, -3.75, 3.75), 15
+
+
+@pytest.mark.parametrize("culled", [False, True], ids=["unculled", "culled"])
+@settings(max_examples=150, deadline=None)
+@given(
+    case=contract_case(),
+    tile=st.integers(1, 40),
+    call_entries=st.sampled_from([0, classifier._CALL_ENTRIES]),
+)
+def test_every_route_matches_reference(culled, case, tile, call_entries):
+    # Every entry, in tiles of a drawn number of rows, gives the reference's
+    # bytes. A _CALL_ENTRIES of 0 takes the class-major k = M path wherever a
+    # tile has two rows or more; culled runs cull every tile of every call.
+    pset, k, queries = case
+    ncls = pset.num_classes
+    expected = _reference_outputs(pset, k, queries)
+    with ExitStack() as stack:
+        patch = lambda module, name, value: stack.enter_context(mock.patch.object(module, name, value))  # noqa: E731
+        patch(classifier, "_TILE_SCORE_ENTRIES", tile * ncls)
+        patch(classifier, "_CALL_ENTRIES", call_entries)
+        if culled:
+            for name, value in (("_CULL_TILE", 5), ("_CULL_MIN_POINTS", 1), ("_CULL_MIN_PROTOTYPES", 2)):
+                patch(classifier, name, value)
+            patch(landscape, "_PATCH_COLS", 8)
+
+        for what, a, b in zip(("scores", "predicted", "confidence", "exact_hit"), evaluate_points(pset, k, queries), expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, what
+            assert a.tobytes() == b.tobytes(), what
+        assert classifier._predicted(pset, k, queries).tobytes() == expected[1].tobytes()
+        # The stacked entry with per-set positions, as the rigid-motion variant calls it.
+        for a, b in zip(classifier._evaluate_stacked(pset.positions[None], pset.labels, k, queries[None]), expected):
+            assert a[0].tobytes() == b.tobytes()
+        for i, q in enumerate(queries):
+            one = classify(pset, k, q)
+            assert one.scores.tobytes() == expected[0][i].tobytes()
+            assert (one.predicted, one.exact_hit) == (expected[1][i], expected[3][i])
+            assert np.float64(one.confidence).tobytes() == expected[2][i].tobytes()
+
+        if pset.dim == 2:
+            xs = landscape._cell_centers(*CONTRACT_BOUNDS[:2], CONTRACT_CELLS)
+            ys = landscape._cell_centers(*CONTRACT_BOUNDS[2:], CONTRACT_CELLS)
+            centres = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
+            _, classes, confidence, hit = _reference_outputs(pset, k, centres)
+            for partitions in (1, 3):
+                grid = rasterize(pset, k, CONTRACT_BOUNDS, CONTRACT_CELLS, CONTRACT_CELLS, partitions=partitions)
+                assert grid.classes.tobytes() == classes.astype(np.int32).tobytes()
+                assert grid.confidence.tobytes() == confidence.tobytes()
+                assert list(grid.exact_hits) == [divmod(int(i), CONTRACT_CELLS) for i in np.flatnonzero(hit)]
+
+
+def test_reference_takes_struck_label_and_index_order():
+    # The oracle itself: a query on prototype 1 takes its label, -0.0
+    # included, and at k = M the terms add in prototype index order.
+    pset = PrototypeSet([(0.0, 0.0), (3.0, 0.0), (0.0, 2.0)], [[0.1, -0.0], [-0.0, 0.7], [0.3, 0.0]], LabelKind.UNRESTRICTED)
+    scores, predicted, confidence, hit = _reference_outputs(pset, 3, np.array([(3.0, 0.0), (1.0, 1.0)]))
+    assert scores[0].tobytes() == np.array([-0.0, 0.7]).tobytes() and hit.tolist() == [True, False]
+    d = math.sqrt(2.0)
+    assert scores[1, 0] == (0.0 + 0.1 / d) + 0.3 / d
+    assert scores[1, 1] == 0.0 + 0.7 / math.sqrt(5.0)
+    assert predicted.tolist() == [1, 1] and confidence[0] == np.inf
+
+
+class TestClassMajorMemory:
+    @pytest.mark.parametrize(
+        "build, parent_peak",
+        [(lambda: polygon_with_center(8), 1562304), (lambda: circle_soft_fit(6), 1872336), (lambda: concentric_ellipses(6), 1697584)],
+        ids=["polygon_with_center(8)", "circle_soft_fit(6)", "concentric_ellipses(6)"],
+    )
+    def test_peak_at_most_row_major_tiles(self, build, parent_peak):
+        # A class-major k = M tile spends at most the bytes of the row-major
+        # tile it replaced, on more rows. tracemalloc peaks of this call with
+        # row-major tiles (2-core Xeon VM, Python 3.11.7, numpy 2.4.6), the
+        # three output arrays (544 KiB) included: 1562304 B for
+        # polygon_with_center(8), 1872336 B for circle_soft_fit(6) and
+        # 1697584 B for concentric_ellipses(6). With class-major tiles the
+        # same calls read 1396705, 1412243 and 1249689 B.
+        pset = build().set
+        m = len(pset)
+        rng = np.random.default_rng(0)
+        points = rng.uniform(pset.positions.min(axis=0) - 1, pset.positions.max(axis=0) + 1, size=(32768, 2))
+        assert classifier._class_major(pset.labels, m, 32768)
+        classifier._predicted(pset, m, points)
+        tracemalloc.start()
+        try:
+            classifier._predicted(pset, m, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
+
+
+DUPLICATE_SET = ([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+
+
+class TestCoincidentPositionsRefused:
+    """A set with two prototypes at one position is refused by every scoring entry, checked once per set."""
+
+    MESSAGE = r"^prototype positions must be distinct; run validate\(\) for details$"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [evaluate_points, classifier._predicted, classify, classify_batch],
+        ids=["evaluate_points", "predicted", "classify", "classify_batch"],
+    )
+    def test_refused(self, entry):
+        pset = make_prototype_set(*DUPLICATE_SET, kind=LabelKind.HARD)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            entry(pset, 1, (0.5, 0.5))
+
+    def test_still_built_and_diagnosed(self):
+        pset = make_prototype_set(*DUPLICATE_SET, kind=LabelKind.HARD)
+        assert validate(pset) == ["prototypes 0 and 2: duplicate position"]
+        assert pset.defect == "prototype positions must be distinct"
+
+    def test_non_finite_named_first(self):
+        pset = make_prototype_set([(0.0, 0.0), (0.0, 0.0)], np.array([[np.nan], [1.0]]))
+        assert pset.defect == "prototype positions and labels must be finite"
+
+    def test_checked_once_per_set(self, monkeypatch):
+        calls = []
+        original = core._coincident_pairs
+        monkeypatch.setattr(core, "_coincident_pairs", lambda pos: calls.append(1) or original(pos))
+        pset = make_prototype_set([(0.0, 0.0), (1.0, 0.0)], np.eye(2), kind=LabelKind.HARD)
+        for _ in range(3):
+            evaluate_points(pset, 1, [(0.2, 0.0)])
+            classifier._predicted(pset, 2, [(0.2, 0.0)])
+        assert len(calls) == 1 and pset.defect is None

@@ -167,9 +167,10 @@ class TestInvariances:
 
     @pytest.mark.parametrize("build, trials, calls", [(lambda: polygon_pairs(8), 100, 3), (lambda: circle_hard_baseline(6), 100, 6)])
     def test_one_stacked_call_per_variant_kind_and_tile_of_trials(self, monkeypatch, build, trials, calls):
-        # A tile of trials holds at most _TILE_SCORE_ENTRIES = 32768 label
-        # entries: polygon_pairs(8) has 8 x 16 per trial, so its 100 trials are
-        # one tile; circle_hard_baseline(6) has 68 x 6, so tiles of 80 and 20.
+        # A tile of trials holds at most _STACK_ENTRIES = 65536 floats of
+        # variant sets, M x 2 + 5 x 2 + 2 x M x C per trial: polygon_pairs(8)
+        # builds 282 per trial, so its 100 trials are one tile;
+        # circle_hard_baseline(6) builds 962, so tiles of 68 and 32.
         cons = build()
         seen = []
 

@@ -742,6 +742,18 @@ class TestKSweep:
         ]
         assert multi, "expected some k to split a class into multiple components"
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda pset: rasterize(pset, 1, (0, 1, 0, 1), 8, 8), lambda pset: k_sweep(pset, [1, 2], (0, 1, 0, 1), 8, 8)],
+        ids=["rasterize", "k_sweep"],
+    )
+    def test_coincident_positions_refused(self, call, monkeypatch):
+        # Refused before any raster is built, with the classifier's message.
+        pset = make_prototype_set([(0.2, 0.2), (0.7, 0.7), (0.2, 0.2)], np.eye(3), kind=LabelKind.HARD)
+        monkeypatch.setattr(landscape, "_evaluate_into", None)
+        with pytest.raises(ValueError, match=r"^prototype positions must be distinct; run validate\(\) for details$"):
+            call(pset)
+
 
 @pytest.fixture(scope="module")
 def small_grid():
