@@ -15,18 +15,19 @@ once, in :func:`score_block`; the radial label fitter in
 :mod:`softknn.constructions` calls the same kernel with candidate labels.
 
 The public entries and the scores-free ``_predicted`` check k, the set
-and the query points in one place (``_checked_points``) and then run the
-one tile loop, ``_evaluate_into``; the rasterizer builds its own finite
-cell centers, checks k and the set, and calls the tile loop directly.
+and the query points in one place (``_checked_points``) and then hand the
+set's arrays to the one tile loop, ``_evaluate_into``; the rasterizer
+builds its own finite cell centers, checks k and the set, and calls the
+tile loop directly.
 
-A stack of sets that differ per trial in their positions or their labels
-(the verify harness's invariance variants), each with its own queries, is
-scored by ``_evaluate_stacked`` in one call. It tiles the rows of every
-set together, gathers each row's own positions and labels for the tile,
-at most ``_STACK_ENTRIES`` floats with the distance scratch, and hands
-them to :func:`score_block` in its per-row form. Both loops end each tile
-in ``_finish_tile`` and give every set the bits of a call for that set
-alone.
+The same loop scores a stack of sets that differ per trial in their
+positions or their labels (the verify harness's invariance variants),
+each with its own queries, entered through ``_evaluate_stacked``. Each
+tile then gathers its rows' own positions and labels, at most
+``_STACK_ENTRIES`` floats with the distance scratch, and hands them to
+:func:`score_block` in its per-row form. Every tile ends in
+``_finish_tile``, and every set gets the bits of a call for that set
+alone. Only ``_evaluate_into`` chooses a tile's layout and walks tiles.
 
 At k = M with one set of labels, a batch large enough to pay for it is
 scored class-major: a tile is the (rows, C) view of a (C, rows) array,
@@ -332,7 +333,8 @@ def _score_tile(positions, labels, k, block, sc, hit, scratch, prod) -> None:
 
 
 def _evaluate_into(
-    pset: PrototypeSet,
+    positions: np.ndarray,
+    labels: np.ndarray,
     k: int,
     pts: np.ndarray,
     predicted: np.ndarray,
@@ -342,70 +344,90 @@ def _evaluate_into(
 ) -> None:
     """Classify the checked ``pts`` one tile at a time (no tiles for no points).
 
-    Writes into the caller's length-n ``predicted``, ``confidence`` and
-    ``exact`` and, if given, the (n, C) ``scores``.
+    ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
+    point. Either may instead be a stack of S sets, (S, M, dim) or
+    (S, M, C), in which set s owns the s-th run of ``len(pts) // S``
+    consecutive points. Writes into the caller's length-n ``predicted``,
+    ``confidence`` and ``exact`` and, if given, the (n, C) ``scores``.
 
-    At k = M, where :func:`_class_major` says it pays, a tile is
-    class-major: the (rows, C) view of a reused (C, rows) buffer, copied to
-    ``scores`` when the caller keeps them. It gets as many rows as fit in
-    the bytes of the full row-major tile it replaces (distances, product
-    buffer, partition copy and, without ``scores``, the tile itself), at
-    8(2M + C + 8) + 2(M + C) bytes per row.
+    With a stack, each tile gathers its rows' own positions and labels
+    into reused (rows, M, dim) and (rows, M, C) buffers and makes one
+    :func:`score_block` call in its per-row form, so the stacks are never
+    repeated per point. A tile's rows are sized by what it gathers per
+    row, positions (M x dim) and labels (M x C) where they are stacked,
+    and its distance scratch (2M), within ``_STACK_ENTRIES`` floats.
+    Nothing is culled.
 
-    Otherwise a tile holds at most ``_TILE_SCORE_ENTRIES`` row-major
-    scores, and without ``scores`` it lives in one reused buffer. Where
-    :func:`_culls` says no (fewer than ``_CULL_MIN_PROTOTYPES`` prototypes)
-    and in calls of fewer than ``_CULL_MIN_POINTS`` points, a tile is one
-    :func:`score_block` call against every prototype, and its rows are also
-    bounded by ``_BLOCK_ENTRIES`` distance entries; the verify harness's
-    small calls take this path. Otherwise a tile is a whole number of
-    culling tiles of ``_CULL_TILE`` consecutive points, and each culling
-    tile is scored against its kept prototypes in pieces of at most
-    ``_BLOCK_ENTRIES`` distance entries (one row if a row is longer). The
-    pieces' distance matrices share one flat work array of the call,
-    replaced by a larger one when a piece needs more. Either way an exact
-    hit takes the struck prototype's own label (a kept label is the set's
-    label of that prototype), and :func:`_finish_tile` then takes the
-    tile's argmax and confidence gap. Results do not depend on the culling
-    (see :func:`_kept`).
+    At k = M with shared labels, where :func:`_class_major` says it pays,
+    a tile is class-major: the (rows, C) view of a reused (C, rows)
+    buffer, copied to ``scores`` when the caller keeps them. With one set
+    it gets as many rows as fit in the bytes of the full row-major tile it
+    replaces (distances, product buffer, partition copy and, without
+    ``scores``, the tile itself), at 8(2M + C + 8) + 2(M + C) bytes per
+    row.
+
+    Otherwise, with one set, a tile holds at most ``_TILE_SCORE_ENTRIES``
+    row-major scores, and without ``scores`` it lives in one reused
+    buffer. Where :func:`_culls` says no (fewer than
+    ``_CULL_MIN_PROTOTYPES`` prototypes) and in calls of fewer than
+    ``_CULL_MIN_POINTS`` points, a tile is one :func:`score_block` call
+    against every prototype, and its rows are also bounded by
+    ``_BLOCK_ENTRIES`` distance entries; the verify harness's small calls
+    take this path. Otherwise a tile is a whole number of culling tiles of
+    ``_CULL_TILE`` consecutive points, and each culling tile is scored
+    against its kept prototypes in pieces of at most ``_BLOCK_ENTRIES``
+    distance entries (one row if a row is longer). The pieces' distance
+    matrices share one flat work array of the call, replaced by a larger
+    one when a piece needs more.
+
+    Every way, an exact hit takes the struck prototype's own label from
+    its row's own set (a kept label is the set's label of that
+    prototype), and :func:`_finish_tile` then takes the tile's argmax and
+    confidence gap. Results do not depend on the tiling, the layout or the
+    culling (see :func:`_kept`).
     """
-    positions, labs = pset.positions, pset.labels
-    n, (m, ncls) = len(pts), labs.shape
+    n, (m, ncls) = len(pts), labels.shape[-2:]
+    gathered = sum(a.shape[1] * a.shape[2] for a in (positions, labels) if a.ndim == 3)
     score_rows = _TILE_SCORE_ENTRIES // ncls
     full = max(1, min(score_rows, _BLOCK_ENTRIES // m))
-    # A class-major tile spends the bytes of a full row-major one on rows of
-    # distances, tile, about 8 floats of per-row vectors, and two bytes per
-    # prototype and per class for the lowest-index searches.
-    budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
-    wide = _tile_rows(n, 8 * (2 * m + ncls + 8) + 2 * (m + ncls), budget)
-    class_major = _class_major(labs, k, wide)
-    cull = _culls(m, k) and n >= _CULL_MIN_POINTS
-    if class_major:
-        rows = wide
-    elif cull:
+    if gathered:
+        rows = _tile_rows(n, gathered + 2 * m, _STACK_ENTRIES)
+    else:
+        # A class-major tile spends the bytes of a full row-major one on rows of
+        # distances, tile, about 8 floats of per-row vectors, and two bytes per
+        # prototype and per class for the lowest-index searches.
+        budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
+        rows = _tile_rows(n, 8 * (2 * m + ncls + 8) + 2 * (m + ncls), budget)
+    class_major = labels.ndim == 2 and _class_major(labels, k, rows)
+    cull = not gathered and _culls(m, k) and n >= _CULL_MIN_POINTS
+    if cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
         span = max(1, min(_CULL_TILE, score_rows))
-        rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * pset.dim * m))))
+        rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * positions.shape[1] * m))))
         work = np.empty(0)
     else:
-        rows = max(1, min(n, full))
-    if not cull:
+        if not (gathered or class_major):
+            rows = max(1, min(n, full))
         scratch = np.empty((2, rows, m))
     # Row-major paths for k > 1 add one prototype's weighted labels at a time.
     prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
     staged = class_major or scores is None
     tile = (np.empty((ncls, rows)).T if class_major else np.empty((rows, ncls))) if staged else None
+    stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]
+    per_set = n // len(positions if positions.ndim == 3 else labels)
     for start in range(0, n, rows):
         sl = slice(start, start + rows)
         size = min(rows, n - start)
         sc = tile[:size] if staged else scores[sl]
         hit, block = exact[sl], pts[sl]
         if not cull:
-            _score_tile(positions, labs, k, block, sc, hit, scratch[:, :size], prod[:size])
+            owner = np.arange(start, start + size) // per_set if gathered else None
+            pos, lab = (a if buf is None else np.take(a, owner, axis=0, out=buf[:size]) for a, buf in stacks)
+            _score_tile(pos, lab, k, block, sc, hit, scratch[:, :size], prod[:size])
         else:
             for p0, keep in zip(range(0, size, span), _kept(positions.T, k, block, span)):
                 p1 = min(p0 + span, size)
-                pos, lab = (positions, labs) if keep is None else (positions[keep], labs[keep])
+                pos, lab = (positions, labels) if keep is None else (positions[keep], labels[keep])
                 mk = len(pos)
                 step = max(1, min(p1 - p0, _BLOCK_ENTRIES // mk))
                 if work.size < 2 * step * mk:
@@ -460,50 +482,25 @@ def _evaluate_stacked(
     ``pts`` is (S, Q, dim), ``positions`` (S, M, dim) and ``labels``
     (S, M, C); either of the last two may instead be (M, dim) or (M, C),
     shared by every set. Returns ``(scores, predicted, confidence,
-    exact_hit)`` shaped (S, Q, C), (S, Q), (S, Q), (S, Q), and each row is
-    bit for bit what :func:`evaluate_points` returns for its set alone:
-    k and the sets are checked as there (the caller's points are taken as
-    finite), an exact hit takes the struck prototype's label from its row's
-    own set, overflowing scores are refused, and argmax ties go to the
-    lowest class index.
+    exact_hit)`` shaped (S, Q, C), (S, Q), (S, Q), (S, Q), from one
+    :func:`_evaluate_into` call over the S*Q points in order.
 
-    The S*Q rows are scored in tiles. Each tile gathers its rows' own
-    positions and labels into reused (rows, M, dim) and (rows, M, C)
-    buffers and makes one :func:`score_block` call in its per-row form, so
-    the S-fold stacks are never repeated per query. A tile's rows are sized
-    by what it gathers per row, positions (M x dim) and labels (M x C)
-    where they are per set, and its distance scratch (2M), within
-    ``_STACK_ENTRIES`` floats. With shared labels at k = M the tile is
-    class-major, as in :func:`_evaluate_into`. Nothing is culled: a
-    five-point :func:`evaluate_points` call culls nothing either, and
-    culling cannot change a bit.
+    It checks only k and that the positions and labels are finite. It
+    takes the points as finite and, unlike :func:`evaluate_points`, does
+    not refuse positions that coincide within a set. Wherever
+    :func:`evaluate_points` accepts a set, each row is bit for bit what it
+    returns for that set alone: an exact hit takes the struck prototype's
+    label from its row's own set, overflowing scores are refused, and
+    argmax ties go to the lowest class index.
     """
     _check_k(k, labels.shape[-2])
     if not (np.isfinite(positions).all() and np.isfinite(labels).all()):
         raise ValueError("prototype positions and labels must be finite; run validate() for details")
     sets, per_set, dim = pts.shape
-    m, ncls = labels.shape[-2:]
-    n = sets * per_set
-    flat = pts.reshape(n, dim)
+    n, ncls = sets * per_set, labels.shape[-1]
     scores = np.empty((n, ncls))
     predicted, confidence, exact = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=bool)
-    gathered = sum(a[0].size for a in (positions, labels) if a.ndim == 3)
-    rows = _tile_rows(n, gathered + 2 * m, _STACK_ENTRIES)
-    class_major = labels.ndim == 2 and _class_major(labels, k, rows)
-    scratch = np.empty((2, rows, m))
-    prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
-    tile = np.empty((ncls, rows)).T if class_major else None
-    stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]
-    for start in range(0, n, rows):
-        sl = slice(start, start + rows)
-        size = min(rows, n - start)
-        owner = np.arange(start, start + size) // per_set
-        pos, lab = (a if buf is None else np.take(a, owner, axis=0, out=buf[:size]) for a, buf in stacks)
-        sc, hit = tile[:size] if class_major else scores[sl], exact[sl]
-        _score_tile(pos, lab, k, flat[sl], sc, hit, scratch[:, :size], prod[:size])
-        if class_major:
-            scores[sl] = sc
-        _finish_tile(sc, hit, predicted[sl], confidence[sl])
+    _evaluate_into(positions, labels, k, pts.reshape(n, dim), predicted, confidence, exact, scores)
     shape = (sets, per_set)
     return scores.reshape(shape + (ncls,)), predicted.reshape(shape), confidence.reshape(shape), exact.reshape(shape)
 
@@ -526,7 +523,7 @@ def _predicted(pset: PrototypeSet, k: int, points) -> np.ndarray:
     pts = _checked_points(pset, k, points)
     n = len(pts)
     predicted = np.empty(n, dtype=np.intp)
-    _evaluate_into(pset, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
+    _evaluate_into(pset.positions, pset.labels, k, pts, predicted, np.empty(n), np.empty(n, dtype=bool))
     return predicted
 
 
@@ -547,7 +544,7 @@ def evaluate_points(
     predicted = np.empty(n, dtype=int)
     confidence = np.empty(n)
     exact = np.empty(n, dtype=bool)
-    _evaluate_into(pset, k, pts, predicted, confidence, exact, scores)
+    _evaluate_into(pset.positions, pset.labels, k, pts, predicted, confidence, exact, scores)
     return scores, predicted, confidence, exact
 
 

@@ -303,11 +303,10 @@ def _measure_crossings(
 
     def scores(radii) -> np.ndarray:
         # The ray must avoid prototype positions: exact hits are not replaced.
-        # Scores are class-major where the classifier's tile loop would make them so.
         r = np.asarray(radii, dtype=float)
         pts = np.column_stack((r, np.zeros_like(r)))
         n, (m, ncls) = len(pts), weights.shape
-        out = np.empty((ncls, n)).T if classifier._class_major(weights, m, n) else np.empty((n, ncls))
+        out = np.empty((n, ncls))
         classifier.score_block(positions, weights, m, pts, out, np.empty((2, n, m)), np.empty((n, ncls)))
         return out
 

@@ -302,6 +302,7 @@ def verify_hard_label_oracle(instances: int = 1000, seed: int = 0) -> CheckResul
     (distance gap above rounding); the oracle is a direct argmin over
     distances with the same lowest-index tie rule.
     """
+    require_positive("instances", instances)
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(instances):

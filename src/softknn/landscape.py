@@ -66,6 +66,12 @@ def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer (a bool is not one), naming the argument ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class BisectionError(ValueError):
     """Base for boundary-bisection failures."""
 
@@ -183,11 +189,12 @@ def rasterize(
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"bounds must be well-ordered, got {bounds}")
+    _require_integer("width", width)
+    _require_integer("height", height)
     if width < 2 or height < 2:
         raise ValueError(f"resolution must be at least 2x2, got {width}x{height}")
     if partitions is not None:
-        if not isinstance(partitions, (int, np.integer)) or isinstance(partitions, bool):
-            raise ValueError(f"partitions must be an integer, got {partitions!r}")
+        _require_integer("partitions", partitions)
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
     _check_rule_args(pset, k)
@@ -214,7 +221,7 @@ def rasterize(
                 rect[..., 0] = xs[c0:c1]
                 rect[..., 1] = ys[r0:r1, None]
                 out = [a[:cells] for a in staged]
-                _evaluate_into(pset, k, centers[:cells], *out)
+                _evaluate_into(pset.positions, pset.labels, k, centers[:cells], *out)
                 classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
                 i, j = np.nonzero(exact)
                 hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
@@ -334,6 +341,7 @@ def boundary_bisect(
     classifier call per step. Each fraction is the float the one-segment
     form returns for that segment.
     """
+    _require_integer("scan", scan)
     if scan < 1:
         raise ValueError(f"scan must be >= 1, got {scan}")
     a = np.asarray(a, dtype=float)

@@ -439,6 +439,24 @@ class TestCulling:
         assert scores.tobytes() == expected.tobytes()
         assert np.array_equal(exact, hit) and hit.any()
 
+    def test_large_set_keeps_whole_culling_tiles(self, monkeypatch):
+        # M = 335 prototypes exceed _BLOCK_ENTRIES // _CULL_TILE, so a culling
+        # tile that keeps every prototype is scored in several pieces; the
+        # tile itself still spans _CULL_TILE points. Scattered queries make
+        # every tile's box cover the whole set, so every prototype is kept.
+        cons = circle_hard_baseline(14)
+        m = len(cons.set)
+        assert m > _BLOCK_ENTRIES // classifier._CULL_TILE
+        kept = _spy(monkeypatch, "_kept")
+        blocks = _spy(monkeypatch, "score_block")
+        pts = np.random.default_rng(14).uniform(-21.0, 21.0, (3000, 2))
+        scores, _, _, _ = evaluate_points(cons.set, 1, pts)
+        assert kept and all(call[3] == classifier._CULL_TILE for call in kept)
+        pieces = [len(call[3]) for call in blocks]
+        assert all(len(call[0]) == m for call in blocks)
+        assert _BLOCK_ENTRIES // m in pieces and max(pieces) < classifier._CULL_TILE
+        assert scores.tobytes() == _brute_scores(cons.set, 1, pts)[0].tobytes()
+
     def test_when_tiles_are_culled(self, monkeypatch):
         kept = _spy(monkeypatch, "_kept")
         rng = np.random.default_rng(0)

@@ -324,6 +324,12 @@ class TestHardLabelOracle:
         assert not check.passed
         assert check.observed == {"mismatches": 20, "instances": 20, "seed": 0}
 
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_no_instances_refused(self, instances):
+        # A check that compares nothing must not pass.
+        with pytest.raises(ValueError, match=rf"^instances must be at least 1, got {instances}$"):
+            verify_hard_label_oracle(instances=instances)
+
 
 class TestReports:
     def test_schema_and_save(self, tmp_path):

@@ -1,6 +1,7 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -364,12 +365,27 @@ class TestRasterThreads:
         assert peak - grid.classes.nbytes - grid.confidence.nbytes < workers * 4 * 2**20
 
     @pytest.mark.parametrize(
-        "partitions, message",
-        [(0, "partitions must be >= 1"), (2.5, "partitions must be an integer"), (True, "partitions must be an integer")],
+        "value, message",
+        [
+            (0, "partitions must be >= 1"),
+            (2.5, "partitions must be an integer"),
+            (True, "partitions must be an integer"),
+            (2.5, "width must be an integer"),
+            (True, "height must be an integer"),
+            (np.float64(16.0), "width must be an integer"),
+            (2.5, "scan must be an integer"),
+            (True, "scan must be an integer"),
+        ],
     )
-    def test_refuses_bad_partitions(self, pair, partitions, message):
-        with pytest.raises(ValueError, match=message):
-            rasterize(pair.set, 2, (-1, 4, -2, 2), 16, 16, partitions=partitions)
+    def test_refuses_bad_partitions(self, pair, value, message):
+        # The message's first word names the argument that gets the value:
+        # rasterize's partitions, width or height, or boundary_bisect's scan.
+        name = message.split()[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
+            if name == "scan":
+                boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=value)
+            else:
+                rasterize(pair.set, 2, (-1, 4, -2, 2), **{"width": 16, "height": 16, name: value})
 
 
 class TestRiskRender:
