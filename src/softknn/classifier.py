@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COINCIDENT_TOL, PrototypeSet
+from .core import COINCIDENT_TOL, PrototypeSet, require_integer
 
 # Caps on the rows of one internal tile: rows*prototypes of the distance
 # matrix, and rows*classes of the score and product buffers. Small enough
@@ -121,8 +121,7 @@ class Classification:
 
 def _check_k(k: int, m: int) -> None:
     """Refuse a k that is not an integer in 1..m."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    require_integer("k", k)
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for {m} prototypes")
 

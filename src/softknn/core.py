@@ -34,8 +34,15 @@ PROB_SUM_TOL = 1e-9
 COINCIDENT_TOL = 1e-12
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer (a bool is not one), naming the argument ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_positive(name: str, value: int) -> None:
-    """Refuse a count below 1: a check that compares nothing would pass."""
+    """Refuse a count that is not an integer of at least 1: a check that compares nothing would pass."""
+    require_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 

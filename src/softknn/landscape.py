@@ -6,7 +6,14 @@ this module provides risk rendering (confidence mapped to a normalized
 intensity, clipped or log-scaled), boundary localization by bisection
 along one segment or a stack of segments, connected-region reporting, and
 sweeps over the neighbor count k. Class maps export as binary PPM and CSV,
-risk maps as binary PGM and CSV.
+risk maps as binary PGM and CSV; the images are encoded a chunk of rows at
+a time straight into one preallocated buffer.
+
+:func:`region_report` labels 4-connected regions with numpy alone. It
+splits each row into runs of one class, links runs of adjacent rows that
+touch (only cells next to a run start need checking), and merges linked
+runs by union-find with pointer jumping, so it keeps one boolean per cell
+and a few integers per run and link rather than a label per cell.
 
 :func:`bisect_many` is the one bisection routine: it halves many brackets
 at once, asking its predicate once per step for every bracket still open,
@@ -33,10 +40,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .classifier import _check_rule_args, _evaluate_into, _predicted
-from .core import PrototypeSet
+from .core import PrototypeSet, require_integer
 
 # Fixed palette for class maps (class index cycles through these RGBs).
 PALETTE: tuple[tuple[int, int, int], ...] = (
@@ -64,12 +70,6 @@ _CHUNKS_PER_WORKER = 4
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     """Centers of the n equal cells that split [lo, hi], the one rule for raster cell coordinates."""
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
-
-
-def _require_integer(name: str, value) -> None:
-    """Refuse a ``value`` that is not an integer (a bool is not one), naming the argument ``name``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BisectionError(ValueError):
@@ -189,12 +189,12 @@ def rasterize(
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"bounds must be well-ordered, got {bounds}")
-    _require_integer("width", width)
-    _require_integer("height", height)
+    require_integer("width", width)
+    require_integer("height", height)
     if width < 2 or height < 2:
         raise ValueError(f"resolution must be at least 2x2, got {width}x{height}")
     if partitions is not None:
-        _require_integer("partitions", partitions)
+        require_integer("partitions", partitions)
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
     _check_rule_args(pset, k)
@@ -341,7 +341,7 @@ def boundary_bisect(
     classifier call per step. Each fraction is the float the one-segment
     form returns for that segment.
     """
-    _require_integer("scan", scan)
+    require_integer("scan", scan)
     if scan < 1:
         raise ValueError(f"scan must be >= 1, got {scan}")
     a = np.asarray(a, dtype=float)
@@ -382,24 +382,48 @@ def boundary_bisect(
 def region_report(grid: RasterGrid) -> RegionReport:
     """Count distinct classes and their 4-connected components and areas.
 
-    One pass over the grid finds each present class's bounding box, which
-    holds all of its cells; the class is then counted and labelled inside
-    that box only.
+    The grid is read as runs, maximal stretches of one class within a row.
+    Two runs in adjacent rows touch where they share a column, and the
+    first column they share starts one of them, so checking the cells
+    above and below every run start finds each touching pair of the same
+    class once. The runs are merged along those links (the larger root of
+    every link hooked to the smallest root linked to it, then pointer
+    jumping, until no link joins two roots), and a class has one
+    component per remaining root.
+    Areas are sums of run lengths. Memory beyond the grid is one boolean
+    per cell and a few integers per run and per link. Class ids must be
+    non-negative; a negative one is refused with a ``ValueError``.
     """
     classes = grid.classes
-    components: dict[int, int] = {}
-    areas: dict[int, int] = {}
-    for c, box in enumerate(ndimage.find_objects(classes + 1)):  # label c + 1 is class c
-        if box is None:
-            continue
-        mask = classes[box] == c
-        _, count = ndimage.label(mask)  # default structure is 4-connectivity
-        components[c] = int(count)
-        areas[c] = int(np.count_nonzero(mask))
+    width = classes.shape[1]
+    flat = classes.ravel()
+    starts = np.empty(classes.shape, dtype=bool)
+    starts[:, :1] = True
+    np.not_equal(classes[:, 1:], classes[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)  # each run's first cell, in grid order
+    run_class = flat[first]
+    if (run_class < 0).any():
+        raise ValueError(f"class ids must be non-negative, got {sorted(set(run_class[run_class < 0].tolist()))}")
+    # The lower cell of each candidate link: a run start with a row above,
+    # or the cell below a run start that does not start a run itself.
+    below = first[first < flat.size - width] + width
+    cells = np.concatenate((first[first >= width], below[~starts.ravel()[below]]))
+    cells = cells[flat[cells] == flat[cells - width]]
+    lower = np.searchsorted(first, cells, side="right") - 1
+    upper = np.searchsorted(first, cells - width, side="right") - 1
+    parent = np.arange(len(first))
+    while not np.array_equal(a := parent[lower], b := parent[upper]):
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        hop = parent[parent]
+        while not np.array_equal(hop, parent):
+            parent, hop = hop, hop[hop]
+    counts = np.bincount(run_class[parent == np.arange(len(parent))])
+    areas = np.bincount(run_class, weights=np.diff(first, append=flat.size))
+    present = np.flatnonzero(counts).tolist()
     return RegionReport(
-        distinct_classes=len(areas),
-        components_per_class=components,
-        class_areas=areas,
+        distinct_classes=len(present),
+        components_per_class={c: int(counts[c]) for c in present},
+        class_areas={c: int(areas[c]) for c in present},
     )
 
 
@@ -428,21 +452,48 @@ def k_sweep(
 # the array orientation (row 0 = ymin) with one grid row per line.
 
 
-def ppm_bytes(grid: RasterGrid) -> bytes:
+def _pnm_bytes(magic: str, values: np.ndarray, channels: int, scratch, encode) -> bytearray:
+    """A binary PNM image of a (height, width) array, its last row on top, in one preallocated buffer.
+
+    The header comes first. Then ``encode(rows, buf, out)`` writes the
+    pixels of each chunk of at most ``_CHUNK_CELLS`` cells: ``rows`` is
+    the chunk of ``values`` already flipped, ``out`` its (rows, width,
+    channels) slice of the image, and ``buf`` one reused scratch array of
+    the chunk's shape and dtype ``scratch``.
+    """
+    height, width = values.shape
+    header = f"{magic}\n{width} {height}\n255\n".encode()
+    image = bytearray(len(header) + values.size * channels)
+    image[: len(header)] = header
+    pixels = np.frombuffer(image, dtype=np.uint8, offset=len(header)).reshape(height, width, channels)
+    step = _CHUNK_CELLS // max(width, 1) or 1
+    buf = np.empty((min(step, height), width), dtype=scratch)
+    for r0 in range(0, height, step):
+        r1 = min(r0 + step, height)
+        encode(values[r0:r1][::-1], buf[: r1 - r0], pixels[height - r1 : height - r0])
+    return image
+
+
+def ppm_bytes(grid: RasterGrid) -> bytearray:
     """Binary PPM (P6) of the class map using the fixed palette."""
     palette = np.array(PALETTE, dtype=np.uint8)
-    rgb = palette[grid.classes % len(PALETTE)]
-    header = f"P6\n{grid.width} {grid.height}\n255\n".encode()
-    return header + rgb[::-1].tobytes()
+
+    def encode(rows, index, out):
+        np.remainder(rows, len(PALETTE), out=index)
+        np.take(palette, index, axis=0, out=out, mode="clip")
+
+    return _pnm_bytes("P6", grid.classes, 3, grid.classes.dtype, encode)
 
 
-def pgm_bytes(intensity: np.ndarray) -> bytes:
+def pgm_bytes(intensity: np.ndarray) -> bytearray:
     """Binary PGM (P5) of an intensity grid in [0, 1] (0 = black)."""
-    scaled = np.clip(intensity, 0.0, 1.0)
-    scaled *= 255.0
-    vals = np.round(scaled, out=scaled).astype(np.uint8)
-    header = f"P5\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode()
-    return header + vals[::-1].tobytes()
+
+    def encode(rows, scaled, out):
+        np.clip(rows, 0.0, 1.0, out=scaled)
+        scaled *= 255.0
+        out[..., 0] = np.round(scaled, out=scaled)
+
+    return _pnm_bytes("P5", intensity, 1, np.result_type(intensity, 1.0), encode)
 
 
 def class_csv_bytes(grid: RasterGrid) -> bytes:

@@ -431,6 +431,13 @@ class TestCircleSoftFit:
             circle_soft_fit(3, c=-1)
 
 
+@pytest.mark.parametrize("build", [n_from_two, n_from_two_labels, circle_hard_baseline, circle_soft_fit])
+@pytest.mark.parametrize("n", [3.0, 2.5, True])
+def test_non_integer_count_refused(build, n):
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+        build(n)
+
+
 class TestConstructionType:
     def test_claimed_classes_must_match_labels(self):
         pset = three_from_two().set

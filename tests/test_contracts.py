@@ -2,6 +2,10 @@
 
 import ast
 import hashlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,6 +199,40 @@ def test_no_unused_imports():
     modules = sorted(p for p in (REPO / "src" / "softknn").glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for p in modules for entry in _unused_imports(p)] == []
+
+
+def _third_party_imports(paths) -> set[str]:
+    """Top-level modules that absolute imports in ``paths`` name, minus the standard library and softknn."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"softknn"}
+
+
+def _requirements(project: dict, extra: str | None = None) -> set[str]:
+    reqs = project["dependencies"] if extra is None else project["optional-dependencies"][extra]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in reqs}
+
+
+def test_imports_match_declared_dependencies():
+    # The package imports exactly its runtime dependencies; the tests may
+    # also import the test extra (scipy is the region labeller's oracle).
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    runtime = _requirements(project)
+    assert _third_party_imports((REPO / "src" / "softknn").glob("*.py")) == runtime == {"numpy"}
+    assert _third_party_imports((REPO / "tests").glob("*.py")) <= runtime | _requirements(project, "test")
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, softknn, softknn.cli; print(sorted(m for m in ('scipy', 'hypothesis') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _top_level_names(tree: ast.Module) -> dict[str, int]:

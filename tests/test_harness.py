@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,25 @@ def test_vacuous_check_refused(check):
     # A check that compares nothing would pass; it must be an input error.
     with pytest.raises(ValueError, match="at least"):
         check()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0)], ids=repr)
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("samples_per_circle", lambda v: verify_circle_separation(circle_hard_baseline(3), samples_per_circle=v)),
+        ("trials", lambda v: verify_invariances(three_from_two(3.0), trials=v)),
+        ("queries_per_trial", lambda v: verify_invariances(three_from_two(3.0), queries_per_trial=v)),
+        ("instances", lambda v: verify_hard_label_oracle(instances=v)),
+        ("trials", lambda v: standard_report("three_from_two", three_from_two(3.0), trials=v)),
+        ("samples_per_circle", lambda v: standard_report("c", circle_hard_baseline(2), samples_per_circle=v)),
+    ],
+    ids=["circle-samples", "trials", "queries", "instances", "report-trials", "report-samples"],
+)
+def test_non_integer_count_refused(name, check, value):
+    # A fractional count would sample unevenly or hit numpy's bare TypeError.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        check(value)
 
 
 @pytest.mark.parametrize(

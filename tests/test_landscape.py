@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from softknn import (
@@ -685,7 +686,7 @@ def _class_grid(classes):
 
 
 class TestRegionReportBoxes:
-    """Labelling each class inside its bounding box equals the full-grid loop."""
+    """The run labeller of ``region_report`` equals the full-grid loop of ``ndimage.label``."""
 
     @staticmethod
     def _checked(classes):
@@ -727,6 +728,84 @@ class TestRegionReportBoxes:
         checker = np.indices((6, 7)).sum(axis=0) % 2
         report = self._checked(checker)
         assert report.components_per_class == {0: 21, 1: 21}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda h: st.integers(min_value=1, max_value=12).flatmap(
+                lambda w: st.lists(st.sampled_from([0, 2, 3, 7]), min_size=h * w, max_size=h * w).map(
+                    lambda ids: np.array(ids).reshape(h, w)
+                )
+            )
+        )
+    )
+    def test_random_maps_match_reference(self, classes):
+        # Ids 1 and 4-6 never occur; 2 and 3 may not either.
+        self._checked(classes)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (2, 2)])
+    def test_thin_and_tiny_grids(self, shape):
+        for seed in range(8):
+            self._checked(np.random.default_rng(seed).integers(0, 3, size=shape))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 12)])
+    def test_checkerboard(self, shape):
+        h, w = shape
+        report = self._checked(np.indices(shape).sum(axis=0) % 2)
+        assert sum(report.components_per_class.values()) == h * w
+
+    def test_nested_rings(self):
+        # Square rings of alternating classes around a centre cell: every
+        # ring is one component enclosing the next.
+        i, j = np.indices((23, 23))
+        ring = np.maximum(abs(i - 11), abs(j - 11))
+        report = self._checked(ring % 2 + 2 * (ring % 3 == 0))
+        assert sum(report.components_per_class.values()) == 12
+
+    def test_spiral(self):
+        # A wall of class 1 walked clockwise and inward, one cell from its
+        # own earlier turns: the wall and the corridor of class 0 between
+        # its turns are each one component.
+        classes = np.zeros((21, 21), dtype=int)
+        r, c, dr, dc = 0, 0, 0, 1
+        classes[r, c] = 1
+
+        def open_ahead(r, c):
+            ahead = [(r + s * dr, c + s * dc) for s in (1, 2)]
+            inside = [0 <= i < 21 and 0 <= j < 21 for i, j in ahead]
+            return inside[0] and not classes[ahead[0]] and not (inside[1] and classes[ahead[1]])
+
+        while True:
+            if not open_ahead(r, c):
+                dr, dc = dc, -dr
+                if not open_ahead(r, c):
+                    break
+            r, c = r + dr, c + dc
+            classes[r, c] = 1
+        report = self._checked(classes)
+        assert report.components_per_class == {0: 1, 1: 1}
+
+    def test_comb_joined_by_last_row(self):
+        # About a million one-cell runs: the teeth of class 1 are chains a
+        # grid high, and only the last row joins them.
+        classes = np.zeros((1024, 1024), dtype=np.int32)
+        classes[:, 1::2] = 1
+        classes[-1] = 1
+        report = self._checked(classes)
+        assert report.components_per_class == {0: 512, 1: 1}
+
+    def test_single_class(self):
+        report = self._checked(np.full((1, 1), 5))
+        assert report.distinct_classes == 1 and report.components_per_class == {5: 1} and report.class_areas == {5: 1}
+
+    @pytest.mark.parametrize("negative", [-1, -4])
+    def test_negative_class_ids_refused(self, negative):
+        classes = np.zeros((4, 5), dtype=np.int32)
+        classes[1, 2] = negative
+        classes[3, 0] = -1
+        named = sorted({negative, -1})
+        with pytest.raises(ValueError, match=rf"^class ids must be non-negative, got {re.escape(str(named))}$"):
+            region_report(_class_grid(classes))
 
 
 class TestKSweep:
@@ -794,6 +873,13 @@ class TestExports:
         data = pgm_bytes(intensity)
         assert data.startswith(b"P5\n32 16\n255\n")
         assert len(data) == len(b"P5\n32 16\n255\n") + 32 * 16
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_images_are_headers(self, shape):
+        height, width = shape
+        assert pgm_bytes(np.zeros(shape)) == f"P5\n{width} {height}\n255\n".encode()
+        grid = _class_grid(np.zeros(shape))
+        assert ppm_bytes(grid) == f"P6\n{width} {height}\n255\n".encode()
 
     def test_class_csv_round_trip(self, small_grid):
         rows = class_csv_bytes(small_grid).decode().strip().split("\n")
