@@ -45,6 +45,18 @@ layout. Small batches and densely labelled sets, where one numpy call
 per nonzero weight would cover too few entries, stay row-major
 (``_class_major``).
 
+For 1 <= k < M, unculled tiles of one shared set are class-major too
+where each of their numpy calls still covers enough entries. The
+neighbours are then picked in k rounds over prototype-major distances:
+each column's smallest distance left (``np.fmin``, which skips NaN), the
+lowest prototype index holding it, and that entry masked to NaN. These
+are the neighbours, in the order, that a stable argsort gives, ties
+broken by index and infinite distances included. Each round gathers its
+neighbour's labels as a (C, rows) block, multiplies them by the inverse
+distance and adds them to class rows that start at +0.0, so every score
+sees the row-major path's operations in its order. Culled tiles, smaller
+calls and stacked sets stay row-major.
+
 For k < M, on sets of at least 16 prototypes and calls of at least 64
 points, batches are scored in culling tiles of 512 consecutive points.
 Each tile first drops the prototypes that cannot be among the k nearest
@@ -76,14 +88,18 @@ from .core import COINCIDENT_TOL, PrototypeSet, require_integer
 # reused by every tile; the last, ragged tile takes their leading rows.
 # Culled tiles keep their distance matrices in one flat array that grows to
 # the largest kept set times rows seen in the call.
-# Neighbours are selected three ways: k=1 takes the argmin, k=M uses every
-# prototype unsorted, and 1<k<M takes a stable argsort.
+# Row-major tiles select neighbours three ways: k=1 takes the argmin, k=M
+# uses every prototype unsorted, and 1<k<M takes a stable argsort.
+# Class-major tiles take the lowest index holding each point's minimum, k
+# times for k<M with the picked entries masked (see score_block).
 _BLOCK_ENTRIES = 1 << 17
 _TILE_SCORE_ENTRIES = 1 << 15
 # At k=M with shared labels, a class-major tile makes two numpy calls per
 # nonzero label weight where a row-major one makes two per prototype; it is
 # used only where each call then still covers _CALL_ENTRIES or more of the
-# rows*M*C entries that the row-major tile works through (see _class_major).
+# rows*M*C entries that the row-major tile works through. At k<M each of its
+# rounds makes a few calls over rows*M and a few over rows*C entries, so it
+# is used only where rows*min(M, C) reaches _CALL_ENTRIES (see _class_major).
 _CALL_ENTRIES = 2048
 # A tile of stacked sets holds at most this many floats of gathered
 # positions, gathered labels and distance scratch, and a tile of invariance
@@ -133,6 +149,7 @@ def _check_rule_args(pset: PrototypeSet, k: int) -> None:
         raise ValueError(f"{pset.defect}; run validate() for details")
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def score_block(
     positions: np.ndarray,
     labels: np.ndarray,
@@ -147,9 +164,10 @@ def score_block(
     The one implementation of the decision rule; the radial label fitter
     calls it to measure its crossings. ``scratch`` is a (2, len(points), M)
     work array holding the distance matrix and its temporary, and ``prod``
-    a work array shaped like ``out`` that holds one neighbour's weighted
-    labels (unused at k=1 and on class-major tiles); both are overwritten,
-    so a caller scoring many tiles allocates them once.
+    a work array shaped and laid out like ``out`` that holds one
+    neighbour's weighted labels (unused on row-major tiles at k=1 and on
+    class-major tiles at k=M); both are overwritten, so a caller scoring
+    many tiles allocates them once.
 
     ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
     point. Either may instead be per-row, (n, M, dim) or (n, M, C): row r
@@ -162,22 +180,30 @@ def score_block(
     those of that call.
 
     Squared distances are summed coordinate by coordinate, coordinate 0
-    first. Neighbours are selected by one of three paths, each breaking
-    distance ties by prototype index: k=1 takes the first minimum
+    first; a distance that overflows is inf, and its weight 0. On a
+    row-major ``out``, neighbours are selected by one of three paths, each
+    breaking distance ties by prototype index: k=1 takes the first minimum
     (``argmin``), k=M accumulates every prototype in index order without
     sorting, and 1<k<M takes the first k of a stable ``argsort``.
     Returns each point's nearest prototype index and distance. Rows at
     distance zero hold inf or nan.
 
-    At k=M with shared labels, ``out`` may be class-major, the (rows, C)
-    view of a (C, rows) array (told apart by its strides, so at least two
-    rows). The distances are then prototype-major, ``scratch`` read as
+    With shared labels, ``out`` may be class-major, the (rows, C) view of
+    a (C, rows) array (told apart by its strides, so at least two rows).
+    The distances are then prototype-major, ``scratch`` read as
     (2, M, rows) with the same operations per entry, and the nearest
-    prototype is the lowest index holding each column's minimum. For each
-    prototype i in index order and each class j with ``labels[i, j] != 0``,
-    ``inv[i] * labels[i, j]`` is added to class row j, and ``prod`` is not
-    used. The skipped ±0.0 terms change no bit of a sum that starts at +0.0
-    (see the module docstring), so either layout gives the same scores.
+    prototype is the lowest index holding each column's minimum. At k=M,
+    for each prototype i in index order and each class j with
+    ``labels[i, j] != 0``, ``inv[i] * labels[i, j]`` is added to class row
+    j, and ``prod`` is not used; the skipped ±0.0 terms change no bit of a
+    sum that starts at +0.0 (see the module docstring). At k<M, ``prod`` is
+    class-major too, and round r = 0..k-1 finds each column's smallest
+    distance left with ``np.fmin`` (which skips NaN), takes the lowest
+    index holding it, masks that entry to NaN, gathers that prototype's
+    labels into ``prod``, multiplies them by one over the distance and
+    adds them to the class rows: the neighbours and operations of the
+    stable ``argsort`` path, in its order. Either layout gives the same
+    scores.
 
     Every distance, selection and sum is computed per point from that
     point's own row, so the tile loop may pass any subset of the prototypes
@@ -189,7 +215,7 @@ def score_block(
     """
     m, n = positions.shape[-2], len(points)
     per_row = labels.ndim == 3
-    by_class = k == m and not per_row and out.strides[0] < out.strides[1]
+    by_class = not per_row and out.strides[0] < out.strides[1]
     cols = points.T
     if by_class:
         # Prototype-major distances: every pass runs along the points.
@@ -206,41 +232,56 @@ def score_block(
         dist += tmp
     np.sqrt(dist, out=dist)
     out[...] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if by_class:
-            nearest_dist = dist.min(axis=0)
-            nearest = _first_holding(dist, nearest_dist)
-            # Each prototype's weights are a row of inv; the distances' buffer,
-            # dead now, holds one term.
+    if by_class and k == m:
+        nearest_dist = dist.min(axis=0)
+        nearest = _first_holding(dist, nearest_dist)
+        # Each prototype's weights are a row of inv; the distances' buffer,
+        # dead now, holds one term.
+        inv = np.divide(1.0, dist, out=tmp)
+        term, acc = dist.reshape(-1)[:n], list(out.T)
+        for inv_i, row in zip(inv, labels):
+            for j in np.flatnonzero(row).tolist():
+                np.multiply(inv_i, row[j], out=term)
+                np.add(acc[j], term, out=acc[j])
+        return nearest, nearest_dist
+    if by_class:
+        # Round r takes the r-th nearest of every column: the smallest
+        # distance left, at the lowest index holding it, which is then
+        # masked to NaN for the rounds after it (fmin skips NaN).
+        table, term, acc, columns = np.ascontiguousarray(labels.T), prod.T, out.T, np.arange(n)
+        for r in range(k):
+            dr = np.fmin.reduce(dist, axis=0)
+            index = _first_holding(dist, dr)
+            if r == 0:
+                nearest, nearest_dist = index, dr
+            if r + 1 < k:
+                dist[index, columns] = np.nan
+            np.take(table, index, axis=1, out=term, mode="clip")
+            term *= np.divide(1.0, dr, out=tmp[0])
+            acc += term
+        return nearest, nearest_dist
+    rows = np.arange(n)
+    if k == 1 or k == m:
+        nearest = dist.argmin(axis=1)
+        nearest_dist = dist[rows, nearest]
+        if k == 1:
+            out += (labels[rows, nearest] if per_row else labels[nearest]) * (1.0 / nearest_dist)[:, None]
+        else:
             inv = np.divide(1.0, dist, out=tmp)
-            term, acc = dist.reshape(-1)[:n], list(out.T)
-            for inv_i, row in zip(inv, labels):
-                for j in np.flatnonzero(row).tolist():
-                    np.multiply(inv_i, row[j], out=term)
-                    np.add(acc[j], term, out=acc[j])
-            return nearest, nearest_dist
-        rows = np.arange(n)
-        if k == 1 or k == m:
-            nearest = dist.argmin(axis=1)
-            nearest_dist = dist[rows, nearest]
-            if k == 1:
-                out += (labels[rows, nearest] if per_row else labels[nearest]) * (1.0 / nearest_dist)[:, None]
-            else:
-                inv = np.divide(1.0, dist, out=tmp)
-                for i in range(m):
-                    np.multiply(labels[:, i] if per_row else labels[i], inv[:, i, None], out=prod)
-                    out += prod
-            return nearest, nearest_dist
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        dk = dist[rows[:, None], order]
-        inv = 1.0 / dk
-        for i in range(k):
-            if per_row:
-                prod[...] = labels[rows, order[:, i]]
-            else:
-                labels.take(order[:, i], axis=0, out=prod)
-            prod *= inv[:, i, None]
-            out += prod
+            for i in range(m):
+                np.multiply(labels[:, i] if per_row else labels[i], inv[:, i, None], out=prod)
+                out += prod
+        return nearest, nearest_dist
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    dk = dist[rows[:, None], order]
+    inv = 1.0 / dk
+    for i in range(k):
+        if per_row:
+            prod[...] = labels[rows, order[:, i]]
+        else:
+            labels.take(order[:, i], axis=0, out=prod)
+        prod *= inv[:, i, None]
+        out += prod
     return order[:, 0], dk[:, 0]
 
 
@@ -249,6 +290,7 @@ def _culls(m: int, k: int) -> bool:
     return k < m and m >= _CULL_MIN_PROTOTYPES
 
 
+@np.errstate(over="ignore")
 def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndarray | None]:
     """Per tile of ``span`` consecutive ``pts``, the prototypes that may be among the k nearest of one of its points.
 
@@ -317,11 +359,18 @@ def _first_holding(rows: np.ndarray, value: np.ndarray, out: np.ndarray | None =
 def _class_major(labels: np.ndarray, k: int, rows: int) -> bool:
     """Whether tiles of ``rows`` rows score the shared (M, C) ``labels`` at k class-major (see _CALL_ENTRIES).
 
-    A one-row tile is never class-major: :func:`score_block` tells the
-    layouts apart by their strides, which are equal there.
+    At k = M that is where each nonzero label weight's calls cover
+    ``_CALL_ENTRIES`` of the tile's rows x M x C entries, and at k < M where
+    rows x min(M, C) reaches it: 256 rows at M = 8 and C >= 8. The tile loop
+    asks only for tiles that are not culled, and at k < M only for one set
+    shared by every row. A one-row tile is never class-major:
+    :func:`score_block` tells the layouts apart by their strides, which are
+    equal there.
     """
     m, ncls = labels.shape
-    return k == m > 1 and rows > 1 and np.count_nonzero(labels) * _CALL_ENTRIES <= rows * m * ncls
+    if k < m:
+        return rows > 1 and rows * min(m, ncls) >= _CALL_ENTRIES
+    return m > 1 and rows > 1 and np.count_nonzero(labels) * _CALL_ENTRIES <= rows * m * ncls
 
 
 def _score_tile(positions, labels, k, block, sc, hit, scratch, prod) -> None:
@@ -357,13 +406,14 @@ def _evaluate_into(
     and its distance scratch (2M), within ``_STACK_ENTRIES`` floats.
     Nothing is culled.
 
-    At k = M with shared labels, where :func:`_class_major` says it pays,
-    a tile is class-major: the (rows, C) view of a reused (C, rows)
-    buffer, copied to ``scores`` when the caller keeps them. With one set
-    it gets as many rows as fit in the bytes of the full row-major tile it
-    replaces (distances, product buffer, partition copy and, without
-    ``scores``, the tile itself), at 8(2M + C + 8) + 2(M + C) bytes per
-    row.
+    At k = M with shared labels, and at k < M with one set on unculled
+    tiles, where :func:`_class_major` says it pays, a tile is class-major:
+    the (rows, C) view of a reused (C, rows) buffer, copied to ``scores``
+    when the caller keeps them; at k < M its product buffer is class-major
+    too. With one set it gets as many rows as fit in the bytes of the full
+    row-major tile it replaces (distances, product buffer, partition copy
+    and, without ``scores``, the tile itself), at 8(2M + C + 8) + 2(M + C)
+    bytes per row, and 8C more for the product buffer at k < M.
 
     Otherwise, with one set, a tile holds at most ``_TILE_SCORE_ENTRIES``
     row-major scores, and without ``scores`` it lives in one reused
@@ -389,16 +439,17 @@ def _evaluate_into(
     gathered = sum(a.shape[1] * a.shape[2] for a in (positions, labels) if a.ndim == 3)
     score_rows = _TILE_SCORE_ENTRIES // ncls
     full = max(1, min(score_rows, _BLOCK_ENTRIES // m))
+    cull = not gathered and _culls(m, k) and n >= _CULL_MIN_POINTS
     if gathered:
         rows = _tile_rows(n, gathered + 2 * m, _STACK_ENTRIES)
     else:
         # A class-major tile spends the bytes of a full row-major one on rows of
-        # distances, tile, about 8 floats of per-row vectors, and two bytes per
-        # prototype and per class for the lowest-index searches.
+        # distances, tile, product buffer (k < M), about 8 floats of per-row
+        # vectors, and two bytes per prototype and per class for the
+        # lowest-index searches.
         budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
-        rows = _tile_rows(n, 8 * (2 * m + ncls + 8) + 2 * (m + ncls), budget)
-    class_major = labels.ndim == 2 and _class_major(labels, k, rows)
-    cull = not gathered and _culls(m, k) and n >= _CULL_MIN_POINTS
+        rows = _tile_rows(n, 8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls), budget)
+    class_major = labels.ndim == 2 and not cull and (k == m or not gathered) and _class_major(labels, k, rows)
     if cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
         span = max(1, min(_CULL_TILE, score_rows))
@@ -408,8 +459,12 @@ def _evaluate_into(
         if not (gathered or class_major):
             rows = max(1, min(n, full))
         scratch = np.empty((2, rows, m))
-    # Row-major paths for k > 1 add one prototype's weighted labels at a time.
-    prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
+    # Row-major paths for k > 1 add one prototype's weighted labels at a time,
+    # class-major k < M tiles one neighbour's.
+    if class_major and k < m:
+        prod = np.empty((ncls, rows)).T
+    else:
+        prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
     staged = class_major or scores is None
     tile = (np.empty((ncls, rows)).T if class_major else np.empty((rows, ncls))) if staged else None
     stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]

@@ -262,6 +262,7 @@ def validate(pset: PrototypeSet) -> list[str]:
     return errors
 
 
+@np.errstate(over="ignore")
 def _coincident_pairs(pos: np.ndarray) -> list[tuple[int, int]]:
     """Every pair i < j with ``norm(pos[i] - pos[j]) < COINCIDENT_TOL``, in order of i, then j.
 

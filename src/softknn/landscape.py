@@ -34,6 +34,7 @@ value, and any core count, yields bit-identical grids.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -252,13 +253,36 @@ def rasterize(
     )
 
 
+def _percentile(values: np.ndarray, percentile: float) -> float:
+    """``np.percentile(values, percentile)`` of non-empty finite ``values``, which it reorders.
+
+    numpy's linear method written out with numpy's own arithmetic, so the
+    float is the same: the virtual index (n - 1) * (percentile / 100), the
+    two order statistics around it from one partition (the last one twice
+    at or past the end), and their lerp from the nearer end.
+    ``np.percentile`` itself imports ``numpy.ma`` on its first call,
+    1.1 MiB that no render needs.
+    """
+    last = len(values) - 1
+    virtual = last * (float(percentile) / 100)
+    if virtual >= last:  # numpy reads index -1 twice, at weight virtual - (-1)
+        lo, hi, gamma = last, last, virtual + 1
+    else:
+        lo = math.floor(virtual)
+        hi, gamma = lo + 1, virtual - lo
+    values.partition((lo, hi))
+    a, b = float(values[lo]), float(values[hi])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def _ceiling(conf: np.ndarray, mode: str, percentile: float) -> float:
     """The confidence that maps to intensity 0: a percentile or the maximum of the finite values."""
     finite = conf[np.isfinite(conf)]
     if mode == "clip":
         if not 50.0 < percentile <= 100.0:
             raise ValueError(f"clip percentile must be in (50, 100], got {percentile}")
-        return float(np.percentile(finite, percentile, overwrite_input=True)) if finite.size else 0.0
+        return _percentile(finite, percentile) if finite.size else 0.0
     if mode == "log":
         return float(finite.max()) if finite.size else 0.0
     raise ValueError(f"mode must be 'clip' or 'log', got {mode!r}")
@@ -391,16 +415,18 @@ def region_report(grid: RasterGrid) -> RegionReport:
     jumping, until no link joins two roots), and a class has one
     component per remaining root.
     Areas are sums of run lengths. Memory beyond the grid is one boolean
-    per cell and a few integers per run and per link. Class ids must be
-    non-negative; a negative one is refused with a ``ValueError``.
+    per cell and a few integers per run and per link, 32-bit below 2**31
+    cells; the candidate cells are freed before the merge. Class ids must
+    be non-negative; a negative one is refused with a ``ValueError``.
     """
     classes = grid.classes
     width = classes.shape[1]
     flat = classes.ravel()
+    index = np.int32 if flat.size <= np.iinfo(np.int32).max else np.intp
     starts = np.empty(classes.shape, dtype=bool)
     starts[:, :1] = True
     np.not_equal(classes[:, 1:], classes[:, :-1], out=starts[:, 1:])
-    first = np.flatnonzero(starts)  # each run's first cell, in grid order
+    first = np.flatnonzero(starts).astype(index)  # each run's first cell, in grid order
     run_class = flat[first]
     if (run_class < 0).any():
         raise ValueError(f"class ids must be non-negative, got {sorted(set(run_class[run_class < 0].tolist()))}")
@@ -408,10 +434,13 @@ def region_report(grid: RasterGrid) -> RegionReport:
     # or the cell below a run start that does not start a run itself.
     below = first[first < flat.size - width] + width
     cells = np.concatenate((first[first >= width], below[~starts.ravel()[below]]))
+    del below, starts
     cells = cells[flat[cells] == flat[cells - width]]
-    lower = np.searchsorted(first, cells, side="right") - 1
-    upper = np.searchsorted(first, cells - width, side="right") - 1
-    parent = np.arange(len(first))
+    lower = (np.searchsorted(first, cells, side="right") - 1).astype(index)
+    cells -= width
+    upper = (np.searchsorted(first, cells, side="right") - 1).astype(index)
+    del cells
+    parent = np.arange(len(first), dtype=index)
     while not np.array_equal(a := parent[lower], b := parent[upper]):
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         hop = parent[parent]

@@ -24,10 +24,12 @@ from softknn import (
     evaluate_points,
     landscape,
     make_prototype_set,
+    polygon_pairs,
     polygon_with_center,
     rasterize,
     scaled_label_set,
     shifted_label_set,
+    star_pairs,
     three_from_two,
     transformed_set,
     validate,
@@ -457,6 +459,18 @@ class TestCulling:
         assert _BLOCK_ENTRIES // m in pieces and max(pieces) < classifier._CULL_TILE
         assert scores.tobytes() == _brute_scores(cons.set, 1, pts)[0].tobytes()
 
+    def test_overflowing_bounds(self, monkeypatch):
+        # From queries near +-1e200 every distance and every box bound
+        # overflows to inf: every prototype is kept, every weight is 0, and
+        # numpy raises no overflow warning (tier-1 makes one an error).
+        original = classifier._kept
+        kept = _spy(monkeypatch, "_kept")
+        far = np.column_stack((np.full(300, 1e200), np.linspace(-1e200, 1e200, 300)))
+        for k in (1, 3):
+            scores, predicted, _, _ = evaluate_points(circle_hard_baseline(6).set, k, far)
+            assert not scores.any() and not predicted.any()
+        assert len(kept) == 2 and all(keep is None for call in kept for keep in original(*call))
+
     def test_when_tiles_are_culled(self, monkeypatch):
         kept = _spy(monkeypatch, "_kept")
         rng = np.random.default_rng(0)
@@ -834,6 +848,137 @@ class TestClassMajorMemory:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak
+
+
+def _class_major_sorted(calls):
+    """Per spied ``score_block`` call, whether it got a class-major ``out`` at 1 <= k < M."""
+    return [call[4].strides[0] < call[4].strides[1] and call[2] < len(call[0]) for call in calls]
+
+
+def _assert_reference_bytes(pset, k, points):
+    """``evaluate_points`` and ``_predicted`` give ``_reference_outputs``' bytes (distances may overflow to inf)."""
+    with np.errstate(over="ignore"):
+        expected = _reference_outputs(pset, k, points)
+    for what, a, b in zip(("scores", "predicted", "confidence", "exact_hit"), evaluate_points(pset, k, points), expected):
+        assert a.tobytes() == b.tobytes(), (k, what)
+    assert classifier._predicted(pset, k, points).tobytes() == expected[1].tobytes(), k
+    return expected
+
+
+def _lattice_set(m, labels, scale=1.0):
+    """``m`` prototypes on distinct points of the 7 x 7 integer lattice around the origin, times ``scale``."""
+    cells = np.random.default_rng(m).choice(49, size=m, replace=False)
+    positions = np.column_stack((cells % 7, cells // 7)).astype(float) - 3.0
+    return PrototypeSet(positions * scale, labels, LabelKind.UNRESTRICTED, "lattice")
+
+
+# 625 queries on the half steps of [-6, 6]^2: many exact distance ties, at
+# the k-th place too, and exact hits on every lattice prototype.
+HALF_STEPS = np.column_stack([a.ravel() for a in np.meshgrid(np.arange(-6.0, 6.5, 0.5), np.arange(-6.0, 6.5, 0.5))])
+
+
+class TestClassMajorSorted:
+    """Class-major tiles at 1 <= k < M: where they are taken, and that their bytes are the rule's."""
+
+    def test_rule_size(self):
+        # Each numpy call of a round covers rows x M or rows x C entries.
+        labels = polygon_pairs(8).set.labels
+        assert labels.shape == (8, 16)
+        assert classifier._class_major(labels, 2, 256) and not classifier._class_major(labels, 2, 255)
+        assert classifier._class_major(labels[:, :4], 1, 512) and not classifier._class_major(labels[:, :4], 1, 511)
+
+    def test_taken_on_unculled_raster_tiles(self, monkeypatch):
+        cons = polygon_pairs(8)
+        calls = _spy(monkeypatch, "score_block")
+        rasterize(cons.set, cons.required_k, None, 256, 256)
+        assert calls and all(_class_major_sorted(calls))
+
+    def test_not_taken_on_culled_tiles_small_calls_or_stacks(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        circles = circle_hard_baseline(6).set
+        pairs = polygon_pairs(8).set
+        calls = _spy(monkeypatch, "score_block")
+        rasterize(circles, 1, None, 128, 128)
+        evaluate_points(circles, 3, rng.uniform(-8.0, 8.0, (2000, 2)))
+        evaluate_points(pairs, 2, rng.uniform(-2.0, 2.0, (24, 2)))
+        # Tiles of 2048 rows: the rule's size, were the positions shared.
+        turned = np.broadcast_to(pairs.positions, (10, 8, 2)) * rng.uniform(0.5, 2.0, (10, 1, 1))
+        classifier._evaluate_stacked(turned, pairs.labels, 2, rng.uniform(-2.0, 2.0, (10, 300, 2)))
+        assert any(len(call[3]) >= 256 for call in calls)
+        assert calls and not any(_class_major_sorted(calls))
+
+    def test_contract_reaches_the_route(self, monkeypatch):
+        # test_every_route_matches_reference's call_entries=0 draws take this
+        # route on unculled tiles of two rows or more.
+        calls = _spy(monkeypatch, "score_block")
+        pset = _lattice_set(9, np.random.default_rng(9).choice(CONTRACT_VALUES, size=(9, 3)))
+        inner = test_every_route_matches_reference.hypothesis.inner_test
+        inner(culled=False, case=(pset, 3, HALF_STEPS[::37]), tile=8, call_entries=0)
+        assert any(_class_major_sorted(calls))
+
+    @pytest.mark.parametrize("m", [4, 9, 15])
+    def test_lattice_ties_every_k(self, monkeypatch, m):
+        pset = _lattice_set(m, np.random.default_rng(m).choice(CONTRACT_VALUES, size=(m, 16)))
+        calls = _spy(monkeypatch, "score_block")
+        for k in range(1, m):
+            calls.clear()
+            assert _assert_reference_bytes(pset, k, HALF_STEPS)[3].any()
+            assert calls and all(_class_major_sorted(calls))
+
+    def test_overflowing_distances(self, monkeypatch):
+        # On a lattice scaled by 2**511 a gap of 1.5 steps squares past the
+        # largest float: each query has a few finite distances and infinite
+        # ones after them. From queries near +-1e200 every distance is
+        # infinite, and the stable order is index order.
+        m = 12
+        pset = _lattice_set(m, np.random.default_rng(1).choice(CONTRACT_VALUES, size=(m, 16)), 2.0**511)
+        signs = np.random.default_rng(2).choice([-1.0, 1.0], size=(300, 2))
+        far = signs * 1e200 * np.linspace(1.0, 1.5, 300)[:, None]
+        calls = _spy(monkeypatch, "score_block")
+        for k in range(1, m):
+            _assert_reference_bytes(pset, k, np.concatenate((HALF_STEPS * 2.0**511, far)))
+            scores = evaluate_points(pset, k, far)[0]
+            assert scores.tobytes() == np.zeros_like(scores).tobytes()
+        assert calls and all(_class_major_sorted(calls))
+
+    def test_signed_zero_and_subnormal_labels(self, monkeypatch):
+        # -0.0 and -5e-324 weights make -0.0 terms, which leave a sum that
+        # starts at +0.0 unchanged; an exact hit keeps its label's -0.0.
+        m = 10
+        pset = _lattice_set(m, np.random.default_rng(3).choice([0.0, -0.0, -5e-324, 5e-324, 1.0], size=(m, 16)))
+        calls = _spy(monkeypatch, "score_block")
+        for k in range(1, m):
+            scores = _assert_reference_bytes(pset, k, HALF_STEPS)[0]
+            assert np.signbit(scores).any() and (scores == 0.0).any()
+        assert calls and all(_class_major_sorted(calls))
+
+    @pytest.mark.parametrize(
+        "build, parent_peaks",
+        [(lambda: polygon_pairs(8), (1839372, 5771052)), (lambda: star_pairs(8), (1871340, 5541420))],
+        ids=["polygon_pairs(8)", "star_pairs(8)"],
+    )
+    def test_peak_at_most_row_major_tiles(self, build, parent_peaks):
+        # A class-major k < M tile spends at most the bytes of the row-major
+        # tile it replaced. tracemalloc peaks of _predicted and
+        # evaluate_points with row-major tiles (2-core Xeon VM, Python 3.11.7,
+        # numpy 2.4.6), outputs included: 1839372 and 5771052 B for
+        # polygon_pairs(8), 1871340 and 5541420 B for star_pairs(8). With
+        # class-major tiles the same calls read 1580384 and 5573588 B, and
+        # 1623336 and 5314774 B.
+        cons = build()
+        pset, k = cons.set, cons.required_k
+        rng = np.random.default_rng(0)
+        points = rng.uniform(pset.positions.min(axis=0) - 1, pset.positions.max(axis=0) + 1, size=(32768, 2))
+        assert 1 < k < len(pset) and classifier._class_major(pset.labels, k, 32768)
+        for entry, parent_peak in zip((classifier._predicted, evaluate_points), parent_peaks):
+            entry(pset, k, points)
+            tracemalloc.start()
+            try:
+                entry(pset, k, points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= parent_peak
 
 
 DUPLICATE_SET = ([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])

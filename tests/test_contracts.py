@@ -235,6 +235,18 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_risk_render_leaves_numpy_ma_unloaded():
+    # np.percentile imports numpy.ma (1.1 MiB traced) on its first call; the clip ceiling does without it.
+    code = (
+        "import sys, softknn.cli; from softknn import rasterize, risk_render, three_from_two; "
+        "grid = rasterize(three_from_two().set, 2, None, 32, 32); "
+        "[risk_render(grid, mode) for mode in ('clip', 'log')]; print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _top_level_names(tree: ast.Module) -> dict[str, int]:
     names = {}
     for node in tree.body:
