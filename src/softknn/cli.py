@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=float, default=99.0, help="clip percentile (default 99)")
     p.add_argument(
         "--partitions", type=int,
-        help="row blocks for the rasterizer, run on a thread pool (default: chosen by grid size)",
+        help="row blocks for the rasterizer, walked in turn (default: 1); the bytes do not depend on it",
     )
     p.add_argument("--csv", action="store_true", help="also dump class and confidence CSVs")
     p.add_argument("-o", "--output", required=True, help="output PPM path")

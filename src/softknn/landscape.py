@@ -20,23 +20,19 @@ at once, asking its predicate once per step for every bracket still open,
 and each bracket stops by the rule a lone bracket would use, so stacking
 does not change any result.
 
-Rasterization splits a grid's rows into blocks. Grids of at least four
-chunks per worker (512x512 and up on two cores) run one block per
-available core on a thread pool opened for the call; smaller ones stay on
-the calling thread. A block hands its cells to the classifier in
-rectangles at most 32 columns wide, so that wherever the classifier culls
-prototypes per tile, each culling tile is a compact patch of cells.
-It is deterministic: the per-cell computation is independent of how cells
-are partitioned into blocks, rectangles and tiles, so any ``partitions``
-value, and any core count, yields bit-identical grids.
+Rasterization walks a grid's rows on the calling thread, as one block
+or as ``partitions`` blocks in turn. A block hands its cells to the
+classifier in rectangles at most 32 columns wide, so that wherever the
+classifier culls prototypes per tile, each culling tile is a compact
+patch of cells. It is deterministic: the per-cell computation is
+independent of how cells are partitioned into blocks, rectangles and
+tiles, so any ``partitions`` value yields bit-identical grids.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,17 +51,13 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
     (154, 99, 36), (255, 216, 177),
 )
 
-# Cells per rasterize chunk, the unit of work that sizes row blocks: a
-# block's rectangles hold at most this many cells, so its reused buffers
-# of cell centers (512 KiB) and staged outputs are bounded by it.
+# Cells per rasterize chunk: a rectangle holds at most this many cells, so
+# the reused buffers of cell centers (512 KiB) and staged outputs are
+# bounded by it.
 _CHUNK_CELLS = 1 << 15
 # Width of the rectangles in which a block hands its cells to the
 # classifier, so that any culling tile is a compact patch of cells.
 _PATCH_COLS = 32
-# A grid is split across cores only if every worker gets this many chunks:
-# below that, starting threads and a per-worker buffer set cost more than
-# they save (a 256x256 grid is two chunks and stays on the calling thread).
-_CHUNKS_PER_WORKER = 4
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -160,28 +152,23 @@ def rasterize(
 ) -> RasterGrid:
     """Classify every cell center of a width x height grid over ``bounds``.
 
-    The rows are split into blocks of whole rows. By default
-    (``partitions=None``) the grid's size chooses: it gets one block per
-    available core but no more than one per row or per four chunks of
-    ``_CHUNK_CELLS`` cells, so a grid under eight chunks (256x256 is two)
-    stays one block on the calling thread on any machine.
-    ``partitions=p`` asks for p blocks instead, at most one per row. Several blocks run on a thread
-    pool of ``min(blocks, cores)`` threads that is opened for the call and
-    joined before it returns; an error in any block is raised unchanged.
-    The output is bit-identical for every split because each cell is
-    classified independently.
+    The rows are split into blocks of whole rows: one by default
+    (``partitions=None``), or ``partitions=p`` blocks, at most one per
+    row. The blocks run in turn on the calling thread. The output is
+    bit-identical for every split because each cell is classified
+    independently.
 
     Each block walks its rows in rectangles ``_PATCH_COLS`` columns wide
     (narrower at the right edge or on a narrower grid) and at most
     ``_CHUNK_CELLS // _PATCH_COLS`` rows high. A rectangle's cell centers are
-    built row by row in the block's own reused buffer, the classifier
-    writes into the block's staged class, confidence and exact-hit
-    buffers, and those are copied to the rectangle's grid cells. Wherever
-    the classifier culls prototypes (k < M, 16 prototypes or more), each
-    culling tile of 512 points then covers a patch of cells about 32 wide
-    and 16 high instead of a full-width row strip. Per-class scores exist
-    only one tile at a time, so memory beyond the outputs is bounded by one
-    rectangle and one tile per running block.
+    built row by row in one reused buffer, the classifier writes into
+    reused staged class, confidence and exact-hit buffers, and those are
+    copied to the rectangle's grid cells. Wherever the classifier culls
+    prototypes (k < M, 16 prototypes or more), each culling tile of 512
+    points then covers a patch of cells about 32 wide and 16 high instead
+    of a full-width row strip. Per-class scores exist only one tile at a
+    time, so memory beyond the outputs is bounded by one rectangle and one
+    tile.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -207,12 +194,13 @@ def rasterize(
     confidence = np.empty((height, width), dtype=float)
     patch = min(_PATCH_COLS, width)
 
-    def fill(b0: int, b1: int) -> list[tuple[int, int]]:
-        """Classify rows b0..b1-1 rectangle by rectangle through this block's own buffers; return its exact hits."""
-        rows = min(b1 - b0, _CHUNK_CELLS // patch)
-        centers = np.empty((rows * patch, 2))
-        staged = tuple(np.empty(rows * patch, dtype=t) for t in (np.int32, float, bool))
-        hits: list[tuple[int, int]] = []
+    blocks = 1 if partitions is None else min(partitions, height)
+    edges = [height * b // blocks for b in range(blocks + 1)]
+    rows = min(-(-height // blocks), _CHUNK_CELLS // patch)
+    centers = np.empty((rows * patch, 2))
+    staged = tuple(np.empty(rows * patch, dtype=t) for t in (np.int32, float, bool))
+    hits: list[tuple[int, int]] = []
+    for b0, b1 in zip(edges[:-1], edges[1:]):
         for r0 in range(b0, b1, rows):
             r1 = min(r0 + rows, b1)
             for c0 in range(0, width, patch):
@@ -226,20 +214,6 @@ def rasterize(
                 classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
                 i, j = np.nonzero(exact)
                 hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
-        return hits
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if partitions is None:
-        blocks = max(1, min(cores, height, width * height // (_CHUNKS_PER_WORKER * _CHUNK_CELLS)))
-    else:
-        blocks = min(partitions, height)
-    edges = [height * i // blocks for i in range(blocks + 1)]
-    threads = min(blocks, cores)
-    if threads == 1:
-        per_block = list(map(fill, edges[:-1], edges[1:]))
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            per_block = list(pool.map(fill, edges[:-1], edges[1:]))
 
     classes.flags.writeable = False
     confidence.flags.writeable = False
@@ -249,7 +223,7 @@ def rasterize(
         height=height,
         classes=classes,
         confidence=confidence,
-        exact_hits=tuple(sorted(hit for hits in per_block for hit in hits)),
+        exact_hits=tuple(sorted(hits)),
     )
 
 
@@ -258,8 +232,10 @@ def _percentile(values: np.ndarray, percentile: float) -> float:
 
     numpy's linear method written out with numpy's own arithmetic, so the
     float is the same: the virtual index (n - 1) * (percentile / 100), the
-    two order statistics around it from one partition (the last one twice
-    at or past the end), and their lerp from the nearer end.
+    two order statistics around it (the last one twice at or past the
+    end), and their lerp from the nearer end. The partition's kth set is
+    numpy's too, the first and last index with the two around the virtual
+    one, because which of -0.0 and +0.0 lands at an index depends on it.
     ``np.percentile`` itself imports ``numpy.ma`` on its first call,
     1.1 MiB that no render needs.
     """
@@ -270,7 +246,7 @@ def _percentile(values: np.ndarray, percentile: float) -> float:
     else:
         lo = math.floor(virtual)
         hi, gamma = lo + 1, virtual - lo
-    values.partition((lo, hi))
+    values.partition(sorted({0, lo, hi, last}))
     a, b = float(values[lo]), float(values[hi])
     diff = b - a
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma

@@ -247,6 +247,14 @@ def test_risk_render_leaves_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_thread_pools_unloaded():
+    # concurrent.futures and the logging it imports would lengthen every CLI start-up; nothing in the package uses them.
+    code = "import sys, softknn.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _top_level_names(tree: ast.Module) -> dict[str, int]:
     names = {}
     for node in tree.body:
