@@ -1,5 +1,6 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
+import os
 import re
 import sys
 import threading
@@ -272,6 +273,13 @@ class TestPatchOrder:
         assert grid.exact_hits == plain.exact_hits
 
 
+def _refuse_threads(monkeypatch):
+    def refused(thread):
+        raise AssertionError("rasterize must run on the calling thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+
+
 class TestRasterThreads:
     """Row blocks, walked in turn on the calling thread, give the bytes of a one-block raster."""
 
@@ -308,14 +316,17 @@ class TestRasterThreads:
             rasterize(pset, 2, (-1, 4, -2, 2), 64, 64, partitions=8)
         assert threading.active_count() == before
 
-    def test_rasters_start_no_thread(self, monkeypatch):
-        def refused(thread):
-            raise AssertionError("rasterize must run on the calling thread")
+    def test_small_default_raster_builds_no_pool(self, monkeypatch):
+        _refuse_threads(monkeypatch)
+        rasterize(polygon_with_center(8).set, 8, None, 256, 256)
 
-        monkeypatch.setattr(threading.Thread, "start", refused)
+    def test_large_default_raster_splits_per_core(self, monkeypatch):
+        # A split into one block per core starts no thread either, and gives
+        # the bytes of the one-block default.
+        _refuse_threads(monkeypatch)
         pset = polygon_with_center(8).set
         whole = rasterize(pset, 8, None, 1024, 1024)
-        split = rasterize(pset, 8, None, 1024, 1024, partitions=4)
+        split = rasterize(pset, 8, None, 1024, 1024, partitions=os.cpu_count() or 1)
         assert split.classes.tobytes() == whole.classes.tobytes()
         assert split.confidence.tobytes() == whole.confidence.tobytes()
 
