@@ -3,17 +3,16 @@
     python3 scripts/uncovered.py [PYTEST ARGS...]
 
 Runs ``pytest`` on ``tests/`` in this process under a line tracer
-(``sys.settrace`` and ``threading.settrace``) that records only frames of
-``src/softknn``. Then prints ``module:line: statement`` for every
-statement inside a function (methods and nested functions included) on
-none of whose own lines a line event fired, and the count. Docstrings and
-other bare constants are not statements here; a ``try`` counts through
-the statements it holds. Exits with pytest's status.
+(``sys.settrace``) that records only frames of ``src/softknn``. Then
+prints ``module:line: statement`` for every statement inside a function
+(methods and nested functions included) on none of whose own lines a
+line event fired, and the count. Docstrings and other bare constants are
+not statements here; a ``try`` counts through the statements it holds.
+Exits with pytest's status.
 """
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -62,13 +61,11 @@ def main(argv: list[str]) -> int:
         ran.setdefault(frame.f_code.co_filename, set())
         return local
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         status = pytest.main([str(REPO / "tests"), "-q", "-p", "no:cacheprovider", *argv])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):

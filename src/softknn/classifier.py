@@ -9,7 +9,7 @@ prototype's own class with infinite confidence, matching the limit of the
 inverse weighting as the distance goes to zero.
 
 All operations are pure and read-only over an immutable PrototypeSet.
-Batch evaluation partitions work internally but produces results that are
+Batch evaluation splits work into tiles but produces results that are
 bit-identical to evaluating each point on its own. The rule is written
 once, in :func:`score_block`; the radial label fitter in
 :mod:`softknn.constructions` calls the same kernel with candidate labels.

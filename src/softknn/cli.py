@@ -120,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=_parse_resolution, default=(512, 512), help="WxH, default 512x512")
     p.add_argument("--risk", choices=["clip", "log"], help="also write a risk PGM in this mode")
     p.add_argument("--percentile", type=float, default=99.0, help="clip percentile (default 99)")
-    p.add_argument(
-        "--partitions", type=int,
-        help="row blocks for the rasterizer, walked in turn (default: 1); the bytes do not depend on it",
-    )
     p.add_argument("--csv", action="store_true", help="also dump class and confidence CSVs")
     p.add_argument("-o", "--output", required=True, help="output PPM path")
 
@@ -175,7 +171,7 @@ def _cmd_classify(args) -> int:
 def _cmd_raster(args) -> int:
     pset = core.load_json(args.set)
     width, height = args.res
-    grid = landscape.rasterize(pset, args.k, args.bounds, width, height, partitions=args.partitions)
+    grid = landscape.rasterize(pset, args.k, args.bounds, width, height)
     # Render the risk map first, so that a refused percentile writes no file.
     intensity = landscape.risk_render(grid, mode=args.risk, percentile=args.percentile) if args.risk else None
     landscape.write_ppm(grid, args.output)

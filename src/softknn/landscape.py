@@ -20,13 +20,12 @@ at once, asking its predicate once per step for every bracket still open,
 and each bracket stops by the rule a lone bracket would use, so stacking
 does not change any result.
 
-Rasterization walks a grid's rows on the calling thread, as one block
-or as ``partitions`` blocks in turn. A block hands its cells to the
-classifier in rectangles at most 32 columns wide, so that wherever the
-classifier culls prototypes per tile, each culling tile is a compact
+Rasterization walks a grid on the calling thread and hands its cells to
+the classifier in rectangles at most 32 columns wide, so that wherever
+the classifier culls prototypes per tile, each culling tile is a compact
 patch of cells. It is deterministic: the per-cell computation is
-independent of how cells are partitioned into blocks, rectangles and
-tiles, so any ``partitions`` value yields bit-identical grids.
+independent of how the grid is cut into rectangles and tiles, so every
+cut yields bit-identical grids.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 # the reused buffers of cell centers (512 KiB) and staged outputs are
 # bounded by it.
 _CHUNK_CELLS = 1 << 15
-# Width of the rectangles in which a block hands its cells to the
+# Width of the rectangles in which a grid hands its cells to the
 # classifier, so that any culling tile is a compact patch of cells.
 _PATCH_COLS = 32
 
@@ -148,27 +147,21 @@ def rasterize(
     bounds: tuple[float, float, float, float] | None = None,
     width: int = 512,
     height: int = 512,
-    partitions: int | None = None,
 ) -> RasterGrid:
     """Classify every cell center of a width x height grid over ``bounds``.
 
-    The rows are split into blocks of whole rows: one by default
-    (``partitions=None``), or ``partitions=p`` blocks, at most one per
-    row. The blocks run in turn on the calling thread. The output is
-    bit-identical for every split because each cell is classified
-    independently.
-
-    Each block walks its rows in rectangles ``_PATCH_COLS`` columns wide
-    (narrower at the right edge or on a narrower grid) and at most
-    ``_CHUNK_CELLS // _PATCH_COLS`` rows high. A rectangle's cell centers are
-    built row by row in one reused buffer, the classifier writes into
-    reused staged class, confidence and exact-hit buffers, and those are
-    copied to the rectangle's grid cells. Wherever the classifier culls
-    prototypes (k < M, 16 prototypes or more), each culling tile of 512
-    points then covers a patch of cells about 32 wide and 16 high instead
-    of a full-width row strip. Per-class scores exist only one tile at a
-    time, so memory beyond the outputs is bounded by one rectangle and one
-    tile.
+    The grid is walked on the calling thread in rectangles ``_PATCH_COLS``
+    columns wide (narrower at the right edge or on a narrower grid) and at
+    most ``_CHUNK_CELLS // _PATCH_COLS`` rows high. The output is
+    bit-identical for every such cut because each cell is classified
+    independently. A rectangle's cell centers are built row by row in one
+    reused buffer, the classifier writes into reused staged class,
+    confidence and exact-hit buffers, and those are copied to the
+    rectangle's grid cells. Wherever the classifier culls prototypes
+    (k < M, 16 prototypes or more), each culling tile of 512 points then
+    covers a patch of cells about 32 wide and 16 high instead of a
+    full-width row strip. Per-class scores exist only one tile at a time,
+    so memory beyond the outputs is bounded by one rectangle and one tile.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -181,10 +174,6 @@ def rasterize(
     require_integer("height", height)
     if width < 2 or height < 2:
         raise ValueError(f"resolution must be at least 2x2, got {width}x{height}")
-    if partitions is not None:
-        require_integer("partitions", partitions)
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
     _check_rule_args(pset, k)
     xs, ys = _cell_centers(xmin, xmax, width), _cell_centers(ymin, ymax, height)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
@@ -193,27 +182,23 @@ def rasterize(
     classes = np.empty((height, width), dtype=np.int32)
     confidence = np.empty((height, width), dtype=float)
     patch = min(_PATCH_COLS, width)
-
-    blocks = 1 if partitions is None else min(partitions, height)
-    edges = [height * b // blocks for b in range(blocks + 1)]
-    rows = min(-(-height // blocks), _CHUNK_CELLS // patch)
+    rows = min(height, _CHUNK_CELLS // patch)
     centers = np.empty((rows * patch, 2))
     staged = tuple(np.empty(rows * patch, dtype=t) for t in (np.int32, float, bool))
     hits: list[tuple[int, int]] = []
-    for b0, b1 in zip(edges[:-1], edges[1:]):
-        for r0 in range(b0, b1, rows):
-            r1 = min(r0 + rows, b1)
-            for c0 in range(0, width, patch):
-                c1 = min(c0 + patch, width)
-                cells = (r1 - r0) * (c1 - c0)
-                rect = centers[:cells].reshape(r1 - r0, c1 - c0, 2)
-                rect[..., 0] = xs[c0:c1]
-                rect[..., 1] = ys[r0:r1, None]
-                out = [a[:cells] for a in staged]
-                _evaluate_into(pset.positions, pset.labels, k, centers[:cells], *out)
-                classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
-                i, j = np.nonzero(exact)
-                hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        for c0 in range(0, width, patch):
+            c1 = min(c0 + patch, width)
+            cells = (r1 - r0) * (c1 - c0)
+            rect = centers[:cells].reshape(r1 - r0, c1 - c0, 2)
+            rect[..., 0] = xs[c0:c1]
+            rect[..., 1] = ys[r0:r1, None]
+            out = [a[:cells] for a in staged]
+            _evaluate_into(pset.positions, pset.labels, k, centers[:cells], *out)
+            classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
+            i, j = np.nonzero(exact)
+            hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
 
     classes.flags.writeable = False
     confidence.flags.writeable = False
@@ -326,16 +311,16 @@ def boundary_bisect(
     """Locate the predicted-class change on the segment from ``a`` to ``b``.
 
     Returns the crossing as a fraction of the segment measured from ``a``,
-    bisected until the bracket is at most ``tol`` wide or float spacing
-    stops it narrowing. The segment is pre-scanned at ``scan + 1`` points
+    bisected until the bracket is at most ``tol`` wide (``tol >= 0``) or
+    float spacing stops it narrowing. The segment is pre-scanned at ``scan + 1`` points
     (``scan >= 1``); zero class changes raise :class:`NoCrossingError` and
     more than one raise :class:`MultipleCrossingsError` (split the segment
     and retry). If ``class_pair`` is given, the endpoint classes must match
     it in order.
 
     ``a`` and ``b`` may also be stacked segments shaped (S, dim); then S
-    fractions come back as an array, ``class_pair`` is one pair for every
-    segment or S pairs, and an error names its segment (``segment 2: ...``).
+    fractions come back as an array, ``class_pair`` is one pair (2,) for
+    every segment or S pairs (S, 2), and an error names its segment (``segment 2: ...``).
     Every segment is pre-scanned and checked before the first bisection
     step, and :func:`bisect_many` then advances all brackets together, one
     classifier call per step. Each fraction is the float the one-segment
@@ -344,17 +329,23 @@ def boundary_bisect(
     require_integer("scan", scan)
     if scan < 1:
         raise ValueError(f"scan must be >= 1, got {scan}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     stacked = a.ndim == 2
     a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
     if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] != pset.dim:
         raise ValueError(f"segment ends must both be ({pset.dim},) or (S, {pset.dim}), got {a.shape} and {b.shape}")
+    expected = None if class_pair is None else np.asarray(class_pair, dtype=int)
+    if expected is not None:
+        if expected.shape not in ((2,), (len(a2), 2)):
+            raise ValueError(f"class_pair must be (2,) or ({len(a2)}, 2), got shape {expected.shape}")
+        expected = np.broadcast_to(expected, (len(a2), 2))
     ts = np.linspace(0.0, 1.0, scan + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite points are refused by _predicted
         pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
     predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), scan + 1)
-    expected = None if class_pair is None else np.broadcast_to(np.asarray(class_pair, dtype=int), (len(a2), 2))
     lo, hi = np.empty(len(a2)), np.empty(len(a2))
     for i, row in enumerate(predicted):
         where = f"segment {i}: " if stacked else ""
@@ -491,10 +482,12 @@ def ppm_bytes(grid: RasterGrid) -> bytearray:
 
 
 def pgm_bytes(intensity: np.ndarray) -> bytearray:
-    """Binary PGM (P5) of an intensity grid in [0, 1] (0 = black)."""
+    """Binary PGM (P5) of an intensity grid in [0, 1] (0 = black); NaN is refused."""
 
     def encode(rows, scaled, out):
         np.clip(rows, 0.0, 1.0, out=scaled)
+        if np.isnan(scaled).any():
+            raise ValueError("intensity must not hold NaN")
         scaled *= 255.0
         out[..., 0] = np.round(scaled, out=scaled)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from softknn import (
+    RasterGrid,
     boundary_bisect,
     circle_hard_baseline,
     circle_soft_fit,
@@ -19,6 +20,7 @@ from softknn import (
     concentric_ellipses,
     confidence_csv_bytes,
     default_bounds,
+    evaluate_points,
     n_from_two,
     pgm_bytes,
     polygon_pairs,
@@ -35,6 +37,7 @@ from softknn import (
     verify_hard_label_oracle,
     verify_invariances,
 )
+from softknn import landscape
 
 BOUNDARY_TOL = 1e-6
 
@@ -234,21 +237,26 @@ def test_09_risk_gradient(capsys):
     )
 
 
-def test_10_raster_determinism(capsys):
+def test_10_raster_determinism(capsys, monkeypatch):
     cons = star_pairs(4)
-    outputs = []
-    for partitions in (1, 4, 32):
-        grid = rasterize(cons.set, 2, default_bounds(cons.set), 512, 512, partitions=partitions)
-        outputs.append(
-            (
-                ppm_bytes(grid),
-                pgm_bytes(risk_render(grid, "log")),
-                class_csv_bytes(grid),
-                confidence_csv_bytes(grid),
-            )
-        )
-    ok = outputs[0] == outputs[1] == outputs[2]
+    grid = rasterize(cons.set, 2, default_bounds(cons.set), 512, 512)
+    # The same grid from one evaluate_points call per row of cell centres.
+    xs, ys = grid.cell_centers_x(), grid.cell_centers_y()
+    rows = [evaluate_points(cons.set, 2, np.column_stack((xs, np.full_like(xs, y))))[1:] for y in ys]
+    classes, confidence, exact = (np.stack(parts) for parts in zip(*rows))
+    hits = tuple(zip(*(index.tolist() for index in np.nonzero(exact))))
+    grids = [grid, RasterGrid(grid.bounds, 512, 512, classes.astype(np.int32), confidence, hits)]
+    # Rasters cut into rectangles 1 and 16 rows high (32 and 512 cells).
+    for chunk in (32, 512):
+        monkeypatch.setattr(landscape, "_CHUNK_CELLS", chunk)
+        grids.append(rasterize(cons.set, 2, default_bounds(cons.set), 512, 512))
+    outputs = [
+        (ppm_bytes(g), pgm_bytes(risk_render(g, "log")), class_csv_bytes(g), confidence_csv_bytes(g), g.exact_hits)
+        for g in grids
+    ]
+    ok = all(out == outputs[0] for out in outputs[1:])
     report(
         capsys, 10, ok,
-        "rasterization with 1, 4, and 32 partitions produces bit-identical PPM/PGM/CSV outputs",
+        "rasterization equals one evaluate_points call per row, and rectangles 1 and 16 rows high "
+        "produce bit-identical PPM/PGM/CSV outputs",
     )

@@ -802,8 +802,10 @@ def test_every_route_matches_reference(culled, case, tile, call_entries):
             ys = landscape._cell_centers(*CONTRACT_BOUNDS[2:], CONTRACT_CELLS)
             centres = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
             _, classes, confidence, hit = _reference_outputs(pset, k, centres)
-            for partitions in (1, 3):
-                grid = rasterize(pset, k, CONTRACT_BOUNDS, CONTRACT_CELLS, CONTRACT_CELLS, partitions=partitions)
+            cols = min(landscape._PATCH_COLS, CONTRACT_CELLS)
+            for rows in (CONTRACT_CELLS, 5):  # rectangles as high as the grid, then a third of it
+                patch(landscape, "_CHUNK_CELLS", rows * cols)
+                grid = rasterize(pset, k, CONTRACT_BOUNDS, CONTRACT_CELLS, CONTRACT_CELLS)
                 assert grid.classes.tobytes() == classes.astype(np.int32).tobytes()
                 assert grid.confidence.tobytes() == confidence.tobytes()
                 assert list(grid.exact_hits) == [divmod(int(i), CONTRACT_CELLS) for i in np.flatnonzero(hit)]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from softknn import landscape
 from softknn.cli import main
+from softknn.core import load_json
 
 
 def run(*argv):
@@ -58,25 +60,25 @@ class TestClassify:
 
 
 class TestRaster:
-    def test_partitions_do_not_change_bytes(self, pair_json, tmp_path):
-        outputs = []
-        for p in ("1", "4", "32"):
-            target = tmp_path / f"map{p}.ppm"
-            code = run(
-                "raster", "-s", str(pair_json), "-k", "2", "--res", "128x128",
-                "--bounds=-1,4,-2,2", "--risk", "log", "--csv",
-                "--partitions", p, "-o", str(target),
-            )
-            assert code == 0
-            outputs.append(
-                (
-                    target.read_bytes(),
-                    target.with_suffix(".pgm").read_bytes(),
-                    target.with_suffix(".csv").read_bytes(),
-                    target.with_suffix(".confidence.csv").read_bytes(),
-                )
-            )
-        assert outputs[0] == outputs[1] == outputs[2]
+    def test_writes_the_bytes_of_rasterize_and_the_exports(self, pair_json, tmp_path):
+        target = tmp_path / "map.ppm"
+        code = run(
+            "raster", "-s", str(pair_json), "-k", "2", "--res", "128x96",
+            "--bounds=-1,4,-2,2", "--risk", "log", "--csv", "-o", str(target),
+        )
+        assert code == 0
+        grid = landscape.rasterize(load_json(pair_json), 2, (-1.0, 4.0, -2.0, 2.0), 128, 96)
+        assert target.read_bytes() == landscape.ppm_bytes(grid)
+        assert target.with_suffix(".pgm").read_bytes() == landscape.pgm_bytes(landscape.risk_render(grid, "log"))
+        assert target.with_suffix(".csv").read_bytes() == landscape.class_csv_bytes(grid)
+        assert target.with_suffix(".confidence.csv").read_bytes() == landscape.confidence_csv_bytes(grid)
+
+    def test_partitions_flag_refused(self, pair_json, tmp_path, capsys):
+        target = tmp_path / "m.ppm"
+        code = run("raster", "-s", str(pair_json), "-k", "2", "--res", "32x32", "--partitions", "4", "-o", str(target))
+        assert code == 2
+        assert "unrecognized arguments: --partitions 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pair_json]
 
     def test_reports_distinct_classes(self, pair_json, tmp_path, capsys):
         run(

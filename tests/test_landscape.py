@@ -1,8 +1,6 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
-import os
 import re
-import sys
 import threading
 import tracemalloc
 
@@ -87,14 +85,11 @@ class TestRasterize:
     def test_three_classes_at_figure_framing(self, pair_grid):
         assert region_report(pair_grid).distinct_classes == 3
 
-    def test_partitioning_is_bit_identical(self, pair):
-        grids = [
-            rasterize(pair.set, 2, (-1, 4, -2, 2), 256, 256, partitions=p) for p in (1, 8, 37)
-        ]
-        for other in grids[1:]:
-            assert np.array_equal(grids[0].classes, other.classes)
-            assert np.array_equal(grids[0].confidence, other.confidence)
-            assert grids[0].exact_hits == other.exact_hits
+    def test_partitioning_is_bit_identical(self, pair, monkeypatch):
+        whole = rasterize(pair.set, 2, (-1, 4, -2, 2), 256, 256)
+        for bands in (8, 37):
+            _cut_into_bands(monkeypatch, 256, bands)
+            _assert_same_bytes(rasterize(pair.set, 2, (-1, 4, -2, 2), 256, 256), whole)
 
     def test_invalid_bounds(self, pair):
         with pytest.raises(ValueError, match="well-ordered"):
@@ -136,6 +131,17 @@ class TestRasterize:
             assert counts[2] == cons.claimed_classes
 
 
+def _cut_into_bands(monkeypatch, height, bands):
+    """Make rasters ``height`` rows high walk their rows in at most ``bands`` bands of rectangles."""
+    monkeypatch.setattr(landscape, "_CHUNK_CELLS", -(-height // bands) * landscape._PATCH_COLS)
+
+
+def _assert_same_bytes(grid, reference):
+    assert grid.classes.tobytes() == reference.classes.tobytes()
+    assert grid.confidence.tobytes() == reference.confidence.tobytes()
+    assert grid.exact_hits == reference.exact_hits
+
+
 def _reference_raster(pset, k, bounds, width, height):
     """Every cell center at once: ``evaluate_points`` over the full meshgrid."""
     xmin, xmax, ymin, ymax = bounds
@@ -147,8 +153,8 @@ def _reference_raster(pset, k, bounds, width, height):
     return predicted.reshape(height, width), conf.reshape(height, width), hits
 
 
-def _assert_matches_reference(pset, k, bounds, width, height, partitions=1):
-    grid = rasterize(pset, k, bounds, width, height, partitions=partitions)
+def _assert_matches_reference(pset, k, bounds, width, height):
+    grid = rasterize(pset, k, bounds, width, height)
     classes, conf, hits = _reference_raster(pset, k, bounds, width, height)
     assert np.array_equal(grid.classes, classes)
     assert np.array_equal(grid.confidence, conf)
@@ -207,14 +213,16 @@ class TestRasterTiles:
         grid = _assert_matches_reference(pset, 2, self.BOUNDS, self.WIDTH, self.HEIGHT)
         assert np.all(np.isinf(grid.confidence)) and np.all(grid.classes == 0)
 
-    @pytest.mark.parametrize("partitions", [1, 3, 7])
-    def test_partitions_at_odd_height(self, partitions):
-        pset = self._soft_set(30, 6, partitions)
-        _assert_matches_reference(pset, 4, (0.0, 301.0, 0.0, 37.0), 301, 37, partitions)
+    @pytest.mark.parametrize("bands", [1, 3, 7])
+    def test_partitions_at_odd_height(self, monkeypatch, bands):
+        # The 37 rows walked in 1, 3 or 7 bands of rectangles: 37, 13 or 6 rows high.
+        _cut_into_bands(monkeypatch, 37, bands)
+        pset = self._soft_set(30, 6, bands)
+        _assert_matches_reference(pset, 4, (0.0, 301.0, 0.0, 37.0), 301, 37)
 
     def test_several_row_bands_of_rectangles(self):
-        # One block of 1100 rows is walked in two bands of rectangles, 1024
-        # rows and then 76, each band 32 columns wide and then 1.
+        # The 1100 rows are walked in two bands of rectangles, 1024 rows and
+        # then 76, each band 32 columns wide and then 1.
         assert _CHUNK_CELLS // 32 == 1024
         pset = self._soft_set(30, 4, 11)
         grid = _assert_matches_reference(pset, 3, (180.0, 213.0, 0.0, 1100.0), 33, 1100)
@@ -260,17 +268,17 @@ class TestRasterTilesCulled(TestRasterTiles):
 class TestPatchOrder:
     """Culled rasters give the bytes of unculled rasters of the same set."""
 
-    @pytest.mark.parametrize("partitions", [1, 3, None])
+    @pytest.mark.parametrize("bands", [1, 3, None])
     @pytest.mark.parametrize("width, height", [(300, 170), (31, 40), (1100, 40)])
-    def test_strips_match_grid_order(self, monkeypatch, partitions, width, height):
+    def test_strips_match_grid_order(self, monkeypatch, bands, width, height):
+        # The rows walked in one band of rectangles, in three, or in the default cut.
+        if bands is not None:
+            _cut_into_bands(monkeypatch, height, bands)
         cons = circle_hard_baseline(6)
         assert classifier._culls(len(cons.set), 1)
-        grid = rasterize(cons.set, 1, None, width, height, partitions)
+        grid = rasterize(cons.set, 1, None, width, height)
         monkeypatch.setattr(classifier, "_CULL_MIN_PROTOTYPES", len(cons.set) + 1)
-        plain = rasterize(cons.set, 1, None, width, height, partitions)
-        assert grid.classes.tobytes() == plain.classes.tobytes()
-        assert grid.confidence.tobytes() == plain.confidence.tobytes()
-        assert grid.exact_hits == plain.exact_hits
+        _assert_same_bytes(grid, rasterize(cons.set, 1, None, width, height))
 
 
 def _refuse_threads(monkeypatch):
@@ -280,98 +288,77 @@ def _refuse_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refused)
 
 
-class TestRasterThreads:
-    """Row blocks, walked in turn on the calling thread, give the bytes of a one-block raster."""
+# Cuts of a raster into rectangles, as (_CHUNK_CELLS, _PATCH_COLS):
+# rectangles one row high, 16 rows high, 7 columns by 5 rows, one column
+# wide, 64 columns wide, and 11 rows high (37 bands of a 400-row grid).
+CUTS = [
+    pytest.param(32, 32, id="one-row"),
+    pytest.param(512, 32, id="16-row"),
+    pytest.param(35, 7, id="7x5"),
+    pytest.param(_CHUNK_CELLS, 1, id="one-column"),
+    pytest.param(_CHUNK_CELLS, 64, id="64-wide"),
+    pytest.param(11 * 32, 32, id="37-bands"),
+]
 
-    @pytest.mark.parametrize("blocks", [2, 4])
-    def test_block_counts_give_identical_bytes(self, pair, blocks):
-        height = 400
-        grids = [rasterize(pair.set, 2, HIT_BOUNDS, 500, height, partitions=p) for p in (1, blocks, 7, height + 1, None)]
-        assert grids[0].exact_hits == ((200, 100), (200, 400))
-        for other in grids[1:]:
-            assert other.classes.tobytes() == grids[0].classes.tobytes()
-            assert other.confidence.tobytes() == grids[0].confidence.tobytes()
-            assert other.exact_hits == grids[0].exact_hits
 
-    def test_more_threads_than_cores_with_fast_switching(self, pair):
-        # Blocks share the output arrays and write disjoint rows; 37 blocks,
-        # with the interpreter switching threads every microsecond, must not
-        # lose or mix any row.
-        reference = rasterize(pair.set, 2, HIT_BOUNDS, 500, 400, partitions=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            grid = rasterize(pair.set, 2, HIT_BOUNDS, 500, 400, partitions=37)
-        finally:
-            sys.setswitchinterval(interval)
-        assert grid.classes.tobytes() == reference.classes.tobytes()
-        assert grid.confidence.tobytes() == reference.confidence.tobytes()
-        assert grid.exact_hits == reference.exact_hits
+class TestSplitInvarianceOnCallingThread:
+    """Any cut of a grid into rectangles, walked on the calling thread, gives the bytes of the default raster."""
 
-    def test_worker_error_comes_out_unchanged(self):
-        # Scores overflow only near the prototypes, in the middle blocks.
+    @pytest.mark.parametrize("chunk, patch", CUTS)
+    def test_cuts_give_identical_bytes(self, monkeypatch, pair, chunk, patch):
+        # Exact hits on a 400-row grid, and odd-sized grids on every
+        # selection path, k = 1 on 68 prototypes culled where a call has 64
+        # cells or more.
+        sets = ((star_pairs(4), 2), (circle_hard_baseline(6), 1), (polygon_with_center(8), 8), (polygon_pairs(8), 2))
+        cases = [(pair.set, 2, HIT_BOUNDS, 500, 400)] + [(cons.set, k, None, 157, 101) for cons, k in sets]
+        wholes = [rasterize(*case) for case in cases]
+        assert wholes[0].exact_hits == ((200, 100), (200, 400))
+        monkeypatch.setattr(landscape, "_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(landscape, "_PATCH_COLS", patch)
+        for case, whole in zip(cases, wholes):
+            _assert_same_bytes(rasterize(*case), whole)
+
+    def test_scoring_error_comes_out_unchanged(self, monkeypatch):
+        # Scores overflow only near the prototypes, in the middle bands.
+        _cut_into_bands(monkeypatch, 64, 8)
         pset = make_prototype_set([(0.0, 0.0), (3.0, 0.0)], np.array([[1e308, 0.0], [0.0, 1e308]]))
-        before = threading.active_count()
         with pytest.raises(ValueError, match="^scores overflow to a non-finite value; the label weights are too large$"):
-            rasterize(pset, 2, (-1, 4, -2, 2), 64, 64, partitions=8)
-        assert threading.active_count() == before
+            rasterize(pset, 2, (-1, 4, -2, 2), 64, 64)
 
-    def test_small_default_raster_builds_no_pool(self, monkeypatch):
+    def test_default_raster_starts_no_thread(self, monkeypatch):
         _refuse_threads(monkeypatch)
-        rasterize(polygon_with_center(8).set, 8, None, 256, 256)
+        rasterize(polygon_with_center(8).set, 8, None, 1024, 1024)
 
-    def test_large_default_raster_splits_per_core(self, monkeypatch):
-        # A split into one block per core starts no thread either, and gives
-        # the bytes of the one-block default.
-        _refuse_threads(monkeypatch)
-        pset = polygon_with_center(8).set
-        whole = rasterize(pset, 8, None, 1024, 1024)
-        split = rasterize(pset, 8, None, 1024, 1024, partitions=os.cpu_count() or 1)
-        assert split.classes.tobytes() == whole.classes.tobytes()
-        assert split.confidence.tobytes() == whole.confidence.tobytes()
-
-    def test_wide_default_raster_has_a_block_per_row_at_most(self, pair):
+    def test_wide_grid_cut_into_rows_gives_identical_bytes(self, monkeypatch, pair):
+        # 1536 rectangles 32 columns wide, two rows high and then one.
         width = 3 * _CHUNK_CELLS // 2
         bounds = (-1.0, 4.0, -0.5, 0.5)
-        split = rasterize(pair.set, 2, bounds, width, 2, partitions=4)
         whole = rasterize(pair.set, 2, bounds, width, 2)
-        assert split.classes.tobytes() == whole.classes.tobytes()
-        assert split.confidence.tobytes() == whole.confidence.tobytes()
+        _cut_into_bands(monkeypatch, 2, 2)
+        _assert_same_bytes(rasterize(pair.set, 2, bounds, width, 2), whole)
 
-    def test_forced_split_memory_bounded_per_worker(self):
-        # Blocks run in turn through one set of reused buffers, so four
-        # blocks stay within the bound of one.
-        pset = polygon_with_center(8).set
-        tracemalloc.start()
-        try:
-            grid = rasterize(pset, 8, None, 512, 512, partitions=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - grid.classes.nbytes - grid.confidence.nbytes < 4 * 2**20
 
-    @pytest.mark.parametrize(
-        "value, message",
-        [
-            (0, "partitions must be >= 1"),
-            (2.5, "partitions must be an integer"),
-            (True, "partitions must be an integer"),
-            (2.5, "width must be an integer"),
-            (True, "height must be an integer"),
-            (np.float64(16.0), "width must be an integer"),
-            (2.5, "scan must be an integer"),
-            (True, "scan must be an integer"),
-        ],
-    )
-    def test_refuses_bad_partitions(self, pair, value, message):
-        # The message's first word names the argument that gets the value:
-        # rasterize's partitions, width or height, or boundary_bisect's scan.
-        name = message.split()[0]
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
-            if name == "scan":
-                boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=value)
-            else:
-                rasterize(pair.set, 2, (-1, 4, -2, 2), **{"width": 16, "height": 16, name: value})
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (2.5, "width must be an integer"),
+        (True, "height must be an integer"),
+        (np.float64(16.0), "width must be an integer"),
+        (2.5, "scan must be an integer"),
+        (True, "scan must be an integer"),
+        (np.nan, "tol must be >= 0"),
+        (-1.0, "tol must be >= 0"),
+    ],
+)
+def test_refuses_bad_width_height_scan_and_tol(pair, value, message):
+    # The message's first word names the argument that gets the value:
+    # rasterize's width or height, or boundary_bisect's scan or tol.
+    name = message.split()[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
+        if name in ("scan", "tol"):
+            boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), **{name: value})
+        else:
+            rasterize(pair.set, 2, (-1, 4, -2, 2), **{"width": 16, "height": 16, name: value})
 
 
 class TestRiskRender:
@@ -480,10 +467,11 @@ class TestBoundaryBisect:
         frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), class_pair=(0, 1))
         assert 0.0 < frac < 1.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0])
     def test_non_positive_tol_stops_at_float_spacing(self, pair, tol):
         # The bracket cannot narrow below float spacing; bisection must stop
-        # there instead of looping forever.
+        # there instead of looping forever. A negative tol is refused
+        # (test_refuses_bad_width_height_scan_and_tol).
         frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), tol=tol)
         assert abs(frac - 2 / 3) < 1e-15
 
@@ -622,6 +610,20 @@ class TestStackedBoundaryBisect:
         # One pair applies to every segment.
         with pytest.raises(ValueError, match=r"^segment 1: expected endpoint classes \(0, 1\), found \(1, 2\)$"):
             boundary_bisect(pair.set, 2, starts, ends, class_pair=(0, 1))
+
+    @pytest.mark.parametrize(
+        "a, b, class_pair, shape",
+        [
+            ((0.0, 0.0), (1.5, 0.0), (0, 1, 2), "(1, 2), got shape (3,)"),
+            ((0.0, 0.0), (1.5, 0.0), (0,), "(1, 2), got shape (1,)"),
+            ([(0.0, 0.0)] * 3, [(1.5, 0.0)] * 3, [(0, 1)] * 2, "(3, 2), got shape (2, 2)"),
+            ([(0.0, 0.0)] * 3, [(1.5, 0.0)] * 3, [[(0, 1)]], "(3, 2), got shape (1, 1, 2)"),
+        ],
+        ids=["three-classes", "one-class", "two-pairs-for-three-segments", "nested-pair"],
+    )
+    def test_class_pair_shape_refused(self, pair, no_bisection, a, b, class_pair, shape):
+        with pytest.raises(ValueError, match=f"^class_pair must be \\(2,\\) or {re.escape(shape)}$"):
+            boundary_bisect(pair.set, 2, a, b, class_pair=class_pair)
 
     def test_class_pairs_accepted(self, pair):
         starts, ends = [(0.0, 0.0), (1.5, 0.0)], [(1.5, 0.0), (3.0, 0.0)]
@@ -889,6 +891,14 @@ class TestExports:
         data = pgm_bytes(intensity)
         assert data.startswith(b"P5\n32 16\n255\n")
         assert len(data) == len(b"P5\n32 16\n255\n") + 32 * 16
+
+    @pytest.mark.parametrize("width", [32, 700])
+    def test_pgm_refuses_nan(self, width):
+        # At width 700 the NaN sits in the last of three chunks encoded.
+        intensity = np.full((120, width), 0.5)
+        intensity[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="^intensity must not hold NaN$"):
+            pgm_bytes(intensity)
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_images_are_headers(self, shape):

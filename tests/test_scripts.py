@@ -1,5 +1,6 @@
-"""The repository's measuring scripts: ``scripts/code_lines.py``."""
+"""The repository's measuring scripts: ``scripts/code_lines.py`` and ``scripts/uncovered.py``."""
 
+import ast
 import importlib.util
 import textwrap
 from pathlib import Path
@@ -9,12 +10,21 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.fixture(scope="module")
-def code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def code_lines():
+    return _load("code_lines")
+
+
+@pytest.fixture(scope="module")
+def uncovered():
+    return _load("uncovered")
 
 
 def _count(code_lines, source: str) -> int:
@@ -89,3 +99,67 @@ class TestCodeLines:
         (tmp_path / "notes.txt").write_text("w = 4\n")
         assert code_lines.main([str(tmp_path)]) == 0
         assert capsys.readouterr().out == "a 1\nb 4\ntotal 5\n"
+
+
+def _statements(uncovered, source: str) -> list[tuple[str, int, list[int]]]:
+    """(node type, first line, own lines) of each statement ``function_statements`` lists, in its order."""
+    tree = ast.parse(textwrap.dedent(source))
+    return [(type(node).__name__, node.lineno, sorted(lines)) for node, lines in uncovered.function_statements(tree)]
+
+
+class TestFunctionStatements:
+    def test_docstrings_and_bare_constants_are_not_statements(self, uncovered):
+        source = """
+            def f():
+                \"\"\"Docstring.\"\"\"
+                ...
+                7
+                x = 1
+        """
+        assert _statements(uncovered, source) == [("Assign", 6, [6])]
+
+    def test_try_counts_through_its_children(self, uncovered):
+        source = """
+            def f():
+                try:
+                    a = 1
+                except ValueError:
+                    b = 2
+                else:
+                    c = 3
+                finally:
+                    d = 4
+        """
+        assert _statements(uncovered, source) == [
+            ("Assign", 4, [4]), ("Assign", 8, [8]), ("Assign", 10, [10]), ("Assign", 6, [6]),
+        ]
+
+    def test_decorator_lines_count_and_nested_functions_are_listed(self, uncovered):
+        source = """
+            def outer():
+                @staticmethod
+                def inner(
+                    a,
+                ):
+                    return a
+                return inner
+        """
+        # inner's own lines are its signature and its decorator, not its body.
+        assert _statements(uncovered, source) == [
+            ("FunctionDef", 4, [3, 4, 5, 6]), ("Return", 7, [7]), ("Return", 8, [8]),
+        ]
+
+    def test_module_level_statements_are_not_listed(self, uncovered):
+        source = """
+            x = 1
+            if x:
+                y = 2
+
+
+            class A:
+                z = 3
+
+                def m(self):
+                    return 4
+        """
+        assert _statements(uncovered, source) == [("Return", 11, [11])]
