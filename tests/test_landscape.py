@@ -1,5 +1,6 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
+import os
 import re
 import threading
 import tracemalloc
@@ -325,10 +326,6 @@ class TestSplitInvarianceOnCallingThread:
         with pytest.raises(ValueError, match="^scores overflow to a non-finite value; the label weights are too large$"):
             rasterize(pset, 2, (-1, 4, -2, 2), 64, 64)
 
-    def test_default_raster_starts_no_thread(self, monkeypatch):
-        _refuse_threads(monkeypatch)
-        rasterize(polygon_with_center(8).set, 8, None, 1024, 1024)
-
     def test_wide_grid_cut_into_rows_gives_identical_bytes(self, monkeypatch, pair):
         # 1536 rectangles 32 columns wide, two rows high and then one.
         width = 3 * _CHUNK_CELLS // 2
@@ -336,6 +333,23 @@ class TestSplitInvarianceOnCallingThread:
         whole = rasterize(pair.set, 2, bounds, width, 2)
         _cut_into_bands(monkeypatch, 2, 2)
         _assert_same_bytes(rasterize(pair.set, 2, bounds, width, 2), whole)
+
+
+class TestRasterThreads:
+    """Rasters of any size, cut any way, start no thread."""
+
+    def test_small_default_raster_builds_no_pool(self, monkeypatch):
+        _refuse_threads(monkeypatch)
+        rasterize(polygon_with_center(8).set, 8, None, 256, 256)
+
+    def test_large_default_raster_splits_per_core(self, monkeypatch):
+        # A cut into one band of rows per core starts no thread either, and
+        # gives the bytes of the default cut.
+        _refuse_threads(monkeypatch)
+        pset = polygon_with_center(8).set
+        whole = rasterize(pset, 8, None, 1024, 1024)
+        _cut_into_bands(monkeypatch, 1024, os.cpu_count() or 1)
+        _assert_same_bytes(rasterize(pset, 8, None, 1024, 1024), whole)
 
 
 @pytest.mark.parametrize(
