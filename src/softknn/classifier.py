@@ -45,8 +45,9 @@ layout. Small batches and densely labelled sets, where one numpy call
 per nonzero weight would cover too few entries, stay row-major
 (``_class_major``).
 
-For 1 <= k < M, unculled tiles of one shared set are class-major too
-where each of their numpy calls still covers enough entries. The
+For 1 <= k < M, unculled tiles with one shared set of labels are
+class-major too where each of their numpy calls still covers enough
+entries, whether the positions are shared or stacked per set. The
 neighbours are then picked in k rounds over prototype-major distances:
 each column's smallest distance left (``np.fmin``, which skips NaN), the
 lowest prototype index holding it, and that entry masked to NaN. These
@@ -54,8 +55,9 @@ are the neighbours, in the order, that a stable argsort gives, ties
 broken by index and infinite distances included. Each round gathers its
 neighbour's labels as a (C, rows) block, multiplies them by the inverse
 distance and adds them to class rows that start at +0.0, so every score
-sees the row-major path's operations in its order. Culled tiles, smaller
-calls and stacked sets stay row-major.
+sees the row-major path's operations in its order. Smaller calls stay
+row-major, and so do culled tiles: k rounds cost about k(M + C) per
+point, which at large k is far more than the row-major path's one sort.
 
 For k < M, on sets of at least 16 prototypes and calls of at least 64
 points, batches are scored in culling tiles of 512 consecutive points.
@@ -83,15 +85,16 @@ from .core import COINCIDENT_TOL, PrototypeSet, require_integer
 # matrix, and rows*classes of the score and product buffers. Small enough
 # that a tile's temporaries stay cache-resident and memory is bounded by the
 # tile, not by the number of points times the number of classes. The
-# distance matrix, its temporary, the product buffer (k>1, row-major) and,
-# when the caller keeps no scores, the score buffer are allocated once per call and
-# reused by every tile; the last, ragged tile takes their leading rows.
-# Culled tiles keep their distance matrices in one flat array that grows to
-# the largest kept set times rows seen in the call.
-# Row-major tiles select neighbours three ways: k=1 takes the argmin, k=M
-# uses every prototype unsorted, and 1<k<M takes a stable argsort.
-# Class-major tiles take the lowest index holding each point's minimum, k
-# times for k<M with the picked entries masked (see score_block).
+# distance matrix, its temporary, the product buffer (as many rows as one
+# score_block call) and, when the caller keeps no scores, the score buffer
+# are allocated once per call and reused by every tile; the last, ragged
+# tile takes their leading rows. Culled tiles keep their distance matrices
+# in one flat array that grows to the largest kept set times rows seen in
+# the call.
+# Row-major tiles take every prototype in index order at k=M and the first
+# k of a stable argsort (the argmin at k=1) at k<M, and add the neighbours
+# in one loop. Class-major tiles take the lowest index holding each point's
+# minimum, k times for k<M with the picked entries masked (see score_block).
 _BLOCK_ENTRIES = 1 << 17
 _TILE_SCORE_ENTRIES = 1 << 15
 # At k=M with shared labels, a class-major tile makes two numpy calls per
@@ -111,12 +114,10 @@ _STACK_ENTRIES = 1 << 16
 # per-point work over the classes stays, so culling is skipped where it
 # costs about as much as it saves: calls of fewer than _CULL_MIN_POINTS
 # points (the verify harness's small calls and bisection steps) and sets of
-# fewer than _CULL_MIN_PROTOTYPES prototypes. The margin only widens the
-# kept set; _kept explains why the result is exact without it.
+# fewer than _CULL_MIN_PROTOTYPES prototypes.
 _CULL_TILE = 512
 _CULL_MIN_POINTS = 64
 _CULL_MIN_PROTOTYPES = 16
-_CULL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,26 +166,26 @@ def score_block(
     calls it to measure its crossings. ``scratch`` is a (2, len(points), M)
     work array holding the distance matrix and its temporary, and ``prod``
     a work array shaped and laid out like ``out`` that holds one
-    neighbour's weighted labels (unused on row-major tiles at k=1 and on
-    class-major tiles at k=M); both are overwritten, so a caller scoring
-    many tiles allocates them once.
+    neighbour's weighted labels (unused on class-major tiles at k=M); both
+    are overwritten, so a caller scoring many tiles allocates them once.
 
     ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
     point. Either may instead be per-row, (n, M, dim) or (n, M, C): row r
     of ``points`` is then scored against ``positions[r]`` or ``labels[r]``
     only. Per-row positions are read by broadcasting their (dim, n, M)
     transpose against the query columns, and per-row labels by indexing with
-    the row (``labels[rows, nearest]``, ``labels[:, i]``,
-    ``labels[rows, order[:, i]]``); each element sees the same operations
-    in the same order as in a call for its own set alone, so the bits are
-    those of that call.
+    the row (``labels[rows, order[:, i]]``); each element sees the same
+    operations in the same order as in a call for its own set alone, so the
+    bits are those of that call.
 
     Squared distances are summed coordinate by coordinate, coordinate 0
     first; a distance that overflows is inf, and its weight 0. On a
-    row-major ``out``, neighbours are selected by one of three paths, each
-    breaking distance ties by prototype index: k=1 takes the first minimum
-    (``argmin``), k=M accumulates every prototype in index order without
-    sorting, and 1<k<M takes the first k of a stable ``argsort``.
+    row-major ``out``, the neighbours are selected once, distance ties
+    broken by prototype index: k=M takes every prototype in index order
+    without sorting, and k<M the first k of a stable ``argsort`` (at k=1
+    the first minimum, ``argmin``). One loop then takes neighbour i = 0..k-1
+    in that order, gathers its labels into ``prod``, multiplies them by one
+    over its distance and adds them to ``out``, which starts at +0.0.
     Returns each point's nearest prototype index and distance. Rows at
     distance zero hold inf or nan.
 
@@ -261,28 +262,23 @@ def score_block(
             acc += term
         return nearest, nearest_dist
     rows = np.arange(n)
-    if k == 1 or k == m:
+    if k == m:
+        # Every prototype, in index order.
+        order = np.broadcast_to(np.arange(m), (n, m))
+        inv = np.divide(1.0, dist, out=tmp)
         nearest = dist.argmin(axis=1)
-        nearest_dist = dist[rows, nearest]
-        if k == 1:
-            out += (labels[rows, nearest] if per_row else labels[nearest]) * (1.0 / nearest_dist)[:, None]
-        else:
-            inv = np.divide(1.0, dist, out=tmp)
-            for i in range(m):
-                np.multiply(labels[:, i] if per_row else labels[i], inv[:, i, None], out=prod)
-                out += prod
-        return nearest, nearest_dist
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    dk = dist[rows[:, None], order]
-    inv = 1.0 / dk
+    else:
+        order = dist.argmin(axis=1)[:, None] if k == 1 else np.argsort(dist, axis=1, kind="stable")[:, :k]
+        inv = 1.0 / dist[rows[:, None], order]
+        nearest = order[:, 0]
     for i in range(k):
         if per_row:
             prod[...] = labels[rows, order[:, i]]
         else:
-            labels.take(order[:, i], axis=0, out=prod)
+            labels.take(order[:, i], axis=0, out=prod, mode="clip")
         prod *= inv[:, i, None]
         out += prod
-    return order[:, 0], dk[:, 0]
+    return nearest, dist[rows, nearest]
 
 
 def _culls(m: int, k: int) -> bool:
@@ -313,7 +309,7 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     neither be one of the k nearest nor tie with one, whatever its index.
     The kernel, run on the kept prototypes in index order, therefore selects
     the same neighbours in the same order and adds the same terms in the
-    same order. The margin on H only keeps more prototypes.
+    same order.
 
     A kept set of exactly k prototypes (k > 1) gets one more, so that the
     kernel still takes its sorted path, which adds the neighbours nearest
@@ -333,7 +329,7 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     for d in range(1, len(pcols)):
         bounds += gaps[:, :, d]
     near, far = np.sqrt(bounds, out=bounds)
-    keep = near <= np.partition(far, k - 1, axis=1)[:, k - 1 : k] * (1.0 + _CULL_MARGIN)
+    keep = near <= np.partition(far, k - 1, axis=1)[:, k - 1 : k]
     kept: list[np.ndarray | None] = []
     for row, count in zip(keep, np.count_nonzero(keep, axis=1)):
         if count == len(row):
@@ -362,8 +358,8 @@ def _class_major(labels: np.ndarray, k: int, rows: int) -> bool:
     At k = M that is where each nonzero label weight's calls cover
     ``_CALL_ENTRIES`` of the tile's rows x M x C entries, and at k < M where
     rows x min(M, C) reaches it: 256 rows at M = 8 and C >= 8. The tile loop
-    asks only for tiles that are not culled, and at k < M only for one set
-    shared by every row. A one-row tile is never class-major:
+    asks only for tiles that are not culled and whose labels every row
+    shares. A one-row tile is never class-major:
     :func:`score_block` tells the layouts apart by their strides, which are
     equal there.
     """
@@ -406,14 +402,16 @@ def _evaluate_into(
     and its distance scratch (2M), within ``_STACK_ENTRIES`` floats.
     Nothing is culled.
 
-    At k = M with shared labels, and at k < M with one set on unculled
-    tiles, where :func:`_class_major` says it pays, a tile is class-major:
-    the (rows, C) view of a reused (C, rows) buffer, copied to ``scores``
-    when the caller keeps them; at k < M its product buffer is class-major
-    too. With one set it gets as many rows as fit in the bytes of the full
-    row-major tile it replaces (distances, product buffer, partition copy
-    and, without ``scores``, the tile itself), at 8(2M + C + 8) + 2(M + C)
-    bytes per row, and 8C more for the product buffer at k < M.
+    With shared labels, an unculled tile is class-major where
+    :func:`_class_major` says it pays: the (rows, C) view of a reused
+    (C, rows) buffer, copied to ``scores`` when the caller keeps them; at
+    k < M its product buffer is class-major too. With one set it gets as
+    many rows as fit in the bytes of the full row-major tile it replaces
+    (distances, product buffer, partition copy and, without ``scores``, the
+    tile itself), at 8(2M + C + 8) + 2(M + C) bytes per row, and 8C more
+    for the product buffer at k < M; with stacked positions it keeps the
+    stack's rows. Culled tiles stay row-major, because k rounds cost about
+    k(M + C) per point where the row-major path selects once.
 
     Otherwise, with one set, a tile holds at most ``_TILE_SCORE_ENTRIES``
     row-major scores, and without ``scores`` it lives in one reused
@@ -427,7 +425,8 @@ def _evaluate_into(
     against its kept prototypes in pieces of at most ``_BLOCK_ENTRIES``
     distance entries (one row if a row is longer). The pieces' distance
     matrices share one flat work array of the call, replaced by a larger
-    one when a piece needs more.
+    one when a piece needs more. A row-major product buffer has the rows
+    of one :func:`score_block` call: the tile's, or a culling tile's.
 
     Every way, an exact hit takes the struck prototype's own label from
     its row's own set (a kept label is the set's label of that
@@ -449,7 +448,7 @@ def _evaluate_into(
         # lowest-index searches.
         budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
         rows = _tile_rows(n, 8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls), budget)
-    class_major = labels.ndim == 2 and not cull and (k == m or not gathered) and _class_major(labels, k, rows)
+    class_major = labels.ndim == 2 and not cull and _class_major(labels, k, rows)
     if cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
         span = max(1, min(_CULL_TILE, score_rows))
@@ -459,12 +458,8 @@ def _evaluate_into(
         if not (gathered or class_major):
             rows = max(1, min(n, full))
         scratch = np.empty((2, rows, m))
-    # Row-major paths for k > 1 add one prototype's weighted labels at a time,
-    # class-major k < M tiles one neighbour's.
-    if class_major and k < m:
-        prod = np.empty((ncls, rows)).T
-    else:
-        prod = np.empty((rows if k > 1 and not class_major else 0, ncls))
+    # One neighbour's weighted labels, for the rows of one score_block call.
+    prod = np.empty((ncls, rows if k < m else 0)).T if class_major else np.empty((span if cull else rows, ncls))
     staged = class_major or scores is None
     tile = (np.empty((ncls, rows)).T if class_major else np.empty((rows, ncls))) if staged else None
     stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]

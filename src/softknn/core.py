@@ -81,21 +81,20 @@ class SoftLabel:
         return self.values.shape[0]
 
     @classmethod
-    def from_exact(cls, weights: Sequence[Fraction], kind: LabelKind = LabelKind.PROBABILISTIC) -> "SoftLabel":
-        """Build a label from exact rationals.
+    def from_exact(cls, weights: Sequence[Fraction]) -> "SoftLabel":
+        """Build a probabilistic label from exact rationals.
 
-        For probabilistic labels the sum-to-one constraint is checked
-        symbolically before any float conversion, so generated labels are
-        valid by construction rather than by floating-point luck.
+        The sum-to-one constraint and the signs are checked symbolically
+        before any float conversion, so generated labels are valid by
+        construction rather than by floating-point luck.
         """
         fracs = [Fraction(w) for w in weights]
-        if kind == LabelKind.PROBABILISTIC:
-            total = sum(fracs, Fraction(0))
-            if total != 1:
-                raise ValueError(f"exact weights sum to {total}, expected 1")
-            if any(f < 0 for f in fracs):
-                raise ValueError("exact probabilistic weights must be non-negative")
-        return cls(np.array([float(f) for f in fracs]), kind)
+        total = sum(fracs, Fraction(0))
+        if total != 1:
+            raise ValueError(f"exact weights sum to {total}, expected 1")
+        if any(f < 0 for f in fracs):
+            raise ValueError("exact probabilistic weights must be non-negative")
+        return cls(np.array([float(f) for f in fracs]))
 
 
 def label_violations(label: SoftLabel) -> list[str]:
@@ -292,10 +291,13 @@ def label_softmax(label: SoftLabel) -> SoftLabel:
     """Convert an unrestricted label to a probabilistic one via softmax.
 
     The maximum is subtracted before exponentiation so that widely spread
-    weights (for example -10 next to 4.1) cannot overflow.
+    weights (for example -10 next to 4.1) cannot overflow. A label with a
+    non-finite element is refused.
     """
     if label.kind != LabelKind.UNRESTRICTED:
         raise ValueError(f"softmax applies to unrestricted labels, got kind={label.kind.value}")
+    if not np.isfinite(label.values).all():
+        raise ValueError(f"softmax needs finite label weights, got {label.values.tolist()}")
     v = label.values
     shifted = v - v.max()
     e = np.exp(shifted)
@@ -306,8 +308,11 @@ def label_argmax(label: SoftLabel) -> SoftLabel:
     """Collapse any label to a hard one-hot label at its largest element.
 
     Ties break to the lowest class index, so results are deterministic
-    across platforms. Idempotent on hard labels.
+    across platforms. Idempotent on hard labels. A label with a non-finite
+    element is refused.
     """
+    if not np.isfinite(label.values).all():
+        raise ValueError(f"argmax needs finite label weights, got {label.values.tolist()}")
     idx = int(np.argmax(label.values))
     out = np.zeros(len(label))
     out[idx] = 1.0
@@ -349,7 +354,8 @@ def from_json_dict(data: dict) -> PrototypeSet:
             name=str(data.get("name", "")),
         )
         for key, actual in (("dim", pset.dim), ("num_classes", pset.num_classes)):
-            if int(data[key]) != actual:
+            require_integer(key, data[key])
+            if data[key] != actual:
                 raise ValueError(f"{key} is {data[key]!r} but the arrays give {actual}")
         return pset
     except (KeyError, TypeError, ValueError) as exc:

@@ -376,14 +376,12 @@ def _brute_scores(pset, k, pts, rows=256):
 class TestCulling:
     """Culled tiles give the bits of the unculled kernel."""
 
-    @pytest.mark.parametrize("margin", [0.0, classifier._CULL_MARGIN])
     @pytest.mark.parametrize("offset", [0.0, 2.0**-40], ids=["on-bound", "past-bound"])
-    def test_prototype_on_the_bound(self, monkeypatch, forced_culling, margin, offset):
+    def test_prototype_on_the_bound(self, monkeypatch, forced_culling, offset):
         # Tile (0, 0)-(1, 0), k = 1. Prototype 1 is 0.5 from the box's far
         # end, which makes 0.5 the bound, and prototype 0 is 0.5 + offset from
         # the box: exactly on the bound, or just past it and culled. On the
         # bound it ties prototype 1 at (1, 0) and wins by its lower index.
-        monkeypatch.setattr(classifier, "_CULL_MARGIN", margin)
         positions = [(1.5 + offset, 0.0), (0.5, 0.0), (10.0, 10.0), (-10.0, 5.0)]
         pset = make_prototype_set(positions, np.eye(4), kind=LabelKind.HARD)
         pts = np.array([(0.0, 0.0), (1.0, 0.0)])
@@ -852,9 +850,32 @@ class TestClassMajorMemory:
         assert peak <= parent_peak
 
 
+class TestCulledMemory:
+    @pytest.mark.parametrize("k, parent_peak", [(2, 1020512), (3, 1045584)])
+    def test_product_buffer_sized_by_culling_span(self, k, parent_peak):
+        # A culled tile of 2560 rows is scored in calls of at most 512 rows,
+        # and its product buffer is sized by the call: 512 x 12 floats where
+        # it was 2560 x 12, 196608 B fewer. tracemalloc peaks with the
+        # tile-sized buffer (2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
+        # 1020512 B at k = 2 and 1045584 B at k = 3; sized by the call, the
+        # same calls read 823904 and 849040 B.
+        pset = circle_hard_baseline(12).set
+        angles = 2.0 * math.pi * np.arange(10000) / 10000
+        points = 6.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+        assert classifier._culls(len(pset), k)
+        classifier._predicted(pset, k, points)
+        tracemalloc.start()
+        try:
+            classifier._predicted(pset, k, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak - 131072
+
+
 def _class_major_sorted(calls):
     """Per spied ``score_block`` call, whether it got a class-major ``out`` at 1 <= k < M."""
-    return [call[4].strides[0] < call[4].strides[1] and call[2] < len(call[0]) for call in calls]
+    return [call[4].strides[0] < call[4].strides[1] and call[2] < call[0].shape[-2] for call in calls]
 
 
 def _assert_reference_bytes(pset, k, points):
@@ -895,19 +916,25 @@ class TestClassMajorSorted:
         rasterize(cons.set, cons.required_k, None, 256, 256)
         assert calls and all(_class_major_sorted(calls))
 
-    def test_not_taken_on_culled_tiles_small_calls_or_stacks(self, monkeypatch):
+    def test_not_taken_on_culled_tiles_or_small_calls(self, monkeypatch):
         rng = np.random.default_rng(0)
         circles = circle_hard_baseline(6).set
-        pairs = polygon_pairs(8).set
         calls = _spy(monkeypatch, "score_block")
         rasterize(circles, 1, None, 128, 128)
         evaluate_points(circles, 3, rng.uniform(-8.0, 8.0, (2000, 2)))
-        evaluate_points(pairs, 2, rng.uniform(-2.0, 2.0, (24, 2)))
-        # Tiles of 2048 rows: the rule's size, were the positions shared.
-        turned = np.broadcast_to(pairs.positions, (10, 8, 2)) * rng.uniform(0.5, 2.0, (10, 1, 1))
-        classifier._evaluate_stacked(turned, pairs.labels, 2, rng.uniform(-2.0, 2.0, (10, 300, 2)))
-        assert any(len(call[3]) >= 256 for call in calls)
+        evaluate_points(polygon_pairs(8).set, 2, rng.uniform(-2.0, 2.0, (24, 2)))
         assert calls and not any(_class_major_sorted(calls))
+
+    def test_taken_on_stacked_positions(self, monkeypatch):
+        # Per-set positions with shared labels, as the rigid-motion variant
+        # calls it: tiles of 2048 rows, past the rule's 256.
+        rng = np.random.default_rng(0)
+        pairs = polygon_pairs(8).set
+        turned = np.broadcast_to(pairs.positions, (10, 8, 2)) * rng.uniform(0.5, 2.0, (10, 1, 1))
+        calls = _spy(monkeypatch, "score_block")
+        classifier._evaluate_stacked(turned, pairs.labels, 2, rng.uniform(-2.0, 2.0, (10, 300, 2)))
+        assert all(len(call[3]) >= 256 and call[0].ndim == 3 for call in calls)
+        assert calls and all(_class_major_sorted(calls))
 
     def test_contract_reaches_the_route(self, monkeypatch):
         # test_every_route_matches_reference's call_entries=0 draws take this

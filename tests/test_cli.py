@@ -155,6 +155,21 @@ class TestVerify:
                 ).encode(),
                 id="ragged-rows",
             ),
+            pytest.param(
+                json.dumps(
+                    {
+                        "dim": 2.7,
+                        "num_classes": 2,
+                        "label_kind": "probabilistic",
+                        "prototypes": [
+                            {"position": [0.0, 0.0], "label": [0.5, 0.5]},
+                            {"position": [1.0, 0.0], "label": [0.5, 0.5]},
+                        ],
+                        "name": "float-dim",
+                    }
+                ).encode(),
+                id="float-dim",
+            ),
             pytest.param(b"not json", id="not-json"),
             pytest.param(b'{"name": "\xff\xfe"}', id="not-utf8"),
         ],

@@ -291,3 +291,28 @@ def test_no_unused_top_level_names():
         if name not in used and name not in exported and not name.startswith("__")
     ]
     assert unused == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Every parameter of a function or lambda in ``path`` that its body, nested scopes included, never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread.extend(f"{path.name}:{node.lineno}: {name}({a.arg})" for a in params if a.arg not in read)
+    return unread
+
+
+def test_no_unread_parameters(tmp_path):
+    # A parameter that no caller's value reaches is an unused one.
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(a, *b, c, **d):\n    def g():\n        return a, c\n    return g\n\nh = lambda x, y: y\n")
+    assert _unread_parameters(sample) == ["sample.py:1: f(b)", "sample.py:1: f(d)", "sample.py:6: <lambda>(x)"]
+    modules = sorted((REPO / "src" / "softknn").glob("*.py"))
+    assert modules
+    assert [entry for p in modules for entry in _unread_parameters(p)] == []

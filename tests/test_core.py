@@ -273,6 +273,11 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="unrestricted"):
             label_softmax(prob)
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, values):
+        with pytest.raises(ValueError, match=r"^softmax needs finite label weights, got \["):
+            label_softmax(unrestricted(values))
+
     def test_extreme_values_do_not_overflow(self):
         out = label_softmax(unrestricted([1000.0, -1000.0]))
         assert np.all(np.isfinite(out.values))
@@ -308,6 +313,11 @@ class TestArgmax:
     def test_tie_breaks_to_lowest_index(self):
         hard = label_argmax(SoftLabel(np.array([0.5, 0.5])))
         np.testing.assert_array_equal(hard.values, [1.0, 0.0])
+
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, values):
+        with pytest.raises(ValueError, match=r"^argmax needs finite label weights, got \["):
+            label_argmax(unrestricted(values))
 
     def test_hard_label_is_fixed_point(self):
         e2 = SoftLabel(np.array([0.0, 1.0, 0.0]), LabelKind.HARD)
@@ -398,8 +408,14 @@ class TestExactConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             SoftLabel.from_exact([Fraction(3, 2), Fraction(-1, 2)])
 
+    def test_from_exact_takes_no_kind(self):
+        # Every exact label is probabilistic: (1/2, 1/2) cannot be built as a hard one.
+        with pytest.raises(TypeError):
+            SoftLabel.from_exact([Fraction(1, 2), Fraction(1, 2)], LabelKind.HARD)
+
     def test_from_exact_valid(self):
         label = SoftLabel.from_exact([Fraction(3, 5), Fraction(2, 5)])
+        assert label.kind == LabelKind.PROBABILISTIC
         assert label_violations(label) == []
 
 
@@ -458,6 +474,9 @@ class TestJson:
             pytest.param(lambda d: d["prototypes"][1].update(label=[0.5, 0.5]), id="ragged-labels"),
             pytest.param(lambda d: d.update(dim=3), id="dim-mismatch"),
             pytest.param(lambda d: d.update(num_classes=2), id="num-classes-mismatch"),
+            pytest.param(lambda d: d.update(dim=2.7), id="float-dim"),
+            pytest.param(lambda d: d.update(dim="2"), id="string-dim"),
+            pytest.param(lambda d: d.update(num_classes=3.9), id="float-num-classes"),
         ],
     )
     def test_malformed_json_rejected(self, change):
@@ -465,6 +484,19 @@ class TestJson:
         data = change(data) or data
         with pytest.raises(ValueError, match="^malformed prototype-set JSON: "):
             from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("dim", 2.7, "2.7"), ("dim", "2", "'2'"), ("dim", True, "True"), ("num_classes", 3.9, "3.9")],
+        ids=["float-dim", "string-dim", "bool-dim", "float-num-classes"],
+    )
+    def test_non_integer_counts_named(self, key, value, shown):
+        # int() would truncate each of these to the arrays' own count.
+        data = to_json_dict(self._sample_set())
+        data[key] = value
+        with pytest.raises(ValueError) as raised:
+            from_json_dict(data)
+        assert str(raised.value) == f"malformed prototype-set JSON: {key} must be an integer, got {shown}"
 
     @pytest.mark.parametrize(
         "positions, labels, message",
