@@ -23,11 +23,13 @@ tile loop directly.
 The same loop scores a stack of sets that differ per trial in their
 positions or their labels (the verify harness's invariance variants),
 each with its own queries, entered through ``_evaluate_stacked``. Each
-tile then gathers its rows' own positions and labels, at most
-``_STACK_ENTRIES`` floats with the distance scratch, and hands them to
-:func:`score_block` in its per-row form. Every tile ends in
-``_finish_tile``, and every set gets the bits of a call for that set
-alone. Only ``_evaluate_into`` chooses a tile's layout and walks tiles.
+tile hands the whole stack to :func:`score_block` with the index of each
+row's own set, and no set is copied per row: coordinates are gathered
+straight into the distance scratch and labels are read where they lie.
+Stacked tiles take the rows and layouts of one-set tiles, unculled.
+Every tile ends in ``_finish_tile``, and every set gets the bits of a
+call for that set alone. Only ``_evaluate_into`` chooses a tile's layout
+and walks tiles.
 
 At k = M with one set of labels, a batch large enough to pay for it is
 scored class-major: a tile is the (rows, C) view of a (C, rows) array,
@@ -84,13 +86,14 @@ from .core import COINCIDENT_TOL, PrototypeSet, require_integer
 # Caps on the rows of one internal tile: rows*prototypes of the distance
 # matrix, and rows*classes of the score and product buffers. Small enough
 # that a tile's temporaries stay cache-resident and memory is bounded by the
-# tile, not by the number of points times the number of classes. The
-# distance matrix, its temporary, the product buffer (as many rows as one
-# score_block call) and, when the caller keeps no scores, the score buffer
-# are allocated once per call and reused by every tile; the last, ragged
-# tile takes their leading rows. Culled tiles keep their distance matrices
-# in one flat array that grows to the largest kept set times rows seen in
-# the call.
+# tile, not by the number of points times the number of classes; a stack of
+# sets is read in place, never copied per row, so stacked tiles take these
+# caps too. The distance matrix, its temporary, the product buffer (as many
+# rows as one score_block call) and, when the caller keeps no scores, the
+# score buffer are allocated once per call and reused by every tile; the
+# last, ragged tile takes their leading rows. Culled tiles keep their
+# distance matrices in one flat array that grows to the largest kept set
+# times rows seen in the call.
 # Row-major tiles take every prototype in index order at k=M and the first
 # k of a stable argsort (the argmin at k=1) at k<M, and add the neighbours
 # in one loop. Class-major tiles take the lowest index holding each point's
@@ -104,10 +107,6 @@ _TILE_SCORE_ENTRIES = 1 << 15
 # rounds makes a few calls over rows*M and a few over rows*C entries, so it
 # is used only where rows*min(M, C) reaches _CALL_ENTRIES (see _class_major).
 _CALL_ENTRIES = 2048
-# A tile of stacked sets holds at most this many floats of gathered
-# positions, gathered labels and distance scratch, and a tile of invariance
-# trials at most this many floats of variant sets (see _tile_rows).
-_STACK_ENTRIES = 1 << 16
 # For k < M, points are culled in tiles of _CULL_TILE consecutive points:
 # each tile keeps only the prototypes that can be among the k nearest of one
 # of its points (see _kept). The bound costs O(M) per tile and the kernel's
@@ -159,6 +158,7 @@ def score_block(
     out: np.ndarray,
     scratch: np.ndarray,
     prod: np.ndarray,
+    owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite ``out`` with the per-class scores of ``points``.
 
@@ -170,11 +170,13 @@ def score_block(
     are overwritten, so a caller scoring many tiles allocates them once.
 
     ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
-    point. Either may instead be per-row, (n, M, dim) or (n, M, C): row r
-    of ``points`` is then scored against ``positions[r]`` or ``labels[r]``
-    only. Per-row positions are read by broadcasting their (dim, n, M)
-    transpose against the query columns, and per-row labels by indexing with
-    the row (``labels[rows, order[:, i]]``); each element sees the same
+    point. Either may instead be a stack of S sets, (S, M, dim) or
+    (S, M, C), with ``owner`` the (n,) index of each row's own set: row r
+    of ``points`` is then scored against ``positions[owner[r]]`` or
+    ``labels[owner[r]]`` only. No set is copied per row. Coordinate d of
+    each row's set is gathered with ``np.take`` straight into the distance
+    scratch, which then takes ``q - p`` in place, and stacked labels are
+    read as ``labels[owner, order[:, i]]``; each element sees the same
     operations in the same order as in a call for its own set alone, so the
     bits are those of that call.
 
@@ -215,8 +217,7 @@ def score_block(
     its index-order sum.
     """
     m, n = positions.shape[-2], len(points)
-    per_row = labels.ndim == 3
-    by_class = not per_row and out.strides[0] < out.strides[1]
+    by_class = labels.ndim == 2 and out.strides[0] < out.strides[1]
     cols = points.T
     if by_class:
         # Prototype-major distances: every pass runs along the points.
@@ -225,12 +226,14 @@ def score_block(
     else:
         dist, tmp = scratch[0], scratch[1]
         q, p = cols[:, :, None], positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
-    np.subtract(q[0], p[0], out=dist)
-    dist *= dist
-    for d in range(1, len(cols)):
-        np.subtract(q[d], p[d], out=tmp)
-        tmp *= tmp
-        dist += tmp
+    for d in range(len(cols)):
+        into = tmp if d else dist
+        # Stacked sets: coordinate d of each row's own set, gathered straight into the scratch.
+        coord = p[d] if positions.ndim == 2 else np.take(p[d], owner, axis=1 if by_class else 0, out=into, mode="clip")
+        np.subtract(q[d], coord, out=into)
+        into *= into
+        if d:
+            dist += into
     np.sqrt(dist, out=dist)
     out[...] = 0.0
     if by_class and k == m:
@@ -272,8 +275,8 @@ def score_block(
         inv = 1.0 / dist[rows[:, None], order]
         nearest = order[:, 0]
     for i in range(k):
-        if per_row:
-            prod[...] = labels[rows, order[:, i]]
+        if labels.ndim == 3:
+            prod[...] = labels[owner, order[:, i]]
         else:
             labels.take(order[:, i], axis=0, out=prod, mode="clip")
         prod *= inv[:, i, None]
@@ -341,11 +344,6 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     return kept
 
 
-def _tile_rows(n: int, per_row: int, budget: int) -> int:
-    """Rows of a tile that allocates ``per_row`` per row within ``budget`` (floats or bytes alike): at least 1, at most n."""
-    return max(1, min(n, budget // per_row))
-
-
 def _first_holding(rows: np.ndarray, value: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per column of ``rows``, the lowest row index whose entry equals ``value``: the largest len(rows) - i among them."""
     held = np.equal(rows, value) * np.arange(len(rows), 0, -1, dtype=np.min_scalar_type(len(rows)))[:, None]
@@ -369,11 +367,11 @@ def _class_major(labels: np.ndarray, k: int, rows: int) -> bool:
     return m > 1 and rows > 1 and np.count_nonzero(labels) * _CALL_ENTRIES <= rows * m * ncls
 
 
-def _score_tile(positions, labels, k, block, sc, hit, scratch, prod) -> None:
+def _score_tile(positions, labels, k, block, sc, hit, scratch, prod, owner=None) -> None:
     """One :func:`score_block` call, then each exact hit takes the struck prototype's label (from its row's own set)."""
-    nearest, nearest_dist = score_block(positions, labels, k, block, sc, scratch, prod)
+    nearest, nearest_dist = score_block(positions, labels, k, block, sc, scratch, prod, owner)
     if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
-        sc[hit] = labels[hit, nearest[hit]] if labels.ndim == 3 else labels[nearest[hit]]
+        sc[hit] = labels[owner[hit], nearest[hit]] if labels.ndim == 3 else labels[nearest[hit]]
 
 
 def _evaluate_into(
@@ -394,30 +392,28 @@ def _evaluate_into(
     consecutive points. Writes into the caller's length-n ``predicted``,
     ``confidence`` and ``exact`` and, if given, the (n, C) ``scores``.
 
-    With a stack, each tile gathers its rows' own positions and labels
-    into reused (rows, M, dim) and (rows, M, C) buffers and makes one
-    :func:`score_block` call in its per-row form, so the stacks are never
-    repeated per point. A tile's rows are sized by what it gathers per
-    row, positions (M x dim) and labels (M x C) where they are stacked,
-    and its distance scratch (2M), within ``_STACK_ENTRIES`` floats.
-    Nothing is culled.
+    With a stack, each tile makes one :func:`score_block` call over the
+    whole stack, with the index of each of its rows' own set, so no set is
+    copied per row or per point. Stacked tiles take the rows and layouts
+    of one-set tiles (class-major only where the labels are shared), and
+    nothing is culled.
 
     With shared labels, an unculled tile is class-major where
     :func:`_class_major` says it pays: the (rows, C) view of a reused
     (C, rows) buffer, copied to ``scores`` when the caller keeps them; at
-    k < M its product buffer is class-major too. With one set it gets as
-    many rows as fit in the bytes of the full row-major tile it replaces
-    (distances, product buffer, partition copy and, without ``scores``, the
-    tile itself), at 8(2M + C + 8) + 2(M + C) bytes per row, and 8C more
-    for the product buffer at k < M; with stacked positions it keeps the
-    stack's rows. Culled tiles stay row-major, because k rounds cost about
-    k(M + C) per point where the row-major path selects once.
+    k < M its product buffer is class-major too. It gets as many rows as
+    fit in the bytes of the full row-major tile it replaces (distances,
+    product buffer, partition copy and, without ``scores``, the tile
+    itself), at 8(2M + C + 8) + 2(M + C) bytes per row, and 8C more for
+    the product buffer at k < M. Culled tiles stay row-major, because k
+    rounds cost about k(M + C) per point where the row-major path selects
+    once.
 
-    Otherwise, with one set, a tile holds at most ``_TILE_SCORE_ENTRIES``
-    row-major scores, and without ``scores`` it lives in one reused
-    buffer. Where :func:`_culls` says no (fewer than
-    ``_CULL_MIN_PROTOTYPES`` prototypes) and in calls of fewer than
-    ``_CULL_MIN_POINTS`` points, a tile is one :func:`score_block` call
+    Otherwise a tile holds at most ``_TILE_SCORE_ENTRIES`` row-major
+    scores, and without ``scores`` it lives in one reused buffer. Where
+    :func:`_culls` says no (fewer than ``_CULL_MIN_PROTOTYPES``
+    prototypes), in calls of fewer than ``_CULL_MIN_POINTS`` points and
+    on stacks, a tile is one :func:`score_block` call
     against every prototype, and its rows are also bounded by
     ``_BLOCK_ENTRIES`` distance entries; the verify harness's small calls
     take this path. Otherwise a tile is a whole number of culling tiles of
@@ -435,19 +431,16 @@ def _evaluate_into(
     culling (see :func:`_kept`).
     """
     n, (m, ncls) = len(pts), labels.shape[-2:]
-    gathered = sum(a.shape[1] * a.shape[2] for a in (positions, labels) if a.ndim == 3)
+    stacked = positions.ndim == 3 or labels.ndim == 3
     score_rows = _TILE_SCORE_ENTRIES // ncls
     full = max(1, min(score_rows, _BLOCK_ENTRIES // m))
-    cull = not gathered and _culls(m, k) and n >= _CULL_MIN_POINTS
-    if gathered:
-        rows = _tile_rows(n, gathered + 2 * m, _STACK_ENTRIES)
-    else:
-        # A class-major tile spends the bytes of a full row-major one on rows of
-        # distances, tile, product buffer (k < M), about 8 floats of per-row
-        # vectors, and two bytes per prototype and per class for the
-        # lowest-index searches.
-        budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
-        rows = _tile_rows(n, 8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls), budget)
+    cull = not stacked and _culls(m, k) and n >= _CULL_MIN_POINTS
+    # A class-major tile spends the bytes of a full row-major one on rows of
+    # distances, tile, product buffer (k < M), about 8 floats of per-row
+    # vectors, and two bytes per prototype and per class for the
+    # lowest-index searches.
+    budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
+    rows = max(1, min(n, budget // (8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls))))
     class_major = labels.ndim == 2 and not cull and _class_major(labels, k, rows)
     if cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
@@ -455,14 +448,13 @@ def _evaluate_into(
         rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * positions.shape[1] * m))))
         work = np.empty(0)
     else:
-        if not (gathered or class_major):
+        if not class_major:
             rows = max(1, min(n, full))
         scratch = np.empty((2, rows, m))
     # One neighbour's weighted labels, for the rows of one score_block call.
     prod = np.empty((ncls, rows if k < m else 0)).T if class_major else np.empty((span if cull else rows, ncls))
     staged = class_major or scores is None
     tile = (np.empty((ncls, rows)).T if class_major else np.empty((rows, ncls))) if staged else None
-    stacks = [(a, np.empty((rows,) + a.shape[1:]) if a.ndim == 3 else None) for a in (positions, labels)]
     per_set = n // len(positions if positions.ndim == 3 else labels)
     for start in range(0, n, rows):
         sl = slice(start, start + rows)
@@ -470,9 +462,8 @@ def _evaluate_into(
         sc = tile[:size] if staged else scores[sl]
         hit, block = exact[sl], pts[sl]
         if not cull:
-            owner = np.arange(start, start + size) // per_set if gathered else None
-            pos, lab = (a if buf is None else np.take(a, owner, axis=0, out=buf[:size]) for a, buf in stacks)
-            _score_tile(pos, lab, k, block, sc, hit, scratch[:, :size], prod[:size])
+            owner = np.arange(start, start + size) // per_set if stacked else None
+            _score_tile(positions, labels, k, block, sc, hit, scratch[:, :size], prod[:size], owner)
         else:
             for p0, keep in zip(range(0, size, span), _kept(positions.T, k, block, span)):
                 p1 = min(p0 + span, size)

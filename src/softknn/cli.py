@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, constructions.RadialFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set, require_positive
+from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set, require_finite_positive, require_positive
 from . import classifier
 from .landscape import bisect_many
 
@@ -79,6 +79,8 @@ class Construction:
             )
         if not 1 <= self.required_k <= len(self.set):
             raise ValueError(f"required_k={self.required_k} out of range for {len(self.set)} prototypes")
+        if self.set.defect is not None:
+            raise ValueError(f"{self.set.defect}; run validate() for details")
         if self.boundary_spec is not None:
             for (a, b), fractions in self.boundary_spec:
                 if not all(0.0 < f < 1.0 for f in fractions):
@@ -132,8 +134,7 @@ def n_from_two(n: int, spacing: float | None = None) -> Construction:
     weights = n_from_two_labels(n)
     if spacing is None:
         spacing = float(n)
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    require_finite_positive("spacing", spacing)
     first = SoftLabel.from_exact(weights)
     second = SoftLabel.from_exact(weights[::-1])
     pset = make_prototype_set(
@@ -161,10 +162,8 @@ def star_pairs(m: int, radius: float = 1.0) -> Construction:
     10p/(2M+11) from the hub, so the hub-adjacent classes thin out as M
     grows.
     """
-    if m < 2:
-        raise ValueError(f"star_pairs needs m >= 2, got {m}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    require_positive("m", m, 2)
+    require_finite_positive("radius", radius)
     n_classes = 2 * m - 1
     tips = m - 1
     hub = {0: Fraction(3, 2 * m + 1)} | {m + i: Fraction(2, 2 * m + 1) for i in range(tips)}
@@ -192,10 +191,8 @@ def polygon_pairs(m: int, circumradius: float = 1.0) -> Construction:
     conditions on one edge puts the class changes at 1/3 and 2/3 of the
     edge, independent of M; symmetry extends this to every edge.
     """
-    if m < 3:
-        raise ValueError(f"polygon_pairs needs m >= 3, got {m}")
-    if not circumradius > 0:
-        raise ValueError(f"circumradius must be positive, got {circumradius}")
+    require_positive("m", m, 3)
+    require_finite_positive("circumradius", circumradius)
     n_classes = 2 * m
     # Own class, the edge to the next vertex, the edge from the previous one.
     labels = [
@@ -244,8 +241,7 @@ def polygon_with_center(m: int) -> Construction:
     closed-form crossing positions do not survive the extra terms, so no
     boundary spec is attached; the class count is verified on a grid.
     """
-    if m < 4:
-        raise ValueError(f"polygon_with_center needs m >= 4, got {m}")
+    require_positive("m", m, 4)
     v = m - 1
     n_classes = 3 * m - 2
     (alpha, beta), (gamma, delta, eps) = polygon_with_center_labels(v)
@@ -369,6 +365,7 @@ def nested_band_labels(
     return weights
 
 
+@np.errstate(over="ignore")
 def fit_radial_labels(
     positions,
     target_radii: Sequence[float],
@@ -378,7 +375,9 @@ def fit_radial_labels(
 ) -> RadialFit:
     """Closed-form :func:`nested_band_labels`, measured once against the targets.
 
-    A squared crossing residual above 1e-6 raises :class:`RadialFitError`.
+    A squared crossing residual that is not at most 1e-6 raises
+    :class:`RadialFitError`; so do inputs large enough to overflow, whose
+    residual is then inf or NaN.
 
     Parameters
     ----------
@@ -396,10 +395,11 @@ def fit_radial_labels(
         raise ValueError("target radii must be strictly increasing")
     if r_max is None:
         r_max = 1.6 * float(targets[-1]) if len(targets) else 1.0
+    require_finite_positive("r_max", r_max)
 
     weights = nested_band_labels(pos, targets, class_count)
     residual, realized = _measure_crossings(pos, weights, targets, r_max)
-    if residual > 1e-6:
+    if not residual <= 1e-6:
         raise RadialFitError(residual)
     return RadialFit(
         labels=tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in weights),
@@ -418,8 +418,7 @@ def concentric_ellipses(num_classes: int) -> Construction:
     axis. Labels come from :func:`fit_radial_labels` targeting boundary
     radii 1, 2, ..., num_classes-1 along the +x ray.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be at least 2, got {num_classes}")
+    require_positive("num_classes", num_classes, 2)
     targets = [float(i) for i in range(1, num_classes)]
     s = max(1.5 * targets[-1], 3.0)
     positions = np.array([(0.0, 0.0), (0.0, s), (0.0, -s)])
@@ -462,8 +461,7 @@ def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
     :func:`softknn.harness.verify_circle_separation` checks it by sampling.
     """
     require_positive("n", n)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    require_finite_positive("c", c)
     counts = [circle_prototype_count(t) for t in range(1, n + 1)]
     positions = [point for t, count in enumerate(counts, start=1) for point in _ring(count, t * c)]
     labels = np.repeat(np.eye(n), counts, axis=0)
@@ -489,8 +487,7 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
     circular, so the midpoint margins hold at every angle.
     """
     require_positive("n", n)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    require_finite_positive("c", c)
     s = 4.0 * n * c
     positions = np.array([(0.0, 0.0), (s, 0.0), (-s, 0.0), (0.0, s), (0.0, -s)])
     targets = [(t + 0.5) * c for t in range(1, n)]

@@ -40,11 +40,17 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_positive(name: str, value: int) -> None:
-    """Refuse a count that is not an integer of at least 1: a check that compares nothing would pass."""
+def require_positive(name: str, value: int, least: int = 1) -> None:
+    """Refuse a count that is not an integer of at least ``least``, by default 1: a check that compares nothing would pass."""
     require_integer(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Refuse a length or scale that is not a finite number above 0, naming the argument ``name``."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
 
 
 class LabelKind(str, Enum):
@@ -61,6 +67,14 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _vector(values, what: str) -> np.ndarray:
+    """``values`` as a read-only float vector; a scalar is one element, anything but a non-empty 1-D vector is refused."""
+    arr = _readonly(np.atleast_1d(values))
+    if arr.ndim != 1 or not arr.size:
+        raise ValueError(f"{what} must be a non-empty 1-D vector, got shape {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SoftLabel:
     """A per-class weight vector tagged with its kind.
@@ -74,7 +88,7 @@ class SoftLabel:
     kind: LabelKind = LabelKind.PROBABILISTIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
+        object.__setattr__(self, "values", _vector(self.values, "label values"))
         object.__setattr__(self, "kind", LabelKind(self.kind))
 
     def __len__(self) -> int:
@@ -134,7 +148,7 @@ class Prototype:
     label: SoftLabel
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _readonly(np.atleast_1d(self.position)))
+        object.__setattr__(self, "position", _vector(self.position, "position"))
 
 
 @dataclass(frozen=True, eq=False)

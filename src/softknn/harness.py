@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import _STACK_ENTRIES, _evaluate_stacked, _predicted, _tile_rows, evaluate_points
+from .classifier import _evaluate_stacked, _predicted, evaluate_points
 from .constructions import Construction
-from .core import LabelKind, PrototypeSet, require_positive
+from .core import LabelKind, PrototypeSet, require_finite_positive, require_positive
 from .landscape import boundary_bisect, default_bounds, rasterize, region_report
 
 # Prediction comparisons skip queries whose confidence gap is below this
@@ -32,6 +32,10 @@ NEAR_TIE_GAP = 1e-9
 # Largest accepted crossing errors: a fraction of a segment, and a radius.
 BOUNDARY_TOL = 1e-6
 RADIAL_TOL = 1e-3
+
+# verify_invariances builds and scores the variant sets of a tile of trials
+# at once: at most this many floats of them (see verify_invariances).
+_TRIAL_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +198,15 @@ def transformed_set(pset: PrototypeSet, rotation: np.ndarray, translation: np.nd
 
 
 def scaled_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
-    """Multiply every label vector by c > 0. Kind becomes unrestricted."""
-    if not c > 0:
-        raise ValueError(f"label scale must be positive, got {c}")
+    """Multiply every label vector by a finite c > 0. Kind becomes unrestricted."""
+    require_finite_positive("label scale", c)
     return PrototypeSet(pset.positions, pset.labels * c, LabelKind.UNRESTRICTED, pset.name + f" (labels*{c})")
 
 
 def shifted_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
-    """Add the same constant to every element of every label."""
+    """Add the same finite constant to every element of every label."""
+    if not math.isfinite(c):
+        raise ValueError(f"label shift must be finite, got {c}")
     return PrototypeSet(pset.positions, pset.labels + c, LabelKind.UNRESTRICTED, pset.name + f" (labels+{c})")
 
 
@@ -250,16 +255,16 @@ def verify_invariances(
     Each trial has its own transform and its own off-boundary queries from
     the padded frame, all drawn by :func:`_draw_trials`; the transformed set
     is queried at the matching transformed points. Trials are taken in
-    tiles sized by the classifier's rule for stacked tiles: at most
-    ``_STACK_ENTRIES`` floats of what a tile builds per trial, moved
-    positions and queries (M x 2 + queries x 2) and two label stacks
-    (2 x M x C). Per tile, each variant kind stacks its trials' sets, built as
-    :func:`transformed_set`, :func:`scaled_label_set` and
+    tiles of at most ``_TRIAL_ENTRIES`` floats of what a tile builds per
+    trial: moved positions and queries (M x 2 + queries x 2) and two label
+    stacks (2 x M x C). Per tile, each variant kind stacks its trials'
+    sets, built as :func:`transformed_set`, :func:`scaled_label_set` and
     :func:`shifted_label_set` build them (a per-trial ``positions @ rot.T +
     shift``, ``labels * c``, ``labels + d``), and scores them all in one
-    stacked classifier call, bit for bit as one call per trial would.
-    Deterministic given the seed. A report holds only counts, so on a set
-    that passes, which queries a seed draws changes no report byte.
+    stacked classifier call. That call reads each query's own set in place,
+    never copying a set per query, and gives the bits of one call per
+    trial. Deterministic given the seed. A report holds only counts, so on
+    a set that passes, which queries a seed draws changes no report byte.
     """
     require_positive("trials", trials)
     require_positive("queries_per_trial", queries_per_trial)
@@ -267,7 +272,7 @@ def verify_invariances(
     queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
     m, dim = pset.positions.shape
-    span = _tile_rows(trials, m * dim + 2 * pset.labels.size + queries_per_trial * dim, _STACK_ENTRIES)
+    span = max(1, min(trials, _TRIAL_ENTRIES // (m * dim + 2 * pset.labels.size + queries_per_trial * dim)))
     for t in range(0, trials, span):
         sl = slice(t, t + span)
         motions = [(_rotation(float(a)), s) for a, s in zip(theta[sl], shift[sl])]

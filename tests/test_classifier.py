@@ -664,18 +664,19 @@ def test_stacked_sets_checked(pair_set, k, shift, match):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stacked_case())
-def test_stacked_sets_match_per_trial_calls(case):
-    # The stacked entry, in tiles of a drawn number of rows, and one per-row
-    # score_block call over every row give the bytes that one evaluate_points
-    # call per trial gives on the reference variant sets.
+@given(stacked_case(), st.sampled_from([0, classifier._CALL_ENTRIES]))
+def test_stacked_sets_match_per_trial_calls(case, call_entries):
+    # The stacked entry, in tiles of a drawn number of rows, and one
+    # score_block call over every row, each row owning its own set, give the
+    # bytes that one evaluate_points call per trial gives on the reference
+    # variant sets. A _CALL_ENTRIES of 0 scores the rigid-motion stacks
+    # class-major wherever a tile has two rows or more.
     pset, k, queries, on, theta, shift, c, d, tile = case
     trials, per = on.shape
     m, ncls = pset.labels.shape
     for name, (sets, points, positions, labels) in _variants(pset, queries, on, theta, shift, c, d).items():
         expected = [np.stack(parts) for parts in zip(*(evaluate_points(s, k, p) for s, p in zip(sets, points)))]
-        gathered = m * pset.dim if name == "rigid_motion" else m * ncls
-        with mock.patch.object(classifier, "_STACK_ENTRIES", tile * (gathered + 2 * m)):
+        with mock.patch.multiple(classifier, _TILE_SCORE_ENTRIES=tile * ncls, _CALL_ENTRIES=call_entries):
             got = classifier._evaluate_stacked(positions, labels, k, points)
         for what, a, b in zip(("scores", "predicted", "confidence", "exact_hit"), got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape, (name, what)
@@ -687,12 +688,32 @@ def test_stacked_sets_match_per_trial_calls(case):
         out = np.empty((trials * per, ncls))
         nearest, nearest_dist = score_block(
             row_positions, row_labels, k, points.reshape(-1, pset.dim), out,
-            np.empty((2, trials * per, m)), np.empty((trials * per, ncls)),
+            np.empty((2, trials * per, m)), np.empty((trials * per, ncls)), owner=rows,
         )
         hit = nearest_dist < COINCIDENT_TOL
         out[hit] = row_labels[rows[hit], nearest[hit]]
         assert out.tobytes() == expected[0].reshape(-1, ncls).tobytes(), name
         assert hit.tobytes() == expected[3].reshape(-1).tobytes(), name
+
+
+def test_stacked_labels_are_not_copied_per_row():
+    # A label-scale stack of 10 trials x 5 queries on circle_hard_baseline(12)
+    # (M = 250, C = 12): the stack itself is 240000 B. tracemalloc peaks of
+    # this call (2-core Xeon VM, Python 3.11.7, numpy 2.4.6): 946386 B when
+    # each tile copied its rows' sets into (18, 250, 12) buffers, 342586 B
+    # with the stack read in place, which is one 50-row tile of distances.
+    pset = circle_hard_baseline(12).set
+    rng = np.random.default_rng(0)
+    labels = pset.labels * np.exp(rng.uniform(math.log(0.1), math.log(10.0), 10))[:, None, None]
+    points = rng.uniform(-8.0, 8.0, (10, 5, 2))
+    classifier._evaluate_stacked(pset.positions, labels, 1, points)
+    tracemalloc.start()
+    try:
+        classifier._evaluate_stacked(pset.positions, labels, 1, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * labels.nbytes
 
 
 # --- One bit-level contract for every scoring route ---------------------------

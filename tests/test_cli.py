@@ -268,6 +268,23 @@ class TestErrors:
         assert run(*argv) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["construct", "n_from_two", "--n", "3", "--spacing", "inf"], "spacing must be finite", id="spacing"),
+            pytest.param(["construct", "star_pairs", "--m", "4", "--radius", "1e-300"], "must be distinct", id="radius"),
+            pytest.param(["circles", "--n", "3", "--mode", "soft", "--c", "1e307"], "miss their target crossings", id="fit"),
+        ],
+    )
+    def test_degenerate_geometry_refused(self, argv, message, tmp_path, capsys):
+        # The spacing used to exit 0 with Infinity in the JSON, and the
+        # failed fit to end in a RadialFitError traceback with exit 1.
+        out = tmp_path / "f.json"
+        assert run(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "256,,512"], ids=["empty", "empty-part"])
     def test_malformed_resolutions_named(self, text, capsys):
         assert run("verify", "three_from_two", "--resolutions", text) == 2

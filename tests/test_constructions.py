@@ -19,6 +19,7 @@ from softknn import (
     evaluate_points,
     fit_radial_labels,
     label_violations,
+    make_prototype_set,
     n_from_two,
     n_from_two_labels,
     nested_band_labels,
@@ -311,6 +312,23 @@ class TestFitRadialLabels:
         with pytest.raises(ValueError, match="target"):
             fit_radial_labels(ELLIPSE_POSITIONS, [1.0], 3)
 
+    @pytest.mark.parametrize(
+        "r_max, message",
+        [(math.nan, "positive, got nan"), (math.inf, "finite, got inf"), (0.0, "positive, got 0.0"), (-2.0, "positive, got -2.0")],
+        ids=["nan", "inf", "zero", "negative"],
+    )
+    def test_rejects_bad_r_max(self, r_max, message):
+        # A NaN r_max used to return a fit whose residual was NaN.
+        with pytest.raises(ValueError, match=rf"^r_max must be {message}$"):
+            fit_radial_labels(ELLIPSE_POSITIONS, [1.0, 2.0], 3, r_max=r_max)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        # A residual that is not <= 1e-6, NaN included, is a miss.
+        monkeypatch.setattr("softknn.constructions._measure_crossings", lambda *args: (math.nan, [1.0, 2.0]))
+        with pytest.raises(RadialFitError) as exc:
+            fit_radial_labels(ELLIPSE_POSITIONS, [1.0, 2.0], 3)
+        assert math.isnan(exc.value.residual)
+
 
 class TestConcentricEllipses:
     def test_claims_and_kind(self):
@@ -438,6 +456,53 @@ def test_non_integer_count_refused(build, n):
         build(n)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [(star_pairs, "m"), (polygon_pairs, "m"), (polygon_with_center, "m"), (concentric_ellipses, "num_classes")],
+    ids=["star_pairs", "polygon_pairs", "polygon_with_center", "concentric_ellipses"],
+)
+@pytest.mark.parametrize("count", [4.5, 4.0, True])
+def test_non_integer_prototype_or_class_count_refused(build, name, count):
+    # Float counts used to reach Fraction or range and raise TypeError.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {count!r}$"):
+        build(count)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: n_from_two(3, x), "spacing"),
+        (lambda x: star_pairs(4, x), "radius"),
+        (lambda x: polygon_pairs(4, x), "circumradius"),
+        (lambda x: circle_hard_baseline(3, x), "c"),
+        (lambda x: circle_soft_fit(3, x), "c"),
+    ],
+    ids=["n_from_two", "star_pairs", "polygon_pairs", "circle_hard_baseline", "circle_soft_fit"],
+)
+@pytest.mark.parametrize("length, message", [(math.inf, "finite, got inf"), (math.nan, "positive, got nan")], ids=["inf", "nan"])
+def test_non_finite_length_refused(build, name, length, message):
+    # An infinite spacing used to build a set with infinite positions,
+    # which its own verify then failed.
+    with pytest.raises(ValueError, match=rf"^{name} must be {message}$"):
+        build(length)
+
+
+@pytest.mark.parametrize(
+    "build, defect",
+    [
+        (lambda: star_pairs(4, 1e-300), "prototype positions must be distinct"),
+        (lambda: polygon_pairs(5, 1e-300), "prototype positions must be distinct"),
+        (lambda: circle_soft_fit(1, 1e308), "prototype positions and labels must be finite"),
+    ],
+    ids=["coincident-star", "coincident-polygon", "overflowing-circle-frame"],
+)
+def test_degenerate_geometry_refused(build, defect):
+    # Each length is finite and positive, but the set it builds is one the
+    # decision rule refuses.
+    with pytest.raises(ValueError, match=rf"^{defect}; run validate\(\) for details$"):
+        build()
+
+
 class TestConstructionType:
     def test_claimed_classes_must_match_labels(self):
         pset = three_from_two().set
@@ -448,6 +513,20 @@ class TestConstructionType:
         pset = three_from_two().set
         with pytest.raises(ValueError, match="required_k"):
             Construction(set=pset, required_k=3, claimed_classes=3)
+
+    @pytest.mark.parametrize(
+        "positions, labels, defect",
+        [
+            ([(0.0, 0.0), (0.0, 1e-13)], np.eye(2), "prototype positions must be distinct"),
+            ([(0.0, 0.0), (math.inf, 0.0)], np.eye(2), "prototype positions and labels must be finite"),
+            ([(0.0, 0.0), (1.0, 0.0)], [[1.0, 0.0], [math.nan, 1.0]], "prototype positions and labels must be finite"),
+        ],
+        ids=["coincident", "infinite-position", "nan-label"],
+    )
+    def test_set_the_rule_refuses_is_refused(self, positions, labels, defect):
+        pset = make_prototype_set(positions, np.asarray(labels), LabelKind.UNRESTRICTED)
+        with pytest.raises(ValueError, match=rf"^{defect}; run validate\(\) for details$"):
+            Construction(set=pset, required_k=1, claimed_classes=2)
 
     def test_boundary_fractions_checked(self):
         pset = three_from_two().set

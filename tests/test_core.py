@@ -1,6 +1,7 @@
 """Label model, conversions, validation, and JSON round-trips."""
 
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from softknn import (
     COINCIDENT_TOL,
     LabelKind,
+    Prototype,
     PrototypeSet,
     SoftLabel,
     class_weight_sum,
@@ -384,6 +386,20 @@ class TestShapes:
         with pytest.raises(ValueError) as raised:
             PrototypeSet(positions, labels, LabelKind.UNRESTRICTED)
         assert str(raised.value) == message
+
+
+    @pytest.mark.parametrize(
+        "values, shape",
+        [(np.ones((2, 2)), "(2, 2)"), ([], "(0,)"), (np.ones((1, 0)), "(1, 0)")],
+        ids=["matrix", "empty", "empty-matrix"],
+    )
+    def test_label_and_position_must_be_vectors(self, values, shape):
+        # A (2, 2) label used to be accepted, and label_violations then
+        # raised IndexError; an empty one reached numpy's reductions.
+        with pytest.raises(ValueError, match=rf"^label values must be a non-empty 1-D vector, got shape {re.escape(shape)}$"):
+            SoftLabel(values)
+        with pytest.raises(ValueError, match=rf"^position must be a non-empty 1-D vector, got shape {re.escape(shape)}$"):
+            Prototype(values, SoftLabel([1.0]))
 
 
 class TestMemoryOrder:

@@ -171,6 +171,21 @@ class TestInvariances:
         with pytest.raises(ValueError, match="positive"):
             scaled_label_set(three_from_two(3.0).set, 0.0)
 
+    @pytest.mark.parametrize(
+        "build, c, message",
+        [
+            (scaled_label_set, math.inf, "label scale must be finite, got inf"),
+            (scaled_label_set, math.nan, "label scale must be positive, got nan"),
+            (shifted_label_set, math.nan, "label shift must be finite, got nan"),
+            (shifted_label_set, -math.inf, "label shift must be finite, got -inf"),
+        ],
+        ids=["scale-inf", "scale-nan", "shift-nan", "shift-minus-inf"],
+    )
+    def test_non_finite_constant_refused(self, build, c, message):
+        # These used to build sets of inf or NaN labels without a word.
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            build(three_from_two(3.0).set, c)
+
     def test_identity_transform_trivially_passes(self):
         pset = three_from_two(3.0).set
         moved = transformed_set(pset, np.eye(2), np.zeros(2))
@@ -187,7 +202,7 @@ class TestInvariances:
 
     @pytest.mark.parametrize("build, trials, calls", [(lambda: polygon_pairs(8), 100, 3), (lambda: circle_hard_baseline(6), 100, 6)])
     def test_one_stacked_call_per_variant_kind_and_tile_of_trials(self, monkeypatch, build, trials, calls):
-        # A tile of trials holds at most _STACK_ENTRIES = 65536 floats of
+        # A tile of trials holds at most _TRIAL_ENTRIES = 65536 floats of
         # variant sets, M x 2 + 5 x 2 + 2 x M x C per trial: polygon_pairs(8)
         # builds 282 per trial, so its 100 trials are one tile;
         # circle_hard_baseline(6) builds 962, so tiles of 68 and 32.
