@@ -19,6 +19,7 @@ seed, and tool version. Identical argv produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -98,7 +99,9 @@ def _add_construction_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, help="radial gap between circles")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call; every caller shares it unchanged."""
     parser = argparse.ArgumentParser(prog="softknn", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"softknn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="number of circles")
     p.add_argument("--mode", choices=["hard", "soft"], default="hard")
     p.add_argument("--c", type=float, default=1.0, help="radial gap between circles")
-    p.add_argument("--samples", type=int, default=10_000, help="separation samples per circle")
+    p.add_argument("--samples", type=int, default=harness.SAMPLES_PER_CIRCLE, help="separation samples per circle")
     p.add_argument("-o", "--output", help="write the prototype set JSON here")
     p.add_argument("--report", help="write the JSON report here")
 

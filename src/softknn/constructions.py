@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabelKind, PrototypeSet, SoftLabel, make_prototype_set, require_finite_positive, require_positive
+from .core import LabelKind, PrototypeSet, SoftLabel, _coincident_pairs, make_prototype_set
+from .core import require_finite_positive, require_integer, require_positive
 from . import classifier
 from .landscape import bisect_many
 
@@ -77,6 +78,7 @@ class Construction:
             raise ValueError(
                 f"claimed_classes={self.claimed_classes} != num_classes={self.set.num_classes}"
             )
+        require_integer("required_k", self.required_k)
         if not 1 <= self.required_k <= len(self.set):
             raise ValueError(f"required_k={self.required_k} out of range for {len(self.set)} prototypes")
         if self.set.defect is not None:
@@ -346,8 +348,24 @@ def nested_band_labels(
     inverse distances, so placing the difference at the target radius r_j
     just requires center_j - center_{j+1} = r_j * G(r_j). The outer
     weights count upward so each difference is exactly -1.
+
+    The positions must be a finite, non-empty (M, 2) array of distinct
+    points, and ``target_radii`` ``class_count - 1`` strictly increasing
+    radii; anything else is refused with a ``ValueError``.
     """
+    require_positive("class_count", class_count)
     pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or not len(pos):
+        raise ValueError(f"positions must be a non-empty (M, 2) array, got shape {pos.shape}")
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    if _coincident_pairs(pos):
+        raise ValueError("prototype positions must be distinct")
+    targets = np.asarray(target_radii, dtype=float)
+    if targets.ndim != 1 or len(targets) != class_count - 1:
+        raise ValueError(f"expected {class_count - 1} target radii, got {targets.shape}")
+    if not np.all(np.diff(targets) > 0):
+        raise ValueError("target radii must be strictly increasing")
     center_idx = int(np.argmin(np.linalg.norm(pos, axis=1)))
     others = np.delete(np.arange(len(pos)), center_idx)
 
@@ -355,7 +373,7 @@ def nested_band_labels(
         p = np.array([r, 0.0])
         return float(sum(1.0 / np.linalg.norm(p - pos[i]) for i in others))
 
-    steps = [r * ray_g(r) for r in target_radii]
+    steps = [r * ray_g(r) for r in targets]
     center = np.zeros(class_count)
     for j in range(class_count - 2, -1, -1):
         center[j] = center[j + 1] + steps[j]
@@ -389,15 +407,11 @@ def fit_radial_labels(
     """
     pos = np.asarray(positions, dtype=float)
     targets = np.asarray(target_radii, dtype=float)
-    if targets.ndim != 1 or len(targets) != class_count - 1:
-        raise ValueError(f"expected {class_count - 1} target radii, got {targets.shape}")
-    if len(targets) and not np.all(np.diff(targets) > 0):
-        raise ValueError("target radii must be strictly increasing")
+    weights = nested_band_labels(pos, targets, class_count)
     if r_max is None:
         r_max = 1.6 * float(targets[-1]) if len(targets) else 1.0
     require_finite_positive("r_max", r_max)
 
-    weights = nested_band_labels(pos, targets, class_count)
     residual, realized = _measure_crossings(pos, weights, targets, r_max)
     if not residual <= 1e-6:
         raise RadialFitError(residual)
@@ -447,6 +461,7 @@ def circle_prototype_count(t: int) -> int:
     m = 3, since cos(pi/m) is rational only for m <= 3; there the arc
     midpoints (60, 180, 300 degrees) miss circle 2's multiples of 360/7.
     """
+    require_integer("t", t)
     if t < 1:
         raise ValueError(f"circle index must be >= 1, got {t}")
     return math.ceil(math.pi / math.acos(1.0 - 1.0 / (2.0 * t * t)))

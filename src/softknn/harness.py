@@ -33,6 +33,11 @@ NEAR_TIE_GAP = 1e-9
 BOUNDARY_TOL = 1e-6
 RADIAL_TOL = 1e-3
 
+# Samples per circle of a circle separation check, and off-boundary
+# queries per invariance trial.
+SAMPLES_PER_CIRCLE = 10_000
+QUERIES_PER_TRIAL = 5
+
 # verify_invariances builds and scores the variant sets of a tile of trials
 # at once: at most this many floats of them (see verify_invariances).
 _TRIAL_ENTRIES = 1 << 16
@@ -89,7 +94,7 @@ def verify_class_count(cons: Construction, resolutions: tuple[int, ...] = (512, 
     require_positive("resolutions", len(resolutions))
     observed = {}
     for res in resolutions:
-        grid = rasterize(cons.set, cons.required_k, default_bounds(cons.set), res, res)
+        grid = rasterize(cons.set, cons.required_k, width=res, height=res)
         observed[str(res)] = region_report(grid).distinct_classes
     passed = all(v == cons.claimed_classes for v in observed.values())
     return CheckResult("class_count", passed, observed, cons.claimed_classes)
@@ -162,7 +167,7 @@ def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol:
     )
 
 
-def verify_circle_separation(cons: Construction, samples_per_circle: int = 10_000) -> CheckResult:
+def verify_circle_separation(cons: Construction, samples_per_circle: int = SAMPLES_PER_CIRCLE) -> CheckResult:
     """Sample each circle densely; every sample must take its circle's class.
 
     The samples go to the classifier in angle order, so consecutive ones
@@ -214,8 +219,8 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
 
 
-def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, count: int, k: int):
-    """Off-boundary queries, their predicted classes and the transform draws of every trial.
+def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, k: int):
+    """Each trial's off-boundary queries, their predicted classes and the trial's transform draws.
 
     θ, the shift, ``log c`` and ``d`` are drawn first, one ``rng.uniform``
     call each over all trials; then x and y of every query, uniform over the
@@ -225,17 +230,17 @@ def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, coun
     artifacts, not class structure, so invariance is not asserted there.
     Queries still rejected after 200 rounds are an error.
 
-    Returns the (trials, count, 2) queries, their (trials, count)
-    predictions, and per trial θ, the (2,) shift, ``c`` and ``d``.
+    Returns the (trials, QUERIES_PER_TRIAL, 2) queries, their (trials,
+    QUERIES_PER_TRIAL) predictions, and per trial θ, the (2,) shift, ``c`` and ``d``.
     """
     theta = rng.uniform(0.0, 2.0 * math.pi, size=trials)
     shift = rng.uniform(-10.0, 10.0, size=(trials, 2))
     c = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=trials))
     d = rng.uniform(-5.0, 5.0, size=trials)
     xmin, xmax, ymin, ymax = default_bounds(pset)
-    queries = np.empty((trials * count, 2))
-    base = np.empty(trials * count, dtype=int)
-    pending = np.arange(trials * count)
+    queries = np.empty((trials * QUERIES_PER_TRIAL, 2))
+    base = np.empty(len(queries), dtype=int)
+    pending = np.arange(len(queries))
     for _ in range(200):
         queries[pending] = rng.uniform((xmin, ymin), (xmax, ymax), size=(len(pending), 2))
         scores, predicted, conf, _ = evaluate_points(pset, k, queries[pending])
@@ -243,20 +248,19 @@ def _draw_trials(pset: PrototypeSet, rng: np.random.Generator, trials: int, coun
         base[pending[good]] = predicted[good]
         pending = pending[~good]
         if len(pending) == 0:
-            return queries.reshape(trials, count, 2), base.reshape(trials, count), theta, shift, c, d
+            return queries.reshape(trials, -1, 2), base.reshape(trials, -1), theta, shift, c, d
     raise RuntimeError("could not sample off-boundary queries")
 
 
-def verify_invariances(
-    cons: Construction, trials: int = 100, seed: int = 0, queries_per_trial: int = 5
-) -> list[CheckResult]:
+def verify_invariances(cons: Construction, trials: int = 100, seed: int = 0) -> list[CheckResult]:
     """Predicted classes must survive rigid motions, label scalings, shifts.
 
-    Each trial has its own transform and its own off-boundary queries from
-    the padded frame, all drawn by :func:`_draw_trials`; the transformed set
-    is queried at the matching transformed points. Trials are taken in
-    tiles of at most ``_TRIAL_ENTRIES`` floats of what a tile builds per
-    trial: moved positions and queries (M x 2 + queries x 2) and two label
+    Each trial has its own transform and its own :data:`QUERIES_PER_TRIAL`
+    off-boundary queries from the padded frame, all drawn by
+    :func:`_draw_trials`; the transformed set is queried at the matching
+    transformed points. Trials are taken in tiles of at most
+    ``_TRIAL_ENTRIES`` floats of what a tile builds per trial: moved
+    positions and queries (M x 2 + QUERIES_PER_TRIAL x 2) and two label
     stacks (2 x M x C). Per tile, each variant kind stacks its trials'
     sets, built as :func:`transformed_set`, :func:`scaled_label_set` and
     :func:`shifted_label_set` build them (a per-trial ``positions @ rot.T +
@@ -267,12 +271,11 @@ def verify_invariances(
     a set that passes, which queries a seed draws changes no report byte.
     """
     require_positive("trials", trials)
-    require_positive("queries_per_trial", queries_per_trial)
     pset, k = cons.set, cons.required_k
-    queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, queries_per_trial, k)
+    queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
     m, dim = pset.positions.shape
-    span = max(1, min(trials, _TRIAL_ENTRIES // (m * dim + 2 * pset.labels.size + queries_per_trial * dim)))
+    span = max(1, min(trials, _TRIAL_ENTRIES // (m * dim + 2 * pset.labels.size + QUERIES_PER_TRIAL * dim)))
     for t in range(0, trials, span):
         sl = slice(t, t + span)
         motions = [(_rotation(float(a)), s) for a, s in zip(theta[sl], shift[sl])]
@@ -288,7 +291,7 @@ def verify_invariances(
         for name, (positions, labels, points) in variants.items():
             failures[name] += int(np.count_nonzero(_evaluate_stacked(positions, labels, k, points)[1] != base[sl]))
 
-    total = trials * queries_per_trial
+    total = trials * QUERIES_PER_TRIAL
     return [
         CheckResult(
             f"invariance_{name}",
@@ -340,24 +343,23 @@ def standard_report(
     cons: Construction,
     *,
     resolutions: tuple[int, ...] = (512, 1024),
-    samples_per_circle: int = 10_000,
     trials: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
     """Run every check the construction's claims support.
 
-    Crossings are held to :data:`BOUNDARY_TOL` and :data:`RADIAL_TOL`,
-    which the report's ``meta`` records. The sizes are checked before any
-    check runs, so a bad one is refused without rasterizing first.
+    Crossings are held to :data:`BOUNDARY_TOL` and :data:`RADIAL_TOL`, and
+    circles are sampled :data:`SAMPLES_PER_CIRCLE` times each; the report's
+    ``meta`` records all three. The sizes are checked before any check
+    runs, so a bad one is refused without rasterizing first.
     """
     require_positive("resolutions", len(resolutions))
-    require_positive("samples_per_circle", samples_per_circle)
     require_positive("trials", trials)
     checks: list[CheckResult] = [verify_class_count(cons, resolutions)]
     if cons.boundary_spec or cons.radial_spec:
         checks.append(verify_boundaries(cons))
     if cons.circle_spec is not None:
-        checks.append(verify_circle_separation(cons, samples_per_circle))
+        checks.append(verify_circle_separation(cons))
     if cons.fit_residual is not None:
         checks.append(CheckResult("fit_residual", cons.fit_residual < 1e-3, cons.fit_residual, "< 1e-3", 1e-3))
     checks.extend(verify_invariances(cons, trials=trials, seed=seed))
@@ -367,7 +369,7 @@ def standard_report(
         "resolutions": list(resolutions),
         "boundary_tol": BOUNDARY_TOL,
         "radial_tol": RADIAL_TOL,
-        "samples_per_circle": samples_per_circle,
+        "samples_per_circle": SAMPLES_PER_CIRCLE,
         "trials": trials,
     }
     return VerificationReport(construction=name, params=dict(cons.params), checks=tuple(checks), meta=meta)

@@ -57,6 +57,10 @@ _CHUNK_CELLS = 1 << 15
 # Width of the rectangles in which a grid hands its cells to the
 # classifier, so that any culling tile is a compact patch of cells.
 _PATCH_COLS = 32
+# boundary_bisect pre-scans a segment in this many equal steps, and
+# bisects its crossing until the bracket is at most _BISECT_TOL wide.
+_SCAN = 1024
+_BISECT_TOL = 1e-9
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -299,62 +303,38 @@ def bisect_many(on_lo_side, lo, hi, tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def boundary_bisect(
-    pset: PrototypeSet,
-    k: int,
-    a,
-    b,
-    class_pair=None,
-    scan: int = 1024,
-    tol: float = 1e-9,
-) -> float | np.ndarray:
+def boundary_bisect(pset: PrototypeSet, k: int, a, b) -> float | np.ndarray:
     """Locate the predicted-class change on the segment from ``a`` to ``b``.
 
     Returns the crossing as a fraction of the segment measured from ``a``,
-    bisected until the bracket is at most ``tol`` wide (``tol >= 0``) or
-    float spacing stops it narrowing. The segment is pre-scanned at ``scan + 1`` points
-    (``scan >= 1``); zero class changes raise :class:`NoCrossingError` and
-    more than one raise :class:`MultipleCrossingsError` (split the segment
-    and retry). If ``class_pair`` is given, the endpoint classes must match
-    it in order.
+    bisected until the bracket is at most ``_BISECT_TOL`` wide or float
+    spacing stops it narrowing. The segment is pre-scanned at
+    ``_SCAN + 1`` points; zero class changes raise
+    :class:`NoCrossingError` and more than one raise
+    :class:`MultipleCrossingsError` (split the segment and retry).
 
     ``a`` and ``b`` may also be stacked segments shaped (S, dim); then S
-    fractions come back as an array, ``class_pair`` is one pair (2,) for
-    every segment or S pairs (S, 2), and an error names its segment (``segment 2: ...``).
-    Every segment is pre-scanned and checked before the first bisection
-    step, and :func:`bisect_many` then advances all brackets together, one
-    classifier call per step. Each fraction is the float the one-segment
-    form returns for that segment.
+    fractions come back as an array, and an error names its segment
+    (``segment 2: ...``). Every segment is pre-scanned and checked before
+    the first bisection step, and :func:`bisect_many` then advances all
+    brackets together, one classifier call per step. Each fraction is the
+    float the one-segment form returns for that segment.
     """
-    require_integer("scan", scan)
-    if scan < 1:
-        raise ValueError(f"scan must be >= 1, got {scan}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     stacked = a.ndim == 2
     a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
     if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] != pset.dim:
         raise ValueError(f"segment ends must both be ({pset.dim},) or (S, {pset.dim}), got {a.shape} and {b.shape}")
-    expected = None if class_pair is None else np.asarray(class_pair, dtype=int)
-    if expected is not None:
-        if expected.shape not in ((2,), (len(a2), 2)):
-            raise ValueError(f"class_pair must be (2,) or ({len(a2)}, 2), got shape {expected.shape}")
-        expected = np.broadcast_to(expected, (len(a2), 2))
-    ts = np.linspace(0.0, 1.0, scan + 1)
+    ts = np.linspace(0.0, 1.0, _SCAN + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite points are refused by _predicted
         pts = a2[:, None, :] + ts[:, None] * (b2 - a2)[:, None, :]
-    predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), scan + 1)
+    predicted = _predicted(pset, k, pts.reshape(-1, pset.dim)).reshape(len(a2), _SCAN + 1)
     lo, hi = np.empty(len(a2)), np.empty(len(a2))
     for i, row in enumerate(predicted):
         where = f"segment {i}: " if stacked else ""
-        cls_a, cls_b = int(row[0]), int(row[-1])
-        if cls_a == cls_b:
-            raise NoCrossingError(f"{where}both endpoints classify as {cls_a}")
-        if expected is not None and (cls_a, cls_b) != tuple(expected[i].tolist()):
-            shown = tuple(expected[i].tolist()) if stacked else class_pair
-            raise ValueError(f"{where}expected endpoint classes {shown}, found ({cls_a}, {cls_b})")
+        if row[0] == row[-1]:
+            raise NoCrossingError(f"{where}both endpoints classify as {int(row[0])}")
         changes = np.nonzero(row[:-1] != row[1:])[0]
         if len(changes) > 1:
             raise MultipleCrossingsError(
@@ -366,7 +346,7 @@ def boundary_bisect(
     def on_lo_side(which: np.ndarray, t: np.ndarray) -> np.ndarray:
         return _predicted(pset, k, a2[which] + t[:, None] * span[which]) == first[which]
 
-    fractions = bisect_many(on_lo_side, lo, hi, tol)
+    fractions = bisect_many(on_lo_side, lo, hi, _BISECT_TOL)
     return fractions if stacked else float(fractions[0])
 
 

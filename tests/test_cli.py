@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from softknn import landscape
+from softknn import cli, landscape
 from softknn.cli import main
 from softknn.core import load_json
 
@@ -18,6 +18,20 @@ def pair_json(tmp_path):
     path = tmp_path / "pair.json"
     assert run("construct", "three_from_two", "--spacing", "3", "-o", str(path)) == 0
     return path
+
+
+def test_parser_built_once(pair_json, monkeypatch, capsys):
+    # Every call parses with the one parser of the process instead of building its own.
+    assert cli.build_parser() is cli.build_parser()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built another parser")
+
+    monkeypatch.setattr("argparse.ArgumentParser", forbidden)
+    assert run("classify", "-s", str(pair_json), "-k", "2", "-x", "0.5,0") == 0
+    assert run("verify", str(pair_json)) == 0
+    assert run("classify", "-s", str(pair_json)) == 2  # a usage error leaves the parser reusable
+    assert run("verify", str(pair_json)) == 0
 
 
 class TestConstruct:

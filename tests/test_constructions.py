@@ -255,6 +255,30 @@ class TestPolygonWithCenter:
             polygon_with_center(3)
 
 
+# Radial label inputs nested_band_labels refuses: three of radii, then two
+# of class_count, then four of positions.
+BAD_RADIAL_INPUTS = [
+    pytest.param(ELLIPSE_POSITIONS, [1.0, 2.0, 3.0, 9.0], 3, r"expected 2 target radii, got \(4,\)", id="extra-radii"),
+    pytest.param(ELLIPSE_POSITIONS, [1.0], 3, r"expected 2 target radii, got \(1,\)", id="too-few-radii"),
+    pytest.param(ELLIPSE_POSITIONS, [3.0, 1.0], 3, "target radii must be strictly increasing", id="decreasing-radii"),
+    pytest.param(ELLIPSE_POSITIONS, [1.0, 2.0], 3.0, "class_count must be an integer, got 3.0", id="float-class-count"),
+    pytest.param(ELLIPSE_POSITIONS, [], True, "class_count must be an integer, got True", id="bool-class-count"),
+    pytest.param(
+        [(0.0, 0.0, 0.0), (0.0, 3.0, 0.0)], [1.0, 2.0], 3,
+        r"positions must be a non-empty \(M, 2\) array, got shape \(2, 3\)", id="three-columns",
+    ),
+    pytest.param(
+        [0.0, 3.0, -3.0], [1.0, 2.0], 3, r"positions must be a non-empty \(M, 2\) array, got shape \(3,\)",
+        id="flat-positions",
+    ),
+    pytest.param([(0.0, 0.0), (0.0, math.nan)], [1.0, 2.0], 3, "positions must be finite", id="nan-position"),
+    pytest.param(
+        [(0.0, 0.0), (0.0, 5.0), (0.0, 5.0)], [1.0, 2.0], 3, "prototype positions must be distinct",
+        id="coincident-positions",
+    ),
+]
+
+
 class TestFitRadialLabels:
     def test_realized_targets_are_a_fixed_point(self):
         init = nested_band_labels(ELLIPSE_POSITIONS, [1.0, 2.0], 3)
@@ -311,6 +335,17 @@ class TestFitRadialLabels:
     def test_rejects_wrong_target_count(self):
         with pytest.raises(ValueError, match="target"):
             fit_radial_labels(ELLIPSE_POSITIONS, [1.0], 3)
+
+    @pytest.mark.parametrize("positions, radii, class_count, message", BAD_RADIAL_INPUTS)
+    def test_band_labels_refuse_bad_inputs(self, positions, radii, class_count, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            nested_band_labels(positions, radii, class_count)
+
+    @pytest.mark.parametrize("positions, radii, class_count, message", BAD_RADIAL_INPUTS[3:])
+    def test_fit_refuses_bad_positions_and_class_count(self, positions, radii, class_count, message):
+        # The fit relies on nested_band_labels' check; its radius cases are the two tests above.
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            fit_radial_labels(positions, radii, class_count)
 
     @pytest.mark.parametrize(
         "r_max, message",
@@ -423,6 +458,12 @@ class TestCircleHardBaseline:
         with pytest.raises(ValueError, match="circle index must be >= 1, got 0"):
             circle_prototype_count(0)
 
+    @pytest.mark.parametrize("t", [2.5, True, 3.0], ids=repr)
+    def test_count_rejects_non_integer_circle_index(self, t):
+        # Unchecked, 2.5 would get a prototype count of 8, and True that of circle 1.
+        with pytest.raises(ValueError, match=rf"^t must be an integer, got {t!r}$"):
+            circle_prototype_count(t)
+
 
 class TestCircleSoftFit:
     def test_five_prototypes_and_residual(self):
@@ -513,6 +554,13 @@ class TestConstructionType:
         pset = three_from_two().set
         with pytest.raises(ValueError, match="required_k"):
             Construction(set=pset, required_k=3, claimed_classes=3)
+
+    @pytest.mark.parametrize("k", [1.5, True, 2.0], ids=repr)
+    def test_required_k_must_be_an_integer(self, k):
+        # Each of these lies in 1..M, so the range test alone would accept it.
+        pset = three_from_two().set
+        with pytest.raises(ValueError, match=rf"^required_k must be an integer, got {k!r}$"):
+            Construction(set=pset, required_k=k, claimed_classes=3)
 
     @pytest.mark.parametrize(
         "positions, labels, defect",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from softknn import (
+    boundary_bisect,
     circle_hard_baseline,
     circle_soft_fit,
     classifier,
@@ -111,7 +112,6 @@ class TestCircleSeparation:
         pytest.param(lambda: verify_class_count(three_from_two(3.0), resolutions=()), id="no-resolutions"),
         pytest.param(lambda: verify_circle_separation(circle_hard_baseline(2), samples_per_circle=0), id="no-samples"),
         pytest.param(lambda: verify_invariances(three_from_two(3.0), trials=0), id="no-trials"),
-        pytest.param(lambda: verify_invariances(three_from_two(3.0), queries_per_trial=0), id="no-queries"),
     ],
 )
 def test_vacuous_check_refused(check):
@@ -126,12 +126,10 @@ def test_vacuous_check_refused(check):
     [
         ("samples_per_circle", lambda v: verify_circle_separation(circle_hard_baseline(3), samples_per_circle=v)),
         ("trials", lambda v: verify_invariances(three_from_two(3.0), trials=v)),
-        ("queries_per_trial", lambda v: verify_invariances(three_from_two(3.0), queries_per_trial=v)),
         ("instances", lambda v: verify_hard_label_oracle(instances=v)),
         ("trials", lambda v: standard_report("three_from_two", three_from_two(3.0), trials=v)),
-        ("samples_per_circle", lambda v: standard_report("c", circle_hard_baseline(2), samples_per_circle=v)),
     ],
-    ids=["circle-samples", "trials", "queries", "instances", "report-trials", "report-samples"],
+    ids=["circle-samples", "trials", "instances", "report-trials"],
 )
 def test_non_integer_count_refused(name, check, value):
     # A fractional count would sample unevenly or hit numpy's bare TypeError.
@@ -143,7 +141,6 @@ def test_non_integer_count_refused(name, check, value):
     "sizes",
     [
         pytest.param({"resolutions": ()}, id="no-resolutions"),
-        pytest.param({"samples_per_circle": 0}, id="no-samples"),
         pytest.param({"trials": 0}, id="no-trials"),
     ],
 )
@@ -154,6 +151,25 @@ def test_standard_report_refuses_before_rasterizing(sizes, monkeypatch):
     monkeypatch.setattr("softknn.harness.rasterize", forbidden)
     with pytest.raises(ValueError, match="at least"):
         standard_report("three_from_two", three_from_two(3.0), **sizes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: boundary_bisect(three_from_two(3.0).set, 2, (0.0, 0.0), (1.5, 0.0), scan=8), id="scan"),
+        pytest.param(lambda: boundary_bisect(three_from_two(3.0).set, 2, (0.0, 0.0), (1.5, 0.0), tol=0.0), id="tol"),
+        pytest.param(
+            lambda: boundary_bisect(three_from_two(3.0).set, 2, (0.0, 0.0), (1.5, 0.0), class_pair=(0, 1)),
+            id="class-pair",
+        ),
+        pytest.param(lambda: verify_invariances(three_from_two(3.0), queries_per_trial=2), id="queries"),
+        pytest.param(lambda: standard_report("c", circle_hard_baseline(2), samples_per_circle=8), id="report-samples"),
+    ],
+)
+def test_retired_option_refused(call):
+    # These sizes and tolerances are module constants; passing one is a TypeError, not a silent no-op.
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
 
 
 class TestInvariances:
@@ -242,9 +258,10 @@ class TestInvariances:
         assert [c.observed for c in a] == [c.observed for c in b]
 
 
-def assert_valid_draws(cons, seed, trials=100, count=5):
+def assert_valid_draws(cons, seed, trials=100):
     """Shapes, dtypes and ranges of one draw; every query off-boundary with its own prediction."""
-    drawn = harness._draw_trials(cons.set, np.random.default_rng(seed), trials, count, cons.required_k)
+    drawn = harness._draw_trials(cons.set, np.random.default_rng(seed), trials, cons.required_k)
+    count = harness.QUERIES_PER_TRIAL
     queries, base, theta, shift, c, d = drawn
     shapes = [(trials, count, 2), (trials, count), (trials,), (trials, 2), (trials,), (trials,)]
     assert [a.shape for a in drawn] == shapes
@@ -304,7 +321,7 @@ class TestBatchedDraws:
     def test_deterministic_given_seed(self):
         cons = n_from_two(12)
         first, again, other = (
-            harness._draw_trials(cons.set, np.random.default_rng(seed), 100, 5, cons.required_k) for seed in (7, 7, 8)
+            harness._draw_trials(cons.set, np.random.default_rng(seed), 100, cons.required_k) for seed in (7, 7, 8)
         )
         for name, a, b, c in zip(("queries", "base", "theta", "shift", "c", "d"), first, again, other):
             assert np.array_equal(a, b), name
@@ -314,7 +331,7 @@ class TestBatchedDraws:
         # A change to the order or layout of the draws is a visible edit here.
         cons = n_from_two(12)
         digest = hashlib.sha256()
-        for array in harness._draw_trials(cons.set, np.random.default_rng(0), 100, 5, cons.required_k):
+        for array in harness._draw_trials(cons.set, np.random.default_rng(0), 100, cons.required_k):
             digest.update(array.tobytes())
         assert digest.hexdigest() == DRAWS_DIGEST
 
@@ -322,7 +339,7 @@ class TestBatchedDraws:
         monkeypatch.setattr("softknn.harness.NEAR_TIE_GAP", np.inf)
         calls = counting_classifier(monkeypatch)
         with pytest.raises(RuntimeError, match="off-boundary"):
-            harness._draw_trials(three_from_two(3.0).set, np.random.default_rng(0), 3, 5, 2)
+            harness._draw_trials(three_from_two(3.0).set, np.random.default_rng(0), 3, 2)
         assert len(calls) == 200
 
     def test_checks_can_fail(self, monkeypatch):

@@ -358,21 +358,13 @@ class TestRasterThreads:
         (2.5, "width must be an integer"),
         (True, "height must be an integer"),
         (np.float64(16.0), "width must be an integer"),
-        (2.5, "scan must be an integer"),
-        (True, "scan must be an integer"),
-        (np.nan, "tol must be >= 0"),
-        (-1.0, "tol must be >= 0"),
     ],
 )
-def test_refuses_bad_width_height_scan_and_tol(pair, value, message):
-    # The message's first word names the argument that gets the value:
-    # rasterize's width or height, or boundary_bisect's scan or tol.
+def test_refuses_bad_width_and_height(pair, value, message):
+    # The message's first word names the argument that gets the value.
     name = message.split()[0]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
-        if name in ("scan", "tol"):
-            boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), **{name: value})
-        else:
-            rasterize(pair.set, 2, (-1, 4, -2, 2), **{"width": 16, "height": 16, name: value})
+        rasterize(pair.set, 2, (-1, 4, -2, 2), **{"width": 16, "height": 16, name: value})
 
 
 class TestRiskRender:
@@ -474,24 +466,6 @@ class TestBoundaryBisect:
         pos = pair.set.positions
         with pytest.raises(MultipleCrossingsError):
             boundary_bisect(pair.set, 2, pos[0], pos[1])
-
-    def test_class_pair_check(self, pair):
-        with pytest.raises(ValueError, match="expected endpoint classes"):
-            boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), class_pair=(2, 1))
-        frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), class_pair=(0, 1))
-        assert 0.0 < frac < 1.0
-
-    @pytest.mark.parametrize("tol", [0.0])
-    def test_non_positive_tol_stops_at_float_spacing(self, pair, tol):
-        # The bracket cannot narrow below float spacing; bisection must stop
-        # there instead of looping forever. A negative tol is refused
-        # (test_refuses_bad_width_height_scan_and_tol).
-        frac = boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), tol=tol)
-        assert abs(frac - 2 / 3) < 1e-15
-
-    def test_scan_below_one_rejected(self, pair):
-        with pytest.raises(ValueError, match="scan"):
-            boundary_bisect(pair.set, 2, (0.0, 0.0), (1.5, 0.0), scan=0)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -616,32 +590,9 @@ class TestStackedBoundaryBisect:
         with pytest.raises(MultipleCrossingsError, match=r"^segment 2: 2 class changes in pre-scan"):
             boundary_bisect(pair.set, 2, starts, ends)
 
-    def test_class_pair_names_segment(self, pair, no_bisection):
-        starts = [(0.0, 0.0), (1.5, 0.0), (0.0, 0.0)]
-        ends = [(1.5, 0.0), (3.0, 0.0), (1.5, 0.0)]
-        with pytest.raises(ValueError, match=r"^segment 2: expected endpoint classes \(1, 0\), found \(0, 1\)$"):
-            boundary_bisect(pair.set, 2, starts, ends, class_pair=[(0, 1), (1, 2), (1, 0)])
-        # One pair applies to every segment.
-        with pytest.raises(ValueError, match=r"^segment 1: expected endpoint classes \(0, 1\), found \(1, 2\)$"):
-            boundary_bisect(pair.set, 2, starts, ends, class_pair=(0, 1))
-
-    @pytest.mark.parametrize(
-        "a, b, class_pair, shape",
-        [
-            ((0.0, 0.0), (1.5, 0.0), (0, 1, 2), "(1, 2), got shape (3,)"),
-            ((0.0, 0.0), (1.5, 0.0), (0,), "(1, 2), got shape (1,)"),
-            ([(0.0, 0.0)] * 3, [(1.5, 0.0)] * 3, [(0, 1)] * 2, "(3, 2), got shape (2, 2)"),
-            ([(0.0, 0.0)] * 3, [(1.5, 0.0)] * 3, [[(0, 1)]], "(3, 2), got shape (1, 1, 2)"),
-        ],
-        ids=["three-classes", "one-class", "two-pairs-for-three-segments", "nested-pair"],
-    )
-    def test_class_pair_shape_refused(self, pair, no_bisection, a, b, class_pair, shape):
-        with pytest.raises(ValueError, match=f"^class_pair must be \\(2,\\) or {re.escape(shape)}$"):
-            boundary_bisect(pair.set, 2, a, b, class_pair=class_pair)
-
-    def test_class_pairs_accepted(self, pair):
+    def test_pair_crossings_stacked(self, pair):
         starts, ends = [(0.0, 0.0), (1.5, 0.0)], [(1.5, 0.0), (3.0, 0.0)]
-        fractions = boundary_bisect(pair.set, 2, starts, ends, class_pair=[(0, 1), (1, 2)])
+        fractions = boundary_bisect(pair.set, 2, starts, ends)
         np.testing.assert_allclose(fractions, [2 / 3, 1 / 3], atol=1e-8)
 
     def test_no_segments(self, pair):
