@@ -14,13 +14,9 @@ from .core import (  # noqa: E402
     COINCIDENT_TOL,
     PROB_SUM_TOL,
     LabelKind,
-    Prototype,
     PrototypeSet,
     SoftLabel,
-    class_weight_sum,
     from_json_dict,
-    label_argmax,
-    label_softmax,
     label_violations,
     load_json,
     make_prototype_set,

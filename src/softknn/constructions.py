@@ -350,8 +350,8 @@ def nested_band_labels(
     weights count upward so each difference is exactly -1.
 
     The positions must be a finite, non-empty (M, 2) array of distinct
-    points, and ``target_radii`` ``class_count - 1`` strictly increasing
-    radii; anything else is refused with a ``ValueError``.
+    points, and ``target_radii`` ``class_count - 1`` finite, strictly
+    increasing radii above 0; anything else is refused with a ``ValueError``.
     """
     require_positive("class_count", class_count)
     pos = np.asarray(positions, dtype=float)
@@ -364,6 +364,8 @@ def nested_band_labels(
     targets = np.asarray(target_radii, dtype=float)
     if targets.ndim != 1 or len(targets) != class_count - 1:
         raise ValueError(f"expected {class_count - 1} target radii, got {targets.shape}")
+    if not (np.isfinite(targets).all() and (targets[:1] > 0).all()):
+        raise ValueError(f"target radii must be finite and above 0, got {targets.tolist()}")
     if not np.all(np.diff(targets) > 0):
         raise ValueError("target radii must be strictly increasing")
     center_idx = int(np.argmin(np.linalg.norm(pos, axis=1)))

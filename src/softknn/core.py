@@ -8,9 +8,8 @@ classes, and unrestricted labels may hold any finite real weights.
 A prototype set is two arrays, the (M, dim) positions and the
 (M, num_classes) labels, plus one label kind shared by every row. Their
 shapes are checked once, when the set is built; :func:`validate` then
-reports value errors. This module provides the label type, the set type
-with per-prototype views built on request, the conversions between label
-kinds (softmax, argmax), validation, and the JSON interchange format.
+reports value errors. This module provides the label type, the set type,
+validation, and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-def _vector(values, what: str) -> np.ndarray:
-    """``values`` as a read-only float vector; a scalar is one element, anything but a non-empty 1-D vector is refused."""
+def _vector(values) -> np.ndarray:
+    """Label ``values`` as a read-only float vector; a scalar is one element, anything but a non-empty 1-D vector is refused."""
     arr = _readonly(np.atleast_1d(values))
     if arr.ndim != 1 or not arr.size:
-        raise ValueError(f"{what} must be a non-empty 1-D vector, got shape {arr.shape}")
+        raise ValueError(f"label values must be a non-empty 1-D vector, got shape {arr.shape}")
     return arr
 
 
@@ -88,11 +87,8 @@ class SoftLabel:
     kind: LabelKind = LabelKind.PROBABILISTIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _vector(self.values, "label values"))
+        object.__setattr__(self, "values", _vector(self.values))
         object.__setattr__(self, "kind", LabelKind(self.kind))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
     @classmethod
     def from_exact(cls, weights: Sequence[Fraction]) -> "SoftLabel":
@@ -138,17 +134,6 @@ def _label_violations(labels: np.ndarray, kind: LabelKind) -> list[list[str]]:
             if abs(total - 1.0) > PROB_SUM_TOL:
                 rows[i].append(f"elements sum to {total!r}, not 1")
     return rows
-
-
-@dataclass(frozen=True, eq=False)
-class Prototype:
-    """A position in d-dimensional space paired with a soft label."""
-
-    position: np.ndarray
-    label: SoftLabel
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _vector(self.position, "position"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +186,6 @@ class PrototypeSet:
     @property
     def num_classes(self) -> int:
         return self.labels.shape[1]
-
-    @property
-    def prototypes(self) -> tuple[Prototype, ...]:
-        """One :class:`Prototype` view per row, built on each access."""
-        return tuple(Prototype(p, SoftLabel(l, self.label_kind)) for p, l in zip(self.positions, self.labels))
 
 
 def _check_rows(rows, what: str) -> np.ndarray | list[np.ndarray]:
@@ -299,43 +279,6 @@ def _coincident_pairs(pos: np.ndarray) -> list[tuple[int, int]]:
         close = np.linalg.norm(pos[first] - pos[second], axis=1) < COINCIDENT_TOL
         pairs.extend(zip(first[close].tolist(), second[close].tolist()))
     return sorted(pairs)
-
-
-def label_softmax(label: SoftLabel) -> SoftLabel:
-    """Convert an unrestricted label to a probabilistic one via softmax.
-
-    The maximum is subtracted before exponentiation so that widely spread
-    weights (for example -10 next to 4.1) cannot overflow. A label with a
-    non-finite element is refused.
-    """
-    if label.kind != LabelKind.UNRESTRICTED:
-        raise ValueError(f"softmax applies to unrestricted labels, got kind={label.kind.value}")
-    if not np.isfinite(label.values).all():
-        raise ValueError(f"softmax needs finite label weights, got {label.values.tolist()}")
-    v = label.values
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return SoftLabel(e / e.sum(), LabelKind.PROBABILISTIC)
-
-
-def label_argmax(label: SoftLabel) -> SoftLabel:
-    """Collapse any label to a hard one-hot label at its largest element.
-
-    Ties break to the lowest class index, so results are deterministic
-    across platforms. Idempotent on hard labels. A label with a non-finite
-    element is refused.
-    """
-    if not np.isfinite(label.values).all():
-        raise ValueError(f"argmax needs finite label weights, got {label.values.tolist()}")
-    idx = int(np.argmax(label.values))
-    out = np.zeros(len(label))
-    out[idx] = 1.0
-    return SoftLabel(out, LabelKind.HARD)
-
-
-def class_weight_sum(pset: PrototypeSet) -> np.ndarray:
-    """Total label weight per class, summed over all prototypes."""
-    return pset.labels.sum(axis=0)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -142,7 +142,10 @@ def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol:
     against ``tol``; ray crossings (radii of nested bands) against
     ``radial_tol``, since fitted bands are only as sharp as their fit. All
     crossings are bisected together in one :func:`boundary_bisect` call.
+    Both tolerances must be finite and positive.
     """
+    require_finite_positive("tol", tol)
+    require_finite_positive("radial_tol", radial_tol)
     details = []
     max_frac_err = 0.0
     max_radial_err = 0.0

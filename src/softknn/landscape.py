@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import _check_rule_args, _evaluate_into, _predicted
-from .core import PrototypeSet, require_integer
+from .core import PrototypeSet, require_integer, require_positive
 
 # Fixed palette for class maps (class index cycles through these RGBs).
 PALETTE: tuple[tuple[int, int, int], ...] = (
@@ -410,8 +410,9 @@ def k_sweep(
     width: int = 512,
     height: int = 512,
 ) -> list[tuple[int, RasterGrid, RegionReport]]:
-    """Rasterize and report regions for each k in ``k_values``, every k checked before the first raster."""
+    """Rasterize and report regions for each k in ``k_values``, at least one, every k checked before the first raster."""
     k_values = list(k_values)
+    require_positive("k_values", len(k_values))
     for k in k_values:
         _check_rule_args(pset, k)
     out = []
@@ -475,12 +476,12 @@ def pgm_bytes(intensity: np.ndarray) -> bytearray:
 
 
 def class_csv_bytes(grid: RasterGrid) -> bytes:
-    lines = "\n".join(",".join(str(int(v)) for v in row) for row in grid.classes)
+    lines = "\n".join(",".join(map(str, row.tolist())) for row in grid.classes)
     return (lines + "\n").encode()
 
 
 def confidence_csv_bytes(grid: RasterGrid) -> bytes:
-    lines = "\n".join(",".join(repr(float(v)) for v in row) for row in grid.confidence)
+    lines = "\n".join(",".join(map(repr, row.tolist())) for row in grid.confidence)
     return (lines + "\n").encode()
 
 

@@ -10,6 +10,7 @@ from softknn import (
     Construction,
     LabelKind,
     RadialFitError,
+    SoftLabel,
     build_named,
     circle_hard_baseline,
     circle_prototype_count,
@@ -104,8 +105,9 @@ class TestNFromTwo:
         weights = n_from_two_labels(n)
         assert sum(weights, Fraction(0)) == 1
         assert all(w >= 0 for w in weights)
-        for label in (p.label for p in n_from_two(n).set.prototypes):
-            assert label_violations(label) == []
+        pset = n_from_two(n).set
+        for row in pset.labels:
+            assert label_violations(SoftLabel(row, pset.label_kind)) == []
 
     @pytest.mark.parametrize("n", [2, 4, 7, 11])
     def test_second_label_is_reversal(self, n):
@@ -155,7 +157,8 @@ class TestStarPairs:
 
     def test_hub_label_sums_exactly_to_one(self):
         for m in range(2, 9):
-            hub = star_pairs(m).set.prototypes[0].label
+            pset = star_pairs(m).set
+            hub = SoftLabel(pset.labels[0], pset.label_kind)
             assert label_violations(hub) == []
             total = Fraction(3, 2 * m + 1) + (m - 1) * Fraction(2, 2 * m + 1)
             assert total == 1
@@ -202,7 +205,7 @@ class TestPolygonPairs:
         assert lab[2] == float(Fraction(3, 7))
         assert lab[5 + 2] == float(Fraction(2, 7))
         assert lab[5 + 1] == float(Fraction(2, 7))
-        assert label_violations(cons.set.prototypes[2].label) == []
+        assert label_violations(SoftLabel(lab, cons.set.label_kind)) == []
 
     def test_claims(self):
         cons = polygon_pairs(4)
@@ -238,8 +241,9 @@ class TestPolygonWithCenter:
 
     def test_labels_probabilistic_exactly(self):
         for m in (4, 5, 6):
-            for proto in polygon_with_center(m).set.prototypes:
-                assert label_violations(proto.label) == []
+            pset = polygon_with_center(m).set
+            for row in pset.labels:
+                assert label_violations(SoftLabel(row, pset.label_kind)) == []
 
     def test_hub_and_vertex_structure(self):
         cons = polygon_with_center(4)
@@ -255,8 +259,9 @@ class TestPolygonWithCenter:
             polygon_with_center(3)
 
 
-# Radial label inputs nested_band_labels refuses: three of radii, then two
-# of class_count, then four of positions.
+# Radial label inputs nested_band_labels refuses: three of the radius count
+# and order, then two of class_count, four of positions, and four of radius
+# values.
 BAD_RADIAL_INPUTS = [
     pytest.param(ELLIPSE_POSITIONS, [1.0, 2.0, 3.0, 9.0], 3, r"expected 2 target radii, got \(4,\)", id="extra-radii"),
     pytest.param(ELLIPSE_POSITIONS, [1.0], 3, r"expected 2 target radii, got \(1,\)", id="too-few-radii"),
@@ -275,6 +280,18 @@ BAD_RADIAL_INPUTS = [
     pytest.param(
         [(0.0, 0.0), (0.0, 5.0), (0.0, 5.0)], [1.0, 2.0], 3, "prototype positions must be distinct",
         id="coincident-positions",
+    ),
+    pytest.param(ELLIPSE_POSITIONS, [math.nan], 2, r"target radii must be finite and above 0, got \[nan\]", id="nan-radius"),
+    pytest.param(
+        ELLIPSE_POSITIONS, [-1.0, 2.0], 3, r"target radii must be finite and above 0, got \[-1.0, 2.0\]",
+        id="negative-radius",
+    ),
+    pytest.param(
+        ELLIPSE_POSITIONS, [0.0, 2.0], 3, r"target radii must be finite and above 0, got \[0.0, 2.0\]", id="zero-radius"
+    ),
+    pytest.param(
+        ELLIPSE_POSITIONS, [1.0, math.inf], 3, r"target radii must be finite and above 0, got \[1.0, inf\]",
+        id="inf-radius",
     ),
 ]
 
@@ -343,7 +360,7 @@ class TestFitRadialLabels:
 
     @pytest.mark.parametrize("positions, radii, class_count, message", BAD_RADIAL_INPUTS[3:])
     def test_fit_refuses_bad_positions_and_class_count(self, positions, radii, class_count, message):
-        # The fit relies on nested_band_labels' check; its radius cases are the two tests above.
+        # The fit relies on nested_band_labels' check; its radius count and order cases are the two tests above.
         with pytest.raises(ValueError, match=rf"^{message}$"):
             fit_radial_labels(positions, radii, class_count)
 

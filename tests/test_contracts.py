@@ -1,11 +1,14 @@
 """Contracts with code outside the package: pinned output bytes and traced names."""
 
 import ast
+import functools
 import hashlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -316,3 +319,52 @@ def test_no_unread_parameters(tmp_path):
     modules = sorted((REPO / "src" / "softknn").glob("*.py"))
     assert modules
     assert [entry for p in modules for entry in _unread_parameters(p)] == []
+
+
+# Public names that no module of the package (outside __init__.py) and no
+# bench script reads, each with the reason it stays public.
+UNREAD_PUBLIC_NAMES = {
+    "classify_batch": "perfbench/bench_trace.py wraps it through its name string, so it goes with that tracer",
+    "RasterGrid.cell_centers_x": "acceptance tests 9 and 10 rebuild the raster's exact cell centres from it",
+    "RasterGrid.cell_centers_y": "acceptance test 10 rebuilds the raster's exact cell centres from it",
+    "transformed_set": "the invariance tests compare the stacked rigid motions against it",
+    "scaled_label_set": "the invariance tests compare the stacked label scalings against it",
+    "shifted_label_set": "the invariance tests compare the stacked label shifts against it",
+    "verify_hard_label_oracle": "acceptance test 8 runs it",
+    "label_violations": "it is the one check of a lone SoftLabel",
+}
+
+
+def _public_names() -> list[str]:
+    """``softknn.__all__`` without its submodules, then each exported class's own public methods and properties as ``Class.name``."""
+    names = []
+    for name in softknn.__all__:
+        obj = getattr(softknn, name)
+        if inspect.ismodule(obj):
+            continue
+        names.append(name)
+        if inspect.isclass(obj):
+            names.extend(
+                f"{name}.{attr}"
+                for attr, member in vars(obj).items()
+                if not attr.startswith("_")
+                and isinstance(member, (types.FunctionType, classmethod, staticmethod, property, functools.cached_property))
+            )
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # A public name that nothing in the package or the bench reads is dead
+    # code that only its own tests keep alive.
+    sources = [p for p in sorted((REPO / "src" / "softknn").glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((REPO / "perfbench").glob("*.py"))
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {name for name in _public_names() if name.rpartition(".")[2] not in read}
+    # Either a new name without a reader, or a kept one that gained a reader or went.
+    assert sorted(unread ^ UNREAD_PUBLIC_NAMES.keys()) == []

@@ -1,4 +1,4 @@
-"""Label model, conversions, validation, and JSON round-trips."""
+"""Label model, validation, and JSON round-trips."""
 
 import json
 import re
@@ -7,19 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from softknn import (
     COINCIDENT_TOL,
     LabelKind,
-    Prototype,
     PrototypeSet,
     SoftLabel,
-    class_weight_sum,
     evaluate_points,
     from_json_dict,
-    label_argmax,
-    label_softmax,
     label_violations,
     load_json,
     make_prototype_set,
@@ -29,13 +24,6 @@ from softknn import (
     validate,
 )
 from softknn.core import _coincident_pairs
-
-# Unrestricted vector with a wide weight spread: the sixth entry dominates.
-SPREAD_VECTOR = [-10.0, 0.5, 0.5, 1.0, 1.5, 4.1, 1.0, 2.2, -0.2, 1.0]
-
-
-def unrestricted(values):
-    return SoftLabel(np.asarray(values, dtype=float), LabelKind.UNRESTRICTED)
 
 
 class TestValidate:
@@ -251,100 +239,7 @@ class TestLabelChecksAtOnce:
         assert any("sum" in e for e in expected) and len(expected) < 400
 
 
-class TestSoftmax:
-    def test_two_zeros_split_evenly(self):
-        out = label_softmax(unrestricted([0.0, 0.0]))
-        assert out.kind == LabelKind.PROBABILISTIC
-        np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
-
-    def test_spread_vector_concentrates_on_dominant_entry(self):
-        out = label_softmax(unrestricted(SPREAD_VECTOR))
-        # Published rounding of this conversion: ~0.70 on entry 6, ~0.11 on entry 8.
-        assert abs(out.values[5] - 0.70) < 0.01
-        assert abs(out.values[7] - 0.11) < 0.01
-        assert int(np.argmax(out.values)) == 5
-        assert abs(out.values.sum() - 1.0) < 1e-12
-
-    def test_constant_vector_becomes_uniform(self):
-        for c in (-7.0, 0.0, 123.0):
-            out = label_softmax(unrestricted([c, c, c]))
-            np.testing.assert_allclose(out.values, [1 / 3] * 3, atol=1e-15)
-
-    def test_requires_unrestricted_kind(self):
-        prob = SoftLabel(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="unrestricted"):
-            label_softmax(prob)
-
-    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
-    def test_non_finite_refused(self, values):
-        with pytest.raises(ValueError, match=r"^softmax needs finite label weights, got \["):
-            label_softmax(unrestricted(values))
-
-    def test_extreme_values_do_not_overflow(self):
-        out = label_softmax(unrestricted([1000.0, -1000.0]))
-        assert np.all(np.isfinite(out.values))
-        assert out.values[0] == pytest.approx(1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=-40, max_value=40), min_size=2, max_size=8),
-        st.floats(min_value=-30, max_value=30),
-    )
-    def test_shift_invariance(self, values, shift):
-        base = label_softmax(unrestricted(values)).values
-        shifted = label_softmax(unrestricted([v + shift for v in values])).values
-        np.testing.assert_allclose(base, shifted, atol=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=-2000, max_value=2000), min_size=1, max_size=8))
-    def test_argmax_commutes_with_softmax(self, millis):
-        # A coarse value grid keeps strict input orderings strict after exp.
-        values = [m / 100.0 for m in millis]
-        out = label_softmax(unrestricted(values))
-        assert int(np.argmax(out.values)) == int(np.argmax(values))
-
-
-class TestArgmax:
-    def test_spread_vector_collapses_to_sixth_class(self):
-        hard = label_argmax(label_softmax(unrestricted(SPREAD_VECTOR)))
-        expected = np.zeros(10)
-        expected[5] = 1.0
-        np.testing.assert_array_equal(hard.values, expected)
-        assert hard.kind == LabelKind.HARD
-
-    def test_tie_breaks_to_lowest_index(self):
-        hard = label_argmax(SoftLabel(np.array([0.5, 0.5])))
-        np.testing.assert_array_equal(hard.values, [1.0, 0.0])
-
-    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
-    def test_non_finite_refused(self, values):
-        with pytest.raises(ValueError, match=r"^argmax needs finite label weights, got \["):
-            label_argmax(unrestricted(values))
-
-    def test_hard_label_is_fixed_point(self):
-        e2 = SoftLabel(np.array([0.0, 1.0, 0.0]), LabelKind.HARD)
-        np.testing.assert_array_equal(label_argmax(e2).values, e2.values)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=10))
-    def test_idempotent(self, values):
-        once = label_argmax(unrestricted(values))
-        twice = label_argmax(once)
-        np.testing.assert_array_equal(once.values, twice.values)
-
-
 class TestClassWeightSum:
-    def test_two_prototype_example(self):
-        pset = make_prototype_set(
-            [(0.0, 0.0), (3.0, 0.0)],
-            np.array([[0.6, 0.4, 0.0], [0.0, 0.4, 0.6]]),
-        )
-        np.testing.assert_allclose(class_weight_sum(pset), [0.6, 0.8, 0.6], atol=1e-15)
-
-    def test_single_hard_label(self):
-        pset = make_prototype_set([(0.0, 0.0)], np.array([[1.0, 0.0, 0.0]]), kind=LabelKind.HARD)
-        np.testing.assert_array_equal(class_weight_sum(pset), [1.0, 0.0, 0.0])
-
     def test_star_totals_match_direct_addition(self):
         cons = star_pairs(3)
         # Independent oracle: per-class sums from the exact label fractions.
@@ -355,9 +250,7 @@ class TestClassWeightSum:
         for contrib in (hub, tip0, tip1):
             for cls, w in contrib.items():
                 expected[cls] += w
-        np.testing.assert_allclose(
-            class_weight_sum(cons.set), [float(f) for f in expected], atol=1e-15
-        )
+        np.testing.assert_allclose(cons.set.labels.sum(axis=0), [float(f) for f in expected], atol=1e-15)
 
 
 class TestImmutability:
@@ -366,7 +259,7 @@ class TestImmutability:
             [(0.0, 0.0), (3.0, 0.0)], np.array([[0.6, 0.4], [0.4, 0.6]])
         )
         with pytest.raises(ValueError):
-            pset.prototypes[0].label.values[0] = 9.0
+            SoftLabel([0.6, 0.4]).values[0] = 9.0
         with pytest.raises(ValueError):
             pset.positions[0, 0] = 9.0
         with pytest.raises(ValueError):
@@ -398,8 +291,6 @@ class TestShapes:
         # raised IndexError; an empty one reached numpy's reductions.
         with pytest.raises(ValueError, match=rf"^label values must be a non-empty 1-D vector, got shape {re.escape(shape)}$"):
             SoftLabel(values)
-        with pytest.raises(ValueError, match=rf"^position must be a non-empty 1-D vector, got shape {re.escape(shape)}$"):
-            Prototype(values, SoftLabel([1.0]))
 
 
 class TestMemoryOrder:

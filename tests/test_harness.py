@@ -82,6 +82,17 @@ class TestBoundaries:
         assert check.passed
         assert check.observed["max_radius_error"] < 1e-3
 
+    @pytest.mark.parametrize("name", ["tol", "radial_tol"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(math.nan, "positive, got nan"), (-1.0, "positive, got -1.0"), (0.0, "positive, got 0.0"), (math.inf, "finite, got inf")],
+        ids=["nan", "negative", "zero", "inf"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, name, value, message):
+        # A NaN or negative tolerance would fail every check, and inf would pass every crossing.
+        with pytest.raises(ValueError, match=rf"^{name} must be {message}$"):
+            verify_boundaries(three_from_two(3.0), **{name: value})
+
 
 class TestCircleSeparation:
     def test_hard_six_circles(self):

@@ -820,6 +820,11 @@ class TestKSweep:
         ]
         assert multi, "expected some k to split a class into multiple components"
 
+    def test_empty_k_values_refused(self, pair):
+        # An empty sweep would show nothing.
+        with pytest.raises(ValueError, match="^k_values must be at least 1, got 0$"):
+            k_sweep(pair.set, [])
+
     @pytest.mark.parametrize(
         "call",
         [lambda pset: rasterize(pset, 1, (0, 1, 0, 1), 8, 8), lambda pset: k_sweep(pset, [1, 2], (0, 1, 0, 1), 8, 8)],
