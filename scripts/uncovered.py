@@ -1,18 +1,23 @@
-"""List the statements inside functions of the package that the test suite never runs.
+"""List the statements inside functions of the package that the test suite, or the benchmark, never runs.
 
     python3 scripts/uncovered.py [PYTEST ARGS...]
+    python3 scripts/uncovered.py --bench
 
 Runs ``pytest`` on ``tests/`` in this process under a line tracer
-(``sys.settrace``) that records only frames of ``src/softknn``. Then
+(``sys.settrace``) that records only frames of ``src/softknn``. With
+``--bench`` it runs instead one pass of every benchmark workload's jobs,
+each workload set up by ``perfbench/run.py``'s ``set_up`` in a temporary
+directory, and checks each job's output with the job's own check. Then
 prints ``module:line: statement`` for every statement inside a function
 (methods and nested functions included) on none of whose own lines a
 line event fired, and the count. Docstrings and other bare constants are
 not statements here; a ``try`` counts through the statements it holds.
-Exits with pytest's status.
+Exits with pytest's status, or with 1 if a benchmark job failed.
 """
 
 import ast
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,22 @@ def function_statements(tree: ast.Module):
     yield from walk(tree.body, False)
 
 
+def run_bench() -> int:
+    """One pass of every benchmark workload's jobs, each output checked; 1 if a job failed, else 0."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import run
+
+    failed = 0
+    for workload in sorted(run.bench_jobs.WORKLOADS):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, jobs = run.set_up(workload, 0, Path(tmp))
+            runner = run.Runner(jobs)
+            for job in jobs:
+                runner.run_job(job)
+            failed += runner.failed
+    return int(failed > 0)
+
+
 def main(argv: list[str]) -> int:
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
@@ -63,7 +84,10 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(tracer)
     try:
-        status = pytest.main([str(REPO / "tests"), "-q", "-p", "no:cacheprovider", *argv])
+        if argv == ["--bench"]:
+            status = run_bench()
+        else:
+            status = pytest.main([str(REPO / "tests"), "-q", "-p", "no:cacheprovider", *argv])
     finally:
         sys.settrace(None)
 

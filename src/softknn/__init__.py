@@ -29,7 +29,6 @@ from .constructions import (  # noqa: E402
     Construction,
     RadialFit,
     RadialFitError,
-    RadialSpec,
     REGISTRY,
     build_named,
     circle_hard_baseline,

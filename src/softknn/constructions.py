@@ -2,10 +2,10 @@
 they have prototypes.
 
 Each generator returns a :class:`Construction`: a prototype set bundled
-with the neighbor count ``required_k`` it is designed for, the number of
-classes its decision landscape is claimed to contain, and, where known in
-closed form, the boundary crossing positions used by the verification
-harness.
+with the neighbor count ``required_k`` it is designed for and, where known
+in closed form, the boundary crossing positions used by the verification
+harness. The number of classes its decision landscape is claimed to
+contain is the width of its labels.
 
 Class index conventions (0-based), fixed per generator:
 
@@ -30,6 +30,7 @@ the distribution invariant by construction.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,36 +49,27 @@ BoundarySpec = list[tuple[tuple[int, int], list[float]]]
 
 
 @dataclass(frozen=True, eq=False)
-class RadialSpec:
-    """Boundary radii along a ray, for landscapes organized in nested bands.
-
-    The ray is the +x axis from the origin, about which every banded
-    construction is built. Crossing j separates class j from class j+1 at
-    distance ``radii[j]``.
-    """
-
-    radii: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class Construction:
     """A prototype set plus the claims the harness can check against it."""
 
     set: PrototypeSet
     required_k: int
-    claimed_classes: int
     boundary_spec: BoundarySpec | None = None
-    radial_spec: RadialSpec | None = None
+    # Boundary radii along the +x ray from the origin, about which every
+    # banded construction is built: crossing j separates class j from class
+    # j+1 at distance radial_spec[j].
+    radial_spec: tuple[float, ...] | None = None
     # (radius, class index) per circle, for separation checks on circle data.
     circle_spec: tuple[tuple[float, int], ...] | None = None
     fit_residual: float | None = None
     params: dict = field(default_factory=dict)
 
+    @property
+    def claimed_classes(self) -> int:
+        """The number of classes the landscape is claimed to contain: one per label entry."""
+        return self.set.num_classes
+
     def __post_init__(self) -> None:
-        if self.claimed_classes != self.set.num_classes:
-            raise ValueError(
-                f"claimed_classes={self.claimed_classes} != num_classes={self.set.num_classes}"
-            )
         require_integer("required_k", self.required_k)
         if not 1 <= self.required_k <= len(self.set):
             raise ValueError(f"required_k={self.required_k} out of range for {len(self.set)} prototypes")
@@ -148,7 +140,6 @@ def n_from_two(n: int, spacing: float | None = None) -> Construction:
     return Construction(
         set=pset,
         required_k=2,
-        claimed_classes=n,
         boundary_spec=[((0, 1), fractions)] if fractions else None,
         params={"n": n, "spacing": float(spacing)},
     )
@@ -179,7 +170,6 @@ def star_pairs(m: int, radius: float = 1.0) -> Construction:
     return Construction(
         set=pset,
         required_k=2,
-        claimed_classes=n_classes,
         boundary_spec=spec,
         params={"m": m, "radius": float(radius)},
     )
@@ -207,7 +197,6 @@ def polygon_pairs(m: int, circumradius: float = 1.0) -> Construction:
     return Construction(
         set=pset,
         required_k=2,
-        claimed_classes=n_classes,
         boundary_spec=spec,
         params={"m": m, "circumradius": float(circumradius)},
     )
@@ -258,7 +247,6 @@ def polygon_with_center(m: int) -> Construction:
     return Construction(
         set=pset,
         required_k=m,
-        claimed_classes=n_classes,
         params={"m": m},
     )
 
@@ -284,7 +272,6 @@ class RadialFit:
     labels: tuple[SoftLabel, ...]
     residual: float
     history: tuple[float, ...]
-    targets: tuple[float, ...]
     realized: tuple[float, ...]
 
 
@@ -421,7 +408,6 @@ def fit_radial_labels(
         labels=tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in weights),
         residual=float(residual),
         history=(float(residual),),
-        targets=tuple(float(t) for t in targets),
         realized=tuple(float(r) for r in realized),
     )
 
@@ -443,8 +429,7 @@ def concentric_ellipses(num_classes: int) -> Construction:
     return Construction(
         set=pset,
         required_k=3,
-        claimed_classes=num_classes,
-        radial_spec=RadialSpec(radii=tuple(targets)),
+        radial_spec=tuple(targets),
         fit_residual=fit.residual,
         params={"num_classes": num_classes},
     )
@@ -489,7 +474,6 @@ def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:
     return Construction(
         set=pset,
         required_k=1,
-        claimed_classes=n,
         circle_spec=circle_spec,
         params={"n": n, "c": float(c), "counts": counts},
     )
@@ -513,12 +497,11 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
         labels, residual, radial_spec = np.ones((5, 1)), 0.0, None
     else:
         fit = fit_radial_labels(positions, targets, n, r_max=0.8 * s)
-        labels, residual, radial_spec = fit.labels, fit.residual, RadialSpec(radii=tuple(targets))
+        labels, residual, radial_spec = fit.labels, fit.residual, tuple(targets)
     pset = make_prototype_set(positions, labels, LabelKind.UNRESTRICTED, f"circle_soft_fit(n={n}, c={c})")
     return Construction(
         set=pset,
         required_k=5,
-        claimed_classes=n,
         radial_spec=radial_spec,
         circle_spec=circle_spec,
         fit_residual=residual,
@@ -526,35 +509,29 @@ def circle_soft_fit(n: int = 6, c: float = 1.0) -> Construction:
     )
 
 
-# Name -> factory registry used by the CLI and the harness. Values are
-# (factory, {parameter: default or REQUIRED}).
-REQUIRED = object()
-REGISTRY: dict[str, tuple[Callable[..., Construction], dict]] = {
-    "three_from_two": (three_from_two, {"spacing": 3.0}),
-    "n_from_two": (n_from_two, {"n": REQUIRED, "spacing": None}),
-    "star_pairs": (star_pairs, {"m": REQUIRED, "radius": 1.0}),
-    "polygon_pairs": (polygon_pairs, {"m": REQUIRED, "circumradius": 1.0}),
-    "polygon_with_center": (polygon_with_center, {"m": REQUIRED}),
-    "concentric_ellipses": (concentric_ellipses, {"num_classes": REQUIRED}),
-    "circle_hard_baseline": (circle_hard_baseline, {"n": REQUIRED, "c": 1.0}),
-    "circle_soft_fit": (circle_soft_fit, {"n": 6, "c": 1.0}),
+# Name -> factory registry used by the CLI and the harness. Each factory's
+# signature is its parameter table: a parameter without a default is required.
+REGISTRY: dict[str, Callable[..., Construction]] = {
+    "three_from_two": three_from_two,
+    "n_from_two": n_from_two,
+    "star_pairs": star_pairs,
+    "polygon_pairs": polygon_pairs,
+    "polygon_with_center": polygon_with_center,
+    "concentric_ellipses": concentric_ellipses,
+    "circle_hard_baseline": circle_hard_baseline,
+    "circle_soft_fit": circle_soft_fit,
 }
 
 
 def build_named(name: str, **params) -> Construction:
-    """Instantiate a registered construction by name."""
+    """Instantiate a registered construction by name, with its factory's defaults for the parameters not given."""
     if name not in REGISTRY:
         raise ValueError(f"unknown construction {name!r}; known: {', '.join(sorted(REGISTRY))}")
-    factory, defaults = REGISTRY[name]
-    kwargs = {}
-    for key, default in defaults.items():
-        if key in params:
-            kwargs[key] = params[key]
-        elif default is REQUIRED:
+    accepted = inspect.signature(REGISTRY[name]).parameters
+    for key, param in accepted.items():
+        if key not in params and param.default is param.empty:
             raise ValueError(f"construction {name!r} requires parameter {key!r}")
-        elif default is not None:
-            kwargs[key] = default
-    unknown = set(params) - set(defaults)
+    unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
-    return factory(**kwargs)
+    return REGISTRY[name](**params)

@@ -40,7 +40,7 @@ def require_integer(name: str, value) -> None:
 
 
 def require_positive(name: str, value: int, least: int = 1) -> None:
-    """Refuse a count that is not an integer of at least ``least``, by default 1: a check that compares nothing would pass."""
+    """Refuse a count or seed that is not an integer of at least ``least``, by default 1: a check that compares nothing would pass."""
     require_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -126,7 +126,7 @@ def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list
                 windows.append(({"segment": [ia, ib], "expected": expected}, lo, hi))
 
     if cons.radial_spec:
-        radii = cons.radial_spec.radii
+        radii = cons.radial_spec
         last = radii[-1] + 0.5 * (radii[-1] - radii[-2]) if len(radii) > 1 else 1.5 * radii[-1]
         for expected, (lo, hi) in zip(radii, _windows(radii, 0.5 * radii[0], last)):
             starts.append((lo, 0.0))
@@ -135,17 +135,15 @@ def _crossing_segments(cons: Construction) -> tuple[np.ndarray, np.ndarray, list
     return np.array(starts).reshape(-1, cons.set.dim), np.array(ends).reshape(-1, cons.set.dim), windows
 
 
-def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol: float = RADIAL_TOL) -> CheckResult:
+def verify_boundaries(cons: Construction) -> CheckResult:
     """Bisect every specified crossing and compare against its stated position.
 
     Segment crossings (fractions between prototype pairs) are checked
-    against ``tol``; ray crossings (radii of nested bands) against
-    ``radial_tol``, since fitted bands are only as sharp as their fit. All
-    crossings are bisected together in one :func:`boundary_bisect` call.
-    Both tolerances must be finite and positive.
+    against :data:`BOUNDARY_TOL`; ray crossings (radii of nested bands)
+    against :data:`RADIAL_TOL`, since fitted bands are only as sharp as
+    their fit. All crossings are bisected together in one
+    :func:`boundary_bisect` call.
     """
-    require_finite_positive("tol", tol)
-    require_finite_positive("radial_tol", radial_tol)
     details = []
     max_frac_err = 0.0
     max_radial_err = 0.0
@@ -160,13 +158,13 @@ def verify_boundaries(cons: Construction, tol: float = BOUNDARY_TOL, radial_tol:
             max_frac_err = max(max_frac_err, err)
         details.append({**entry, "observed": observed, "error": err})
 
-    passed = max_frac_err <= tol and max_radial_err <= radial_tol
+    passed = max_frac_err <= BOUNDARY_TOL and max_radial_err <= RADIAL_TOL
     return CheckResult(
         "boundaries",
         passed,
         {"max_fraction_error": max_frac_err, "max_radius_error": max_radial_err, "crossings": details},
         "stated crossing positions",
-        tol,
+        BOUNDARY_TOL,
     )
 
 
@@ -274,6 +272,7 @@ def verify_invariances(cons: Construction, trials: int = 100, seed: int = 0) -> 
     a set that passes, which queries a seed draws changes no report byte.
     """
     require_positive("trials", trials)
+    require_positive("seed", seed, 0)
     pset, k = cons.set, cons.required_k
     queries, base, theta, shift, c, d = _draw_trials(pset, np.random.default_rng(seed), trials, k)
     failures = {"rigid_motion": 0, "label_scale": 0, "label_shift": 0}
@@ -314,6 +313,7 @@ def verify_hard_label_oracle(instances: int = 1000, seed: int = 0) -> CheckResul
     distances with the same lowest-index tie rule.
     """
     require_positive("instances", instances)
+    require_positive("seed", seed, 0)
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(instances):
@@ -353,11 +353,12 @@ def standard_report(
 
     Crossings are held to :data:`BOUNDARY_TOL` and :data:`RADIAL_TOL`, and
     circles are sampled :data:`SAMPLES_PER_CIRCLE` times each; the report's
-    ``meta`` records all three. The sizes are checked before any check
-    runs, so a bad one is refused without rasterizing first.
+    ``meta`` records all three. The sizes and the seed are checked before
+    any check runs, so a bad one is refused without rasterizing first.
     """
     require_positive("resolutions", len(resolutions))
     require_positive("trials", trials)
+    require_positive("seed", seed, 0)
     checks: list[CheckResult] = [verify_class_count(cons, resolutions)]
     if cons.boundary_spec or cons.radial_spec:
         checks.append(verify_boundaries(cons))

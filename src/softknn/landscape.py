@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,7 +172,10 @@ def rasterize(
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
     if bounds is None:
         bounds = default_bounds(pset)
-    xmin, xmax, ymin, ymax = (float(v) for v in bounds)
+    values = list(bounds) if np.iterable(bounds) else []
+    if len(values) != 4 or not all(isinstance(v, numbers.Real) for v in values):
+        raise ValueError(f"bounds must be four numbers xmin, xmax, ymin, ymax, got {bounds!r}")
+    xmin, xmax, ymin, ymax = map(float, values)
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"bounds must be well-ordered, got {bounds}")
     require_integer("width", width)

@@ -74,7 +74,7 @@ def test_02_n_classes_from_two_prototypes(capsys):
         if not count_check.passed:
             failures.append(f"n={n} counts {count_check.observed}")
         if cons.boundary_spec:
-            bcheck = verify_boundaries(cons, tol=BOUNDARY_TOL)
+            bcheck = verify_boundaries(cons)
             if not bcheck.passed:
                 failures.append(f"n={n} boundary error {bcheck.observed['max_fraction_error']:.2e}")
     if not np.array_equal(n_from_two(3).set.labels[0], [3 / 5, 2 / 5, 0.0]):
@@ -102,7 +102,7 @@ def test_03_star_configuration(capsys):
             failures.append(f"m={m} spec fractions wrong")
         if not verify_class_count(cons).passed:
             failures.append(f"m={m} class count != {2 * m - 1}")
-        bcheck = verify_boundaries(cons, tol=BOUNDARY_TOL)
+        bcheck = verify_boundaries(cons)
         if not bcheck.passed:
             failures.append(f"m={m} crossing error {bcheck.observed['max_fraction_error']:.2e}")
     if not all(a > b for a, b in zip(inner_fractions, inner_fractions[1:])):
@@ -121,7 +121,7 @@ def test_04_polygon_pairs(capsys):
         cons = polygon_pairs(m)
         if not verify_class_count(cons).passed:
             failures.append(f"m={m} class count != {2 * m}")
-        bcheck = verify_boundaries(cons, tol=BOUNDARY_TOL)
+        bcheck = verify_boundaries(cons)
         worst = max(worst, bcheck.observed["max_fraction_error"])
         if not bcheck.passed:
             failures.append(f"m={m} edge crossings off by {bcheck.observed['max_fraction_error']:.2e}")

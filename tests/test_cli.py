@@ -266,6 +266,11 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "at least 1" in err
 
+    def test_negative_seed_refused_by_name(self, capsys):
+        # numpy's "expected non-negative integer" used to surface instead.
+        assert run("verify", "three_from_two", "--seed", "-1", "--resolutions", "64") == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

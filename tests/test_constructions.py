@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import softknn
 from softknn import (
+    REGISTRY,
     Construction,
     LabelKind,
     RadialFitError,
@@ -17,6 +19,7 @@ from softknn import (
     circle_soft_fit,
     classify,
     concentric_ellipses,
+    constructions,
     evaluate_points,
     fit_radial_labels,
     label_violations,
@@ -306,7 +309,7 @@ class TestFitRadialLabels:
             np.testing.assert_array_equal(label.values, row)
         # One class has no crossing to measure.
         one = fit_radial_labels(ELLIPSE_POSITIONS, [], 1)
-        assert (one.residual, one.history, one.targets, one.realized) == (0.0, (0.0,), (), ())
+        assert (one.residual, one.history, one.realized) == (0.0, (0.0,), ())
 
     @pytest.mark.parametrize(
         "build, realized",
@@ -390,7 +393,7 @@ class TestConcentricEllipses:
         assert len(cons.set) == 3
         assert cons.set.label_kind == LabelKind.UNRESTRICTED
         assert cons.fit_residual < 1e-3
-        assert cons.radial_spec.radii == (1.0, 2.0)
+        assert cons.radial_spec == (1.0, 2.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 12])
     def test_band_count_along_reference_ray(self, n):
@@ -493,7 +496,7 @@ class TestCircleSoftFit:
 
     def test_targets_between_circles(self):
         cons = circle_soft_fit(4, 2.0)
-        np.testing.assert_allclose(cons.radial_spec.radii, [3.0, 5.0, 7.0], atol=1e-12)
+        np.testing.assert_allclose(cons.radial_spec, [3.0, 5.0, 7.0], atol=1e-12)
 
     def test_one_circle_needs_no_fit(self):
         cons = circle_soft_fit(1, 2.0)
@@ -562,22 +565,24 @@ def test_degenerate_geometry_refused(build, defect):
 
 
 class TestConstructionType:
-    def test_claimed_classes_must_match_labels(self):
+    def test_class_count_is_the_label_width(self):
+        # The claim is read off the labels, so a second, disagreeing count cannot be given.
         pset = three_from_two().set
-        with pytest.raises(ValueError, match="claimed_classes"):
-            Construction(set=pset, required_k=2, claimed_classes=4)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'claimed_classes'"):
+            Construction(set=pset, required_k=2, claimed_classes=3)
+        assert Construction(set=pset, required_k=2).claimed_classes == 3
 
     def test_required_k_bounded(self):
         pset = three_from_two().set
         with pytest.raises(ValueError, match="required_k"):
-            Construction(set=pset, required_k=3, claimed_classes=3)
+            Construction(set=pset, required_k=3)
 
     @pytest.mark.parametrize("k", [1.5, True, 2.0], ids=repr)
     def test_required_k_must_be_an_integer(self, k):
         # Each of these lies in 1..M, so the range test alone would accept it.
         pset = three_from_two().set
         with pytest.raises(ValueError, match=rf"^required_k must be an integer, got {k!r}$"):
-            Construction(set=pset, required_k=k, claimed_classes=3)
+            Construction(set=pset, required_k=k)
 
     @pytest.mark.parametrize(
         "positions, labels, defect",
@@ -591,18 +596,18 @@ class TestConstructionType:
     def test_set_the_rule_refuses_is_refused(self, positions, labels, defect):
         pset = make_prototype_set(positions, np.asarray(labels), LabelKind.UNRESTRICTED)
         with pytest.raises(ValueError, match=rf"^{defect}; run validate\(\) for details$"):
-            Construction(set=pset, required_k=1, claimed_classes=2)
+            Construction(set=pset, required_k=1)
 
     def test_boundary_fractions_checked(self):
         pset = three_from_two().set
         with pytest.raises(ValueError, match="strictly increasing"):
             Construction(
-                set=pset, required_k=2, claimed_classes=3,
+                set=pset, required_k=2,
                 boundary_spec=[((0, 1), [0.5, 0.5])],
             )
         with pytest.raises(ValueError, match="in \\(0,1\\)"):
             Construction(
-                set=pset, required_k=2, claimed_classes=3,
+                set=pset, required_k=2,
                 boundary_spec=[((0, 1), [0.0, 0.5])],
             )
 
@@ -624,6 +629,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown parameters"):
             build_named("three_from_two", wobble=2)
 
+    def test_values_are_the_factories(self):
+        # The factories' signatures are the parameter table: no side table of defaults.
+        assert all(factory is getattr(softknn, name) for name, factory in REGISTRY.items())
+        assert not hasattr(constructions, "REQUIRED")
+        assert not hasattr(softknn, "RadialSpec")
+
+    def test_defaults_come_from_the_signature(self):
+        assert build_named("three_from_two").params == {"spacing": 3.0}
+        assert build_named("n_from_two", n=5).params == {"n": 5, "spacing": 5.0}
+        assert build_named("circle_soft_fit").params == {"n": 6, "c": 1.0}
+
     def test_every_construction_exports_valid_json(self):
         for name, kwargs in [
             ("three_from_two", {}),
@@ -639,3 +655,4 @@ class TestRegistry:
             data = to_json_dict(cons.set)
             assert data["name"].startswith(name)
             assert validate(cons.set) == []
+            assert cons.claimed_classes == cons.set.num_classes

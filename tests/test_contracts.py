@@ -1,6 +1,7 @@
 """Contracts with code outside the package: pinned output bytes and traced names."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -321,8 +322,9 @@ def test_no_unread_parameters(tmp_path):
     assert [entry for p in modules for entry in _unread_parameters(p)] == []
 
 
-# Public names that no module of the package (outside __init__.py) and no
-# bench script reads, each with the reason it stays public.
+# Public names, class members and dataclass fields that no module of the
+# package (outside __init__.py) and no bench script reads, each with the
+# reason it stays public.
 UNREAD_PUBLIC_NAMES = {
     "classify_batch": "perfbench/bench_trace.py wraps it through its name string, so it goes with that tracer",
     "RasterGrid.cell_centers_x": "acceptance tests 9 and 10 rebuild the raster's exact cell centres from it",
@@ -332,11 +334,13 @@ UNREAD_PUBLIC_NAMES = {
     "shifted_label_set": "the invariance tests compare the stacked label shifts against it",
     "verify_hard_label_oracle": "acceptance test 8 runs it",
     "label_violations": "it is the one check of a lone SoftLabel",
+    "RadialFit.realized": "test_realized_crossings_pinned pins the measured crossings bit for bit",
+    "RasterGrid.exact_hits": "the raster tests check which cells hit a prototype",
 }
 
 
 def _public_names() -> list[str]:
-    """``softknn.__all__`` without its submodules, then each exported class's own public methods and properties as ``Class.name``."""
+    """``softknn.__all__`` without its submodules, then each exported class's own public methods, properties and dataclass fields as ``Class.name``."""
     names = []
     for name in softknn.__all__:
         obj = getattr(softknn, name)
@@ -350,6 +354,8 @@ def _public_names() -> list[str]:
                 if not attr.startswith("_")
                 and isinstance(member, (types.FunctionType, classmethod, staticmethod, property, functools.cached_property))
             )
+        if dataclasses.is_dataclass(obj):
+            names.extend(f"{name}.{f.name}" for f in dataclasses.fields(obj) if not f.name.startswith("_"))
     return names
 
 
@@ -358,13 +364,17 @@ def test_every_public_name_has_a_reader():
     # code that only its own tests keep alive.
     sources = [p for p in sorted((REPO / "src" / "softknn").glob("*.py")) if p.name != "__init__.py"]
     sources += sorted((REPO / "perfbench").glob("*.py"))
-    read = set()
+    names, attributes = set(), set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    unread = {name for name in _public_names() if name.rpartition(".")[2] not in read}
+                attributes.add(node.attr)
+    # A class member is read as an attribute: a local variable of the same name does not read it.
+    unread = {
+        name for name in _public_names()
+        if name.rpartition(".")[2] not in (attributes if "." in name else names | attributes)
+    }
     # Either a new name without a reader, or a kept one that gained a reader or went.
     assert sorted(unread ^ UNREAD_PUBLIC_NAMES.keys()) == []

@@ -78,20 +78,9 @@ class TestBoundaries:
         np.testing.assert_allclose(observed, [i / 8 for i in range(1, 8)], atol=1e-6)
 
     def test_radial_crossings_of_fitted_bands(self):
-        check = verify_boundaries(concentric_ellipses(4), radial_tol=1e-3)
+        check = verify_boundaries(concentric_ellipses(4))
         assert check.passed
         assert check.observed["max_radius_error"] < 1e-3
-
-    @pytest.mark.parametrize("name", ["tol", "radial_tol"])
-    @pytest.mark.parametrize(
-        "value, message",
-        [(math.nan, "positive, got nan"), (-1.0, "positive, got -1.0"), (0.0, "positive, got 0.0"), (math.inf, "finite, got inf")],
-        ids=["nan", "negative", "zero", "inf"],
-    )
-    def test_tolerance_must_be_finite_and_positive(self, name, value, message):
-        # A NaN or negative tolerance would fail every check, and inf would pass every crossing.
-        with pytest.raises(ValueError, match=rf"^{name} must be {message}$"):
-            verify_boundaries(three_from_two(3.0), **{name: value})
 
 
 class TestCircleSeparation:
@@ -139,8 +128,11 @@ def test_vacuous_check_refused(check):
         ("trials", lambda v: verify_invariances(three_from_two(3.0), trials=v)),
         ("instances", lambda v: verify_hard_label_oracle(instances=v)),
         ("trials", lambda v: standard_report("three_from_two", three_from_two(3.0), trials=v)),
+        ("seed", lambda v: verify_invariances(three_from_two(3.0), seed=v)),
+        ("seed", lambda v: verify_hard_label_oracle(seed=v)),
+        ("seed", lambda v: standard_report("three_from_two", three_from_two(3.0), seed=v)),
     ],
-    ids=["circle-samples", "trials", "instances", "report-trials"],
+    ids=["circle-samples", "trials", "instances", "report-trials", "seed", "oracle-seed", "report-seed"],
 )
 def test_non_integer_count_refused(name, check, value):
     # A fractional count would sample unevenly or hit numpy's bare TypeError.
@@ -153,6 +145,7 @@ def test_non_integer_count_refused(name, check, value):
     [
         pytest.param({"resolutions": ()}, id="no-resolutions"),
         pytest.param({"trials": 0}, id="no-trials"),
+        pytest.param({"seed": -1}, id="negative-seed"),
     ],
 )
 def test_standard_report_refuses_before_rasterizing(sizes, monkeypatch):
@@ -175,6 +168,8 @@ def test_standard_report_refuses_before_rasterizing(sizes, monkeypatch):
         ),
         pytest.param(lambda: verify_invariances(three_from_two(3.0), queries_per_trial=2), id="queries"),
         pytest.param(lambda: standard_report("c", circle_hard_baseline(2), samples_per_circle=8), id="report-samples"),
+        pytest.param(lambda: verify_boundaries(three_from_two(3.0), tol=1e-6), id="boundary-tol"),
+        pytest.param(lambda: verify_boundaries(concentric_ellipses(2), radial_tol=1e-3), id="radial-tol"),
     ],
 )
 def test_retired_option_refused(call):

@@ -96,6 +96,21 @@ class TestRasterize:
         with pytest.raises(ValueError, match="well-ordered"):
             rasterize(pair.set, 2, (1, -1, 0, 2), 16, 16)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0, 1, 0), (0, 1, 0, 1, 2), np.zeros((2, 2)), np.zeros((4, 1)), (0, 1, "0", 1), 4.0],
+        ids=["three", "five", "2x2-array", "4x1-array", "string", "scalar"],
+    )
+    @pytest.mark.parametrize("call", [rasterize, lambda pset, k, bounds: k_sweep(pset, [k], bounds)], ids=["rasterize", "k_sweep"])
+    def test_bounds_not_four_numbers(self, pair, bounds, call, monkeypatch):
+        # Refused by name before any cell is classified, not by a failed unpack or float().
+        def forbidden(*args):
+            raise AssertionError("classified before the bounds were checked")
+
+        monkeypatch.setattr(landscape, "_evaluate_into", forbidden)
+        with pytest.raises(ValueError, match=r"^bounds must be four numbers xmin, xmax, ymin, ymax, got "):
+            call(pair.set, 2, bounds)
+
     def test_invalid_resolution(self, pair):
         with pytest.raises(ValueError, match="resolution"):
             rasterize(pair.set, 2, (-1, 4, -2, 2), 1, 16)

@@ -2,12 +2,15 @@
 
 import ast
 import importlib.util
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
 
 
 def _load(name):
@@ -163,3 +166,23 @@ class TestFunctionStatements:
                     return 4
         """
         assert _statements(uncovered, source) == [("Return", 11, [11])]
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((REPO / "src" / "softknn" / f"{module}.py").read_text())
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_bench_mode_lists_what_no_workload_runs():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "uncovered.py"), "--bench"], cwd=REPO, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    *lines, total = out.stdout.splitlines()
+    listed = {(module, int(line)) for module, line, _ in (entry.split(":", 2) for entry in lines)}
+    assert total == f"{len(listed)} statements inside functions never ran"
+    # No workload runs the hard-label oracle, and every one scores points.
+    oracle = _function("harness", "verify_hard_label_oracle")
+    assert all(("harness", node.lineno) in listed for node in oracle.body[1:])
+    score_block = _function("classifier", "score_block")
+    assert not {("classifier", line) for line in range(score_block.lineno, score_block.end_lineno + 1)} & listed
