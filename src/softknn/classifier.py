@@ -17,8 +17,18 @@ once, in :func:`score_block`; the radial label fitter in
 The public entries and the scores-free ``_predicted`` check k, the set
 and the query points in one place (``_checked_points``) and then hand the
 set's arrays to the one tile loop, ``_evaluate_into``; the rasterizer
-builds its own finite cell centers, checks k and the set, and calls the
-tile loop directly.
+checks that its cell centers are finite, checks k and the set, and calls
+the tile loop directly.
+
+The rasterizer hands over each rectangle of cells as its two axes, the
+columns' x and the rows' y centres (a ``_Grid``), never as a buffer of
+points. Every tile and culling tile of such a call is a whole number of
+rows of the rectangle, and :func:`score_block` gets the axes of its rows.
+It forms the squared x gaps (M x columns) and y gaps (M x rows) with the
+kernel's own subtract and square, and each cell's squared distance is then
+one broadcast x**2 + y**2: the terms that the coordinate loop over the
+cell's centre adds, in its order, so the bits are the same. A culling
+tile's bounding box is read from the ends of the axes, which increase.
 
 The same loop scores a stack of sets that differ per trial in their
 positions or their labels (the verify harness's invariance variants),
@@ -39,7 +49,11 @@ which starts at +0.0. The skipped terms would each be ±0.0 (a zero weight
 times a finite positive weight; an infinite weight means distance zero,
 an exact hit, whose row is replaced), and adding ±0.0 changes a sum only
 if the sum is -0.0, which a sum that starts at +0.0 never becomes under
-round-to-nearest. The epilogue then reduces the class rows: the maximum,
+round-to-nearest. Which weights are nonzero is read from the labels once
+per tile-loop call (``_nonzero_weights``), and the lowest prototype index
+at a column's smallest distance is searched for only in the columns that
+hit a prototype (distance below ``COINCIDENT_TOL``), the only ones whose
+index is read. The epilogue then reduces the class rows: the maximum,
 the lowest class holding it, and the maximum once that entry is masked
 to -inf, which are the classes and floats that ``argmax`` and
 ``np.partition`` give on a row-major tile. So no bit depends on the
@@ -135,6 +149,25 @@ class Classification:
     exact_hit: bool
 
 
+class _Grid:
+    """The cells ``xs`` x ``ys`` of a raster rectangle, as points taken row by row: (xs[c], ys[r]) is point r * len(xs) + c.
+
+    Both axes are increasing. A slice of points that covers whole rows is
+    the grid of those rows.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def __getitem__(self, cells: slice) -> _Grid:
+        return _Grid(self.xs, self.ys[cells.start // len(self.xs) : cells.stop // len(self.xs)])
+
+
 def _check_k(k: int, m: int) -> None:
     """Refuse a k that is not an integer in 1..m."""
     require_integer("k", k)
@@ -154,11 +187,12 @@ def score_block(
     positions: np.ndarray,
     labels: np.ndarray,
     k: int,
-    points: np.ndarray,
+    points: np.ndarray | _Grid,
     out: np.ndarray,
     scratch: np.ndarray,
     prod: np.ndarray,
     owner: np.ndarray | None = None,
+    nonzero: tuple[list[list[int]], list[int], list[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite ``out`` with the per-class scores of ``points``.
 
@@ -168,6 +202,13 @@ def score_block(
     a work array shaped and laid out like ``out`` that holds one
     neighbour's weighted labels (unused on class-major tiles at k=M); both
     are overwritten, so a caller scoring many tiles allocates them once.
+
+    ``points`` is (n, dim), or a ``_Grid`` of a raster rectangle's rows:
+    its n = columns x rows cells, row by row. For a grid, the squared gaps
+    of each prototype to the column centres and to the row centres are
+    formed once, with the subtract and square of the coordinate loop below,
+    and each cell's squared distance is their sum, x first, as that loop
+    adds them.
 
     ``positions`` (M, dim) and ``labels`` (M, C) are one set for every
     point. Either may instead be a stack of S sets, (S, M, dim) or
@@ -187,7 +228,8 @@ def score_block(
     without sorting, and k<M the first k of a stable ``argsort`` (at k=1
     the first minimum, ``argmin``). One loop then takes neighbour i = 0..k-1
     in that order, gathers its labels into ``prod``, multiplies them by one
-    over its distance and adds them to ``out``, which starts at +0.0.
+    over its distance and adds them to ``out``, which starts at +0.0 (the
+    first neighbour's term is added to +0.0, with no zeroing pass).
     Returns each point's nearest prototype index and distance. Rows at
     distance zero hold inf or nan.
 
@@ -199,7 +241,14 @@ def score_block(
     for each prototype i in index order and each class j with
     ``labels[i, j] != 0``, ``inv[i] * labels[i, j]`` is added to class row
     j, and ``prod`` is not used; the skipped ±0.0 terms change no bit of a
-    sum that starts at +0.0 (see the module docstring). At k<M, ``prod`` is
+    sum that starts at +0.0 (see the module docstring). A class's first
+    term is added to +0.0 in place of zeroing its row first, and equal
+    weights of one prototype share one product. ``nonzero`` is that
+    pattern as :func:`_nonzero_weights` gives it, so that a caller scoring
+    many tiles reads the labels once; it is derived from ``labels`` when
+    not given. There the nearest index is searched for only where the
+    nearest distance is below ``COINCIDENT_TOL``, the exact hits, and is
+    -1 elsewhere. At k<M, ``prod`` is
     class-major too, and round r = 0..k-1 finds each column's smallest
     distance left with ``np.fmin`` (which skips NaN), takes the lowest
     index holding it, masks that entry to NaN, gathers that prototype's
@@ -218,35 +267,60 @@ def score_block(
     """
     m, n = positions.shape[-2], len(points)
     by_class = labels.ndim == 2 and out.strides[0] < out.strides[1]
-    cols = points.T
     if by_class:
         # Prototype-major distances: every pass runs along the points.
         dist, tmp = (a.reshape(m, n, copy=False) for a in scratch)
-        q, p = cols[:, None, :], positions.T[:, :, None] if positions.ndim == 2 else positions.transpose(2, 1, 0)
     else:
         dist, tmp = scratch[0], scratch[1]
-        q, p = cols[:, :, None], positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
-    for d in range(len(cols)):
-        into = tmp if d else dist
-        # Stacked sets: coordinate d of each row's own set, gathered straight into the scratch.
-        coord = p[d] if positions.ndim == 2 else np.take(p[d], owner, axis=1 if by_class else 0, out=into, mode="clip")
-        np.subtract(q[d], coord, out=into)
-        into *= into
-        if d:
-            dist += into
+    if isinstance(points, _Grid):
+        # Squared gaps along the columns and along the rows, each with the
+        # kernel's subtract and square, then one x**2 + y**2 per cell.
+        ncols, nrows = len(points.xs), len(points.ys)
+        if by_class:
+            gx, gy = (np.subtract(axis, p[:, None]) for axis, p in zip((points.xs, points.ys), positions.T))
+            gx, gy, cells = gx[:, None, :], gy[:, :, None], dist.reshape(m, nrows, ncols, copy=False)
+        else:
+            gx, gy = (np.subtract(axis[:, None], p) for axis, p in zip((points.xs, points.ys), positions.T))
+            gy, cells = gy[:, None, :], dist.reshape(nrows, ncols, m, copy=False)
+        gx *= gx
+        gy *= gy
+        np.add(gx, gy, out=cells)
+    else:
+        cols = points.T
+        if by_class:
+            q, p = cols[:, None, :], positions.T[:, :, None] if positions.ndim == 2 else positions.transpose(2, 1, 0)
+        else:
+            q, p = cols[:, :, None], positions.T if positions.ndim == 2 else positions.transpose(2, 0, 1)
+        for d in range(len(cols)):
+            into = tmp if d else dist
+            # Stacked sets: coordinate d of each row's own set, gathered straight into the scratch.
+            coord = p[d] if positions.ndim == 2 else np.take(p[d], owner, axis=1 if by_class else 0, out=into, mode="clip")
+            np.subtract(q[d], coord, out=into)
+            into *= into
+            if d:
+                dist += into
     np.sqrt(dist, out=dist)
-    out[...] = 0.0
     if by_class and k == m:
         nearest_dist = dist.min(axis=0)
-        nearest = _first_holding(dist, nearest_dist)
+        # The lowest index at the minimum, only where a column hits a prototype.
+        hits = np.flatnonzero(nearest_dist < COINCIDENT_TOL)
+        nearest = np.full(n, -1)
+        nearest[hits] = _first_holding(dist[:, hits], nearest_dist[hits])
         # Each prototype's weights are a row of inv; the distances' buffer,
         # dead now, holds one term.
         inv = np.divide(1.0, dist, out=tmp)
         term, acc = dist.reshape(-1)[:n], list(out.T)
-        for inv_i, row in zip(inv, labels):
-            for j in np.flatnonzero(row).tolist():
-                np.multiply(inv_i, row[j], out=term)
-                np.add(acc[j], term, out=acc[j])
+        plan, first, idle = _nonzero_weights(labels) if nonzero is None else nonzero
+        out[:, idle] = 0.0
+        # A class's sum starts as +0.0 plus its first term; equal weights of
+        # one prototype share one term.
+        for i, (inv_i, weights, classes) in enumerate(zip(inv, labels, plan)):
+            last = None
+            for j in classes:
+                if weights[j] != last:
+                    last = weights[j]
+                    np.multiply(inv_i, last, out=term)
+                np.add(0.0 if first[j] == i else acc[j], term, out=acc[j])
         return nearest, nearest_dist
     if by_class:
         # Round r takes the r-th nearest of every column: the smallest
@@ -262,7 +336,7 @@ def score_block(
                 dist[index, columns] = np.nan
             np.take(table, index, axis=1, out=term, mode="clip")
             term *= np.divide(1.0, dr, out=tmp[0])
-            acc += term
+            np.add(acc if r else 0.0, term, out=acc)
         return nearest, nearest_dist
     rows = np.arange(n)
     if k == m:
@@ -280,7 +354,7 @@ def score_block(
         else:
             labels.take(order[:, i], axis=0, out=prod, mode="clip")
         prod *= inv[:, i, None]
-        out += prod
+        np.add(out if i else 0.0, prod, out=out)
     return nearest, dist[rows, nearest]
 
 
@@ -290,12 +364,15 @@ def _culls(m: int, k: int) -> bool:
 
 
 @np.errstate(over="ignore")
-def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndarray | None]:
+def _kept(pcols: np.ndarray, k: int, pts: np.ndarray | _Grid, span: int) -> list[np.ndarray | None]:
     """Per tile of ``span`` consecutive ``pts``, the prototypes that may be among the k nearest of one of its points.
 
     ``pcols`` is the (dim, M) transpose of the positions. Each entry is an
     index array in increasing order, or ``None`` when every prototype is
-    kept.
+    kept. ``pts`` may be a ``_Grid`` whose tiles of ``span`` points are
+    whole rows; a tile's box then spans the first to the last column and
+    its first to its last row, the smallest and largest centres of
+    increasing axes.
 
     Why culling changes no bit: each prototype's smallest and largest
     distance to a tile's bounding box is computed with the kernel's own
@@ -318,10 +395,18 @@ def _kept(pcols: np.ndarray, k: int, pts: np.ndarray, span: int) -> list[np.ndar
     kernel still takes its sorted path, which adds the neighbours nearest
     first, and not its k=M path, which adds them in index order.
     """
-    starts = np.arange(0, len(pts), span)
-    box = np.stack((np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)))[..., None]
+    if isinstance(pts, _Grid):
+        # Tiles of whole rows: the ends of the increasing axes bound them.
+        first = np.arange(0, len(pts.ys), span // len(pts.xs))
+        last = np.append(first[1:], len(pts.ys)) - 1
+        lo = np.column_stack((np.full(len(first), pts.xs[0]), pts.ys[first]))
+        hi = np.column_stack((np.full(len(first), pts.xs[-1]), pts.ys[last]))
+    else:
+        starts = np.arange(0, len(pts), span)
+        lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    box = np.stack((lo, hi))[..., None]
     lo, hi = box  # (tiles, dim, 1) each
-    gaps = np.empty((2, len(starts)) + pcols.shape)
+    gaps = np.empty((2, len(lo)) + pcols.shape)
     np.minimum(np.maximum(pcols, lo), hi, out=gaps[0])
     gaps[0] -= pcols
     reach = box - pcols
@@ -367,9 +452,27 @@ def _class_major(labels: np.ndarray, k: int, rows: int) -> bool:
     return m > 1 and rows > 1 and np.count_nonzero(labels) * _CALL_ENTRIES <= rows * m * ncls
 
 
-def _score_tile(positions, labels, k, block, sc, hit, scratch, prod, owner=None) -> None:
+def _nonzero_weights(labels: np.ndarray) -> tuple[list[list[int]], list[int], list[int]]:
+    """How a class-major tile at k = M adds up the shared (M, C) ``labels``: ``(plan, first, idle)``.
+
+    ``plan`` lists, per prototype in index order, the classes of its
+    nonzero weights, in order of weight, so that equal weights are
+    adjacent. ``first[j]`` is the lowest prototype that weighs class j,
+    and ``idle`` the classes that no prototype weighs.
+    """
+    nonzero = labels != 0
+    plan = [sorted(np.flatnonzero(weights).tolist(), key=weights.__getitem__) for weights in labels]
+    return plan, nonzero.argmax(axis=0).tolist(), np.flatnonzero(~nonzero.any(axis=0)).tolist()
+
+
+def _whole(count: int, width: int) -> int:
+    """``count`` points as whole rows ``width`` points long: rounded down to a multiple of ``width``, at least one row."""
+    return max(width, count - count % width)
+
+
+def _score_tile(positions, labels, k, block, sc, hit, scratch, prod, owner=None, nonzero=None) -> None:
     """One :func:`score_block` call, then each exact hit takes the struck prototype's label (from its row's own set)."""
-    nearest, nearest_dist = score_block(positions, labels, k, block, sc, scratch, prod, owner)
+    nearest, nearest_dist = score_block(positions, labels, k, block, sc, scratch, prod, owner, nonzero)
     if np.less(nearest_dist, COINCIDENT_TOL, out=hit).any():
         sc[hit] = labels[owner[hit], nearest[hit]] if labels.ndim == 3 else labels[nearest[hit]]
 
@@ -378,7 +481,7 @@ def _evaluate_into(
     positions: np.ndarray,
     labels: np.ndarray,
     k: int,
-    pts: np.ndarray,
+    pts: np.ndarray | _Grid,
     predicted: np.ndarray,
     confidence: np.ndarray,
     exact: np.ndarray,
@@ -391,6 +494,12 @@ def _evaluate_into(
     (S, M, C), in which set s owns the s-th run of ``len(pts) // S``
     consecutive points. Writes into the caller's length-n ``predicted``,
     ``confidence`` and ``exact`` and, if given, the (n, C) ``scores``.
+
+    ``pts`` may be a ``_Grid``, a raster rectangle's two axes, scored
+    against one set. Then every row count below (of tiles, culling tiles
+    and pieces) is rounded down to a multiple of the rectangle's width,
+    and up to one row if that leaves none, so each tile hands
+    :func:`score_block` whole rows of cells as the axes of those rows.
 
     With a stack, each tile makes one :func:`score_block` call over the
     whole stack, with the index of each of its rows' own set, so no set is
@@ -432,6 +541,8 @@ def _evaluate_into(
     """
     n, (m, ncls) = len(pts), labels.shape[-2:]
     stacked = positions.ndim == 3 or labels.ndim == 3
+    # A grid's row counts of points round down to whole rows, at least one.
+    width = len(pts.xs) if isinstance(pts, _Grid) else 1
     score_rows = _TILE_SCORE_ENTRIES // ncls
     full = max(1, min(score_rows, _BLOCK_ENTRIES // m))
     cull = not stacked and _culls(m, k) and n >= _CULL_MIN_POINTS
@@ -440,17 +551,19 @@ def _evaluate_into(
     # vectors, and two bytes per prototype and per class for the
     # lowest-index searches.
     budget = full * 8 * (2 * m + (3 if scores is None else 2) * ncls)
-    rows = max(1, min(n, budget // (8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls))))
+    rows = _whole(min(n, budget // (8 * (2 * m + (2 if k < m else 1) * ncls + 8) + 2 * (m + ncls))), width)
     class_major = labels.ndim == 2 and not cull and _class_major(labels, k, rows)
     if cull:
         # Whole culling tiles per tile, and at most _BLOCK_ENTRIES box gaps in _kept.
-        span = max(1, min(_CULL_TILE, score_rows))
+        span = _whole(min(_CULL_TILE, score_rows), width)
         rows = min(n, span * max(1, min(score_rows // span, _BLOCK_ENTRIES // (2 * positions.shape[1] * m))))
         work = np.empty(0)
     else:
         if not class_major:
-            rows = max(1, min(n, full))
+            rows = _whole(min(n, full), width)
         scratch = np.empty((2, rows, m))
+    # The class-major k = M tiles' label pattern, read once per call.
+    nonzero = _nonzero_weights(labels) if class_major and k == m else None
     # One neighbour's weighted labels, for the rows of one score_block call.
     prod = np.empty((ncls, rows if k < m else 0)).T if class_major else np.empty((span if cull else rows, ncls))
     staged = class_major or scores is None
@@ -463,13 +576,13 @@ def _evaluate_into(
         hit, block = exact[sl], pts[sl]
         if not cull:
             owner = np.arange(start, start + size) // per_set if stacked else None
-            _score_tile(positions, labels, k, block, sc, hit, scratch[:, :size], prod[:size], owner)
+            _score_tile(positions, labels, k, block, sc, hit, scratch[:, :size], prod[:size], owner, nonzero)
         else:
             for p0, keep in zip(range(0, size, span), _kept(positions.T, k, block, span)):
                 p1 = min(p0 + span, size)
                 pos, lab = (positions, labels) if keep is None else (positions[keep], labels[keep])
                 mk = len(pos)
-                step = max(1, min(p1 - p0, _BLOCK_ENTRIES // mk))
+                step = _whole(min(p1 - p0, _BLOCK_ENTRIES // mk), width)
                 if work.size < 2 * step * mk:
                     work = np.empty(2 * step * mk)
                 for q0 in range(p0, p1, step):
@@ -487,8 +600,9 @@ def _finish_tile(sc: np.ndarray, hit: np.ndarray, predicted: np.ndarray, confide
     A row-major tile takes ``argmax`` and the top two of ``np.partition``.
     A class-major tile, the (rows, C) view of a (C, rows) array (told apart
     by its strides, as in :func:`score_block`), is reduced over its class
-    rows instead, and its scores are overwritten: top1 is the maximum, the
-    class is the lowest index that holds it (the largest C - j over the
+    rows instead, and its scores are overwritten: top1 is the maximum
+    (held in ``confidence`` until the gap replaces it), the class is the
+    lowest index that holds it (the largest C - j over the
     classes j equal to top1), and top2 is the maximum once that entry is
     set to -inf. Every score is finite, so top1 and top2 are the floats
     that ``np.partition`` puts last, and either way the gap is top1 - top2.
@@ -499,7 +613,7 @@ def _finish_tile(sc: np.ndarray, hit: np.ndarray, predicted: np.ndarray, confide
     ncls = sc.shape[1]
     if sc.strides[0] < sc.strides[1]:
         acc = sc.T
-        top1 = acc.max(axis=0)
+        top1 = acc.max(axis=0, out=confidence)
         _first_holding(acc, top1, out=predicted)
         if ncls >= 2:
             acc[predicted, np.arange(len(top1))] = -np.inf

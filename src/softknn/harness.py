@@ -199,7 +199,12 @@ def verify_circle_separation(cons: Construction, samples_per_circle: int = SAMPL
 
 def transformed_set(pset: PrototypeSet, rotation: np.ndarray, translation: np.ndarray) -> PrototypeSet:
     """Apply a rigid motion to every prototype position; labels unchanged."""
-    moved = pset.positions @ np.asarray(rotation, dtype=float).T + np.asarray(translation, dtype=float)
+    rotation, translation = np.asarray(rotation, dtype=float), np.asarray(translation, dtype=float)
+    if rotation.shape != (pset.dim, pset.dim) or translation.shape != (pset.dim,):
+        raise ValueError(
+            f"rotation must be ({pset.dim}, {pset.dim}) and translation ({pset.dim},), got {rotation.shape} and {translation.shape}"
+        )
+    moved = pset.positions @ rotation.T + translation
     return PrototypeSet(moved, pset.labels, pset.label_kind, pset.name + " (moved)")
 
 

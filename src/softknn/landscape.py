@@ -21,11 +21,12 @@ and each bracket stops by the rule a lone bracket would use, so stacking
 does not change any result.
 
 Rasterization walks a grid on the calling thread and hands its cells to
-the classifier in rectangles at most 32 columns wide, so that wherever
-the classifier culls prototypes per tile, each culling tile is a compact
-patch of cells. It is deterministic: the per-cell computation is
-independent of how the grid is cut into rectangles and tiles, so every
-cut yields bit-identical grids.
+the classifier in rectangles at most 32 columns wide, each as its two
+axes of cell centres, so that wherever the classifier culls prototypes
+per tile, each culling tile is a compact patch of whole rows of cells. It
+is deterministic: the per-cell computation is independent of how the
+grid is cut into rectangles and tiles, so every cut yields bit-identical
+grids.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import _check_rule_args, _evaluate_into, _predicted
+from .classifier import _check_rule_args, _evaluate_into, _Grid, _predicted
 from .core import PrototypeSet, require_integer, require_positive
 
 # Fixed palette for class maps (class index cycles through these RGBs).
@@ -52,8 +53,7 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 )
 
 # Cells per rasterize chunk: a rectangle holds at most this many cells, so
-# the reused buffers of cell centers (512 KiB) and staged outputs are
-# bounded by it.
+# the reused buffers of staged outputs are bounded by it.
 _CHUNK_CELLS = 1 << 15
 # Width of the rectangles in which a grid hands its cells to the
 # classifier, so that any culling tile is a compact patch of cells.
@@ -159,14 +159,18 @@ def rasterize(
     columns wide (narrower at the right edge or on a narrower grid) and at
     most ``_CHUNK_CELLS // _PATCH_COLS`` rows high. The output is
     bit-identical for every such cut because each cell is classified
-    independently. A rectangle's cell centers are built row by row in one
-    reused buffer, the classifier writes into reused staged class,
+    independently. The classifier gets a rectangle as its two axes, the
+    columns' and the rows' cell centres, and not as a buffer of points;
+    its tiles are whole rows of the rectangle, and each cell's distances
+    are sums of a squared x gap and a squared y gap formed once per tile
+    (see :mod:`softknn.classifier`). It writes into reused staged class,
     confidence and exact-hit buffers, and those are copied to the
     rectangle's grid cells. Wherever the classifier culls prototypes
     (k < M, 16 prototypes or more), each culling tile of 512 points then
-    covers a patch of cells about 32 wide and 16 high instead of a
-    full-width row strip. Per-class scores exist only one tile at a time,
-    so memory beyond the outputs is bounded by one rectangle and one tile.
+    covers a patch of cells 32 wide and 16 high (whole rows of a narrower
+    rectangle) instead of a full-width row strip. Per-class scores exist
+    only one tile at a time, so memory beyond the outputs is bounded by
+    one rectangle and one tile.
     """
     if pset.dim != 2:
         raise ValueError(f"rasterize requires 2-dimensional prototypes, got dimension {pset.dim}")
@@ -191,19 +195,14 @@ def rasterize(
     confidence = np.empty((height, width), dtype=float)
     patch = min(_PATCH_COLS, width)
     rows = min(height, _CHUNK_CELLS // patch)
-    centers = np.empty((rows * patch, 2))
     staged = tuple(np.empty(rows * patch, dtype=t) for t in (np.int32, float, bool))
     hits: list[tuple[int, int]] = []
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
         for c0 in range(0, width, patch):
             c1 = min(c0 + patch, width)
-            cells = (r1 - r0) * (c1 - c0)
-            rect = centers[:cells].reshape(r1 - r0, c1 - c0, 2)
-            rect[..., 0] = xs[c0:c1]
-            rect[..., 1] = ys[r0:r1, None]
-            out = [a[:cells] for a in staged]
-            _evaluate_into(pset.positions, pset.labels, k, centers[:cells], *out)
+            out = [a[: (r1 - r0) * (c1 - c0)] for a in staged]
+            _evaluate_into(pset.positions, pset.labels, k, _Grid(xs[c0:c1], ys[r0:r1]), *out)
             classes[r0:r1, c0:c1], confidence[r0:r1, c0:c1], exact = (a.reshape(r1 - r0, -1) for a in out)
             i, j = np.nonzero(exact)
             hits.extend(zip((i + r0).tolist(), (j + c0).tolist()))
@@ -249,7 +248,7 @@ def _ceiling(conf: np.ndarray, mode: str, percentile: float) -> float:
     """The confidence that maps to intensity 0: a percentile or the maximum of the finite values."""
     finite = conf[np.isfinite(conf)]
     if mode == "clip":
-        if not 50.0 < percentile <= 100.0:
+        if not isinstance(percentile, numbers.Real) or not 50.0 < percentile <= 100.0:
             raise ValueError(f"clip percentile must be in (50, 100], got {percentile}")
         return _percentile(finite, percentile) if finite.size else 0.0
     if mode == "log":
@@ -292,8 +291,12 @@ def bisect_many(on_lo_side, lo, hi, tol: float) -> np.ndarray:
     or its midpoint no longer splits it, so every ``tol`` terminates and
     each result is the float that halving that bracket alone would give.
     """
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"lo and hi must be vectors of one shape, got {lo.shape} and {hi.shape}")
     which = np.arange(len(lo))
     while len(which):
         l, h = lo[which], hi[which]
@@ -467,7 +470,9 @@ def ppm_bytes(grid: RasterGrid) -> bytearray:
 
 
 def pgm_bytes(intensity: np.ndarray) -> bytearray:
-    """Binary PGM (P5) of an intensity grid in [0, 1] (0 = black); NaN is refused."""
+    """Binary PGM (P5) of a 2-D intensity grid in [0, 1] (0 = black); NaN is refused."""
+    if np.ndim(intensity) != 2:
+        raise ValueError(f"intensity must be a 2-D grid, got shape {np.shape(intensity)}")
 
     def encode(rows, scaled, out):
         np.clip(rows, 0.0, 1.0, out=scaled)

@@ -214,6 +214,15 @@ class TestInvariances:
         for x in [(0.4, 0.2), (1.7, -0.5), (2.9, 0.0)]:
             assert classify(moved, 2, x).predicted == classify(pset, 2, x).predicted
 
+    @pytest.mark.parametrize(
+        "rotation, translation", [(np.eye(3), np.zeros(2)), (np.eye(2), np.zeros(3)), (np.eye(2), 0.0), (np.ones(2), np.zeros(2))],
+        ids=["3x3-rotation", "3-translation", "scalar-translation", "vector-rotation"],
+    )
+    def test_transform_shapes_refused(self, rotation, translation):
+        # A 3x3 rotation used to fail inside matmul with a gufunc signature message.
+        with pytest.raises(ValueError, match=r"^rotation must be \(2, 2\) and translation \(2,\), got "):
+            transformed_set(three_from_two(3.0).set, rotation, translation)
+
     def test_shifted_labels_change_scores_not_classes(self):
         pset = three_from_two(3.0).set
         shifted = shifted_label_set(pset, 5.0)

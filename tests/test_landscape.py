@@ -1,5 +1,6 @@
 """Rasterization, risk rendering, bisection, regions, and export formats."""
 
+import math
 import os
 import re
 import threading
@@ -15,6 +16,7 @@ from softknn import (
     MultipleCrossingsError,
     NoCrossingError,
     PALETTE,
+    PrototypeSet,
     RasterGrid,
     boundary_bisect,
     circle_hard_baseline,
@@ -281,6 +283,101 @@ class TestRasterTilesCulled(TestRasterTiles):
         super().test_memory_bounded_by_tile(res, build, k)
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments, positional then keyword, of every call to ``classifier.<name>``."""
+    calls = []
+    original = getattr(classifier, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, name, spy)
+    return calls
+
+
+# (construction, k) on each route of a raster tile: class-major at k = M,
+# class-major at 1 < k < M, culled row-major (68 prototypes, k = 1), and
+# row-major at k = M (two prototypes).
+GRID_ROUTES = [
+    pytest.param(lambda: polygon_with_center(8), 8, id="class-major-kM"),
+    pytest.param(lambda: polygon_pairs(8), 2, id="class-major-sorted"),
+    pytest.param(lambda: circle_hard_baseline(6), 1, id="culled"),
+    pytest.param(lambda: three_from_two(3.0), 2, id="row-major-kM"),
+]
+
+
+class TestGridTiles:
+    """Raster tiles reach score_block as whole rows of a rectangle's two axes and give the points path's bytes."""
+
+    @pytest.mark.parametrize("patch", [32, 7, 1])
+    @pytest.mark.parametrize("build, k", GRID_ROUTES)
+    def test_tiles_are_whole_rows_of_rectangles(self, monkeypatch, patch, build, k):
+        monkeypatch.setattr(landscape, "_PATCH_COLS", patch)
+        pset = build().set
+        blocks, kept = _spy(monkeypatch, "score_block"), _spy(monkeypatch, "_kept")
+        width, height = 75, 300
+        grid = rasterize(pset, k, None, width, height)
+        xs, ys = grid.cell_centers_x(), grid.cell_centers_y()
+        assert blocks
+        for (_, _, _, cells, out, *_), _ in blocks:
+            assert isinstance(cells, classifier._Grid) and len(out) == len(cells.xs) * len(cells.ys) > 0
+            c0, r0 = int(np.searchsorted(xs, cells.xs[0])), int(np.searchsorted(ys, cells.ys[0]))
+            # Every column of one rectangle, and consecutive rows of it.
+            assert c0 % patch == 0 and len(cells.xs) == min(patch, width - c0)
+            assert cells.xs.tobytes() == xs[c0 : c0 + len(cells.xs)].tobytes()
+            assert cells.ys.tobytes() == ys[r0 : r0 + len(cells.ys)].tobytes()
+        assert sum(len(args[4]) for args, _ in blocks) == width * height
+        # Culling tiles are whole rows too, and only the culled route culls.
+        assert all(isinstance(args[2], classifier._Grid) and args[3] % len(args[2].xs) == 0 for args, _ in kept)
+        assert bool(kept) == (len(pset) == 68)
+        classes, conf, hits = _reference_raster(pset, k, default_bounds(pset), width, height)
+        assert grid.classes.tobytes() == classes.astype(np.int32).tobytes()
+        assert grid.confidence.tobytes() == conf.tobytes() and grid.exact_hits == hits
+
+    @pytest.mark.parametrize("scale", [1e200, 1e155], ids=["every-gap-inf", "some-gaps-inf"])
+    @pytest.mark.parametrize("build, k", GRID_ROUTES)
+    def test_overflowing_gaps_give_points_path_bytes(self, build, k, scale):
+        # Over bounds of +-1e200 every squared gap overflows to inf; over
+        # +-1e155 (cells 1.25e154 apart at 16 wide) a gap of one cell squares
+        # to 1.6e308 and one of two cells to inf, and so can a sum of two
+        # finite squares. Every distance the grid path forms is the points path's.
+        pset = build().set
+        positions = pset.positions * (0.5 * scale / np.abs(pset.positions).max())
+        big = PrototypeSet(positions, pset.labels, LabelKind.UNRESTRICTED, "scaled")
+        bounds = (-scale, scale, -scale, scale)
+        grid = rasterize(big, k, bounds, 16, 16)
+        with np.errstate(over="ignore"):
+            classes, conf, hits = _reference_raster(big, k, bounds, 16, 16)
+        assert grid.classes.tobytes() == classes.astype(np.int32).tobytes()
+        assert grid.confidence.tobytes() == conf.tobytes() and grid.exact_hits == hits
+
+    def test_nearest_index_found_only_on_hits(self, monkeypatch):
+        # Eight one-hot prototypes on cell centres of a 64 x 48 grid of unit
+        # cells, scored class-major at k = M, with a ninth class that no
+        # prototype weighs: the struck cells take their prototype's class,
+        # and the lowest-index search inside score_block (the calls without
+        # ``out=``, the epilogue's have it) sees only the hit columns. The
+        # label pattern is read once per rectangle.
+        cells = [(3, 5), (10, 40), (20, 7), (33, 33), (40, 2), (45, 60), (47, 0), (0, 63)]
+        positions = [(col + 0.5, row + 0.5) for row, col in cells]
+        pset = make_prototype_set(positions, np.eye(8, 9)[[3, 1, 4, 0, 7, 5, 2, 6]], kind=LabelKind.HARD)
+        bounds = (0.0, 64.0, 0.0, 48.0)
+        blocks, holding = _spy(monkeypatch, "score_block"), _spy(monkeypatch, "_first_holding")
+        patterns = _spy(monkeypatch, "_nonzero_weights")
+        grid = rasterize(pset, 8, bounds, 64, 48)
+        assert blocks and all(args[4].strides[0] < args[4].strides[1] for args, _ in blocks)
+        assert grid.exact_hits == tuple(sorted(cells))
+        for cell, label in zip(cells, pset.labels):
+            assert grid.classes[cell] == label.argmax() and np.isinf(grid.confidence[cell])
+        searched = [args[0].shape[1] for args, kwargs in holding if "out" not in kwargs]
+        assert len(searched) == len(blocks) and sum(searched) == len(cells)
+        assert len(patterns) == 64 // landscape._PATCH_COLS
+        classes, conf, hits = _reference_raster(pset, 8, bounds, 64, 48)
+        assert grid.classes.tobytes() == classes.astype(np.int32).tobytes()
+        assert grid.confidence.tobytes() == conf.tobytes() and grid.exact_hits == hits
+
+
 class TestPatchOrder:
     """Culled rasters give the bytes of unculled rasters of the same set."""
 
@@ -443,6 +540,12 @@ class TestRiskRender:
     def test_percentile_validation(self, pair_grid):
         with pytest.raises(ValueError, match="percentile"):
             risk_render(pair_grid, "clip", percentile=40.0)
+
+    @pytest.mark.parametrize("percentile", ["99", None, [99.0], complex(99.0)], ids=["string", "none", "list", "complex"])
+    def test_percentile_not_a_number_refused(self, pair_grid, percentile):
+        # A string used to fail with a bare "'<' not supported" TypeError.
+        with pytest.raises(ValueError, match=r"^clip percentile must be in \(50, 100\], got "):
+            risk_render(pair_grid, "clip", percentile=percentile)
         with pytest.raises(ValueError, match="mode"):
             risk_render(pair_grid, "linear")
 
@@ -517,7 +620,7 @@ def hexes(values) -> list[str]:
 
 
 class TestBisectMany:
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.0])
     def test_random_brackets_match_scalar_loop(self, tol):
         # Widths over ten decades and both sides of |hi| = 1, so brackets
         # close at different steps and under both branches of max(1, hi).
@@ -568,6 +671,23 @@ class TestBisectMany:
 
     def test_no_brackets(self):
         assert bisect_many(lambda which, t: t < 0, [], [], 1e-9).shape == (0,)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300, "1e-9"], ids=["nan", "inf", "negative", "tiny-negative", "string"])
+    def test_bad_tol_refused(self, tol):
+        # tol=nan used to close every bracket at once and return its first midpoint as a result.
+        def forbidden(which, t):
+            raise AssertionError("asked before tol was checked")
+
+        with pytest.raises(ValueError, match=r"^tol must be a finite number of at least 0, got "):
+            bisect_many(forbidden, [0.0], [1.0], tol)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [([0.0], [1.0, 2.0]), ([0.0, 0.0], [1.0]), (0.0, 1.0), ([[0.0]], [[1.0]])], ids=["short-lo", "short-hi", "scalars", "2-d"]
+    )
+    def test_mismatched_brackets_refused(self, lo, hi):
+        # lo=[0.0] with hi=[1.0, 2.0] used to broadcast into two answers.
+        with pytest.raises(ValueError, match=r"^lo and hi must be vectors of one shape, got "):
+            bisect_many(lambda which, t: t < 0.5, lo, hi, 1e-9)
 
 
 class TestStackedBoundaryBisect:
@@ -884,6 +1004,12 @@ class TestExports:
         intensity[-1, -1] = np.nan
         with pytest.raises(ValueError, match="^intensity must not hold NaN$"):
             pgm_bytes(intensity)
+
+    @pytest.mark.parametrize("shape", [(5,), (), (2, 3, 4)], ids=["1-d", "0-d", "3-d"])
+    def test_pgm_refuses_non_grids(self, shape):
+        # A 1-D array used to fail to unpack its shape into height and width.
+        with pytest.raises(ValueError, match=rf"^intensity must be a 2-D grid, got shape \({', '.join(map(str, shape))},?\)$"):
+            pgm_bytes(np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_images_are_headers(self, shape):
