@@ -15,7 +15,7 @@ from .core import (  # noqa: E402
     PROB_SUM_TOL,
     LabelKind,
     PrototypeSet,
-    SoftLabel,
+    exact_label,
     from_json_dict,
     label_violations,
     load_json,

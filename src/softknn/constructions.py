@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabelKind, PrototypeSet, SoftLabel, _coincident_pairs, make_prototype_set
+from .core import LabelKind, PrototypeSet, _coincident_pairs, _readonly, exact_label, make_prototype_set
 from .core import require_finite_positive, require_integer, require_positive
 from . import classifier
 from .landscape import bisect_many
@@ -89,9 +89,9 @@ def _ring(count: int, radius: float) -> list[tuple[float, float]]:
     return [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
 
 
-def _exact_label(n_classes: int, weights: dict[int, Fraction]) -> SoftLabel:
-    """A probabilistic label with the given exact weights and 0 on every other class."""
-    return SoftLabel.from_exact([weights.get(i, 0) for i in range(n_classes)])
+def _exact_label(n_classes: int, weights: dict[int, Fraction]) -> np.ndarray:
+    """A probabilistic label row with the given exact weights and 0 on every other class."""
+    return exact_label([weights.get(i, 0) for i in range(n_classes)])
 
 
 def three_from_two(spacing: float = 3.0) -> Construction:
@@ -129,11 +129,9 @@ def n_from_two(n: int, spacing: float | None = None) -> Construction:
     if spacing is None:
         spacing = float(n)
     require_finite_positive("spacing", spacing)
-    first = SoftLabel.from_exact(weights)
-    second = SoftLabel.from_exact(weights[::-1])
     pset = make_prototype_set(
         [(0.0, 0.0), (float(spacing), 0.0)],
-        [first, second],
+        [exact_label(weights), exact_label(weights[::-1])],
         name=f"n_from_two(n={n}, spacing={spacing})",
     )
     fractions = [i / n for i in range(1, n)]
@@ -264,12 +262,12 @@ class RadialFitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class RadialFit:
-    """Closed-form labels plus the crossings measured on them.
+    """Closed-form labels, a read-only (M, class_count) array, plus the crossings measured on them.
 
     ``history`` is ``(residual,)``: the benchmark's tracer reads its length.
     """
 
-    labels: tuple[SoftLabel, ...]
+    labels: np.ndarray
     residual: float
     history: tuple[float, ...]
     realized: tuple[float, ...]
@@ -405,7 +403,7 @@ def fit_radial_labels(
     if not residual <= 1e-6:
         raise RadialFitError(residual)
     return RadialFit(
-        labels=tuple(SoftLabel(row, LabelKind.UNRESTRICTED) for row in weights),
+        labels=_readonly(weights),
         residual=float(residual),
         history=(float(residual),),
         realized=tuple(float(r) for r in realized),
@@ -425,7 +423,9 @@ def concentric_ellipses(num_classes: int) -> Construction:
     s = max(1.5 * targets[-1], 3.0)
     positions = np.array([(0.0, 0.0), (0.0, s), (0.0, -s)])
     fit = fit_radial_labels(positions, targets, num_classes)
-    pset = make_prototype_set(positions, fit.labels, name=f"concentric_ellipses(num_classes={num_classes})")
+    pset = make_prototype_set(
+        positions, fit.labels, LabelKind.UNRESTRICTED, f"concentric_ellipses(num_classes={num_classes})"
+    )
     return Construction(
         set=pset,
         required_k=3,
@@ -444,14 +444,17 @@ def circle_prototype_count(t: int) -> int:
     A point on circle t (radius t*c) is at most 2tc*sin(pi/(2m)) from the
     nearest of m equally spaced prototypes on it, and at least the radial
     gap c from any prototype on another circle. The first distance is at
-    most c once m >= pi / arccos(1 - 1/(2t^2)). It equals c only at t = 1,
-    m = 3, since cos(pi/m) is rational only for m <= 3; there the arc
-    midpoints (60, 180, 300 degrees) miss circle 2's multiples of 360/7.
+    most c once m >= pi / arccos(1 - 1/(2t^2)), computed as the equal
+    pi / (2 arcsin(1/(2t))): the arccos form loses precision, counting too
+    few prototypes from t = 26096 on and dividing by zero past about 9.5e7.
+    The first distance equals c only at t = 1, m = 3, since cos(pi/m) is
+    rational only for m <= 3; there the arc midpoints (60, 180, 300
+    degrees) miss circle 2's multiples of 360/7.
     """
     require_integer("t", t)
     if t < 1:
         raise ValueError(f"circle index must be >= 1, got {t}")
-    return math.ceil(math.pi / math.acos(1.0 - 1.0 / (2.0 * t * t)))
+    return math.ceil(math.pi / (2.0 * math.asin(1.0 / (2.0 * t))))
 
 
 def circle_hard_baseline(n: int, c: float = 1.0) -> Construction:

@@ -8,14 +8,15 @@ classes, and unrestricted labels may hold any finite real weights.
 A prototype set is two arrays, the (M, dim) positions and the
 (M, num_classes) labels, plus one label kind shared by every row. Their
 shapes are checked once, when the set is built; :func:`validate` then
-reports value errors. This module provides the label type, the set type,
-validation, and the JSON interchange format.
+reports value errors. This module provides the set type, exact
+probabilistic label rows, validation, and the JSON interchange format.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,7 +48,9 @@ def require_positive(name: str, value: int, least: int = 1) -> None:
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """Refuse a length or scale that is not a finite number above 0, naming the argument ``name``."""
+    """Refuse a length or scale that is not a real number (a bool is not one), finite and above 0, naming the argument ``name``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
 
@@ -66,50 +69,28 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-def _vector(values) -> np.ndarray:
-    """Label ``values`` as a read-only float vector; a scalar is one element, anything but a non-empty 1-D vector is refused."""
-    arr = _readonly(np.atleast_1d(values))
-    if arr.ndim != 1 or not arr.size:
-        raise ValueError(f"label values must be a non-empty 1-D vector, got shape {arr.shape}")
-    return arr
+def exact_label(weights: Sequence[Fraction]) -> np.ndarray:
+    """A probabilistic label row from exact rationals, as a read-only float vector.
 
-
-@dataclass(frozen=True, eq=False)
-class SoftLabel:
-    """A per-class weight vector tagged with its kind.
-
-    ``values[i]`` is the weight this label assigns to class ``i``. The kind
-    declares which structural invariant the values are supposed to satisfy;
-    use :func:`label_violations` or :func:`validate` to check it.
+    The sum-to-one constraint and the signs are checked symbolically
+    before any float conversion, so generated labels are valid by
+    construction rather than by floating-point luck.
     """
-
-    values: np.ndarray
-    kind: LabelKind = LabelKind.PROBABILISTIC
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _vector(self.values))
-        object.__setattr__(self, "kind", LabelKind(self.kind))
-
-    @classmethod
-    def from_exact(cls, weights: Sequence[Fraction]) -> "SoftLabel":
-        """Build a probabilistic label from exact rationals.
-
-        The sum-to-one constraint and the signs are checked symbolically
-        before any float conversion, so generated labels are valid by
-        construction rather than by floating-point luck.
-        """
-        fracs = [Fraction(w) for w in weights]
-        total = sum(fracs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"exact weights sum to {total}, expected 1")
-        if any(f < 0 for f in fracs):
-            raise ValueError("exact probabilistic weights must be non-negative")
-        return cls(np.array([float(f) for f in fracs]))
+    fracs = [Fraction(w) for w in weights]
+    total = sum(fracs, Fraction(0))
+    if total != 1:
+        raise ValueError(f"exact weights sum to {total}, expected 1")
+    if any(f < 0 for f in fracs):
+        raise ValueError("exact probabilistic weights must be non-negative")
+    return _readonly([float(f) for f in fracs])
 
 
-def label_violations(label: SoftLabel) -> list[str]:
-    """Return human-readable descriptions of every invariant the label breaks."""
-    return _label_violations(label.values[None], label.kind)[0]
+def label_violations(values, kind: LabelKind) -> list[str]:
+    """Describe every invariant of ``kind`` that the label row ``values`` breaks; a scalar is one element."""
+    row = _readonly(np.atleast_1d(values))
+    if row.ndim != 1 or not row.size:
+        raise ValueError(f"label values must be a non-empty 1-D vector, got shape {row.shape}")
+    return _label_violations(row[None], LabelKind(kind))[0]
 
 
 def _label_violations(labels: np.ndarray, kind: LabelKind) -> list[list[str]]:
@@ -215,23 +196,16 @@ def _check_rows(rows, what: str) -> np.ndarray | list[np.ndarray]:
 
 def make_prototype_set(
     positions: Iterable[Sequence[float]],
-    labels: Iterable[SoftLabel] | np.ndarray,
+    labels: Iterable[Sequence[float]],
     kind: LabelKind | None = None,
     name: str = "",
 ) -> PrototypeSet:
-    """Assemble a PrototypeSet from parallel position and label sequences.
+    """Assemble a PrototypeSet from parallel position and label rows.
 
-    ``labels`` may be SoftLabel objects, which must share one kind, or
-    plain rows (a list or an array), in which case ``kind`` applies to
-    every row. Ragged rows are rejected with the index of the first one.
+    ``kind`` applies to every label row and defaults to probabilistic. A
+    flat sequence of labels holds one class weight per prototype. Ragged
+    rows are rejected with the index of the first one.
     """
-    labels = np.atleast_2d(labels) if isinstance(labels, np.ndarray) else list(labels)
-    if len(labels) and isinstance(labels[0], SoftLabel):
-        kinds = {label.kind for label in labels}
-        if len(kinds) != 1:
-            raise ValueError(f"prototypes carry mixed label kinds: {sorted(k.value for k in kinds)}")
-        kind = kinds.pop()
-        labels = [label.values for label in labels]
     pos, labs = _check_rows(positions, "position"), _check_rows(labels, "label")
     return PrototypeSet(pos, labs, kind or LabelKind.PROBABILISTIC, name)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,6 +217,8 @@ def scaled_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
 
 def shifted_label_set(pset: PrototypeSet, c: float) -> PrototypeSet:
     """Add the same finite constant to every element of every label."""
+    if not isinstance(c, numbers.Real) or isinstance(c, bool):
+        raise ValueError(f"label shift must be a real number, got {c!r}")
     if not math.isfinite(c):
         raise ValueError(f"label shift must be finite, got {c}")
     return PrototypeSet(pset.positions, pset.labels + c, LabelKind.UNRESTRICTED, pset.name + f" (labels+{c})")

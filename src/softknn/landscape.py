@@ -485,13 +485,11 @@ def pgm_bytes(intensity: np.ndarray) -> bytearray:
 
 
 def class_csv_bytes(grid: RasterGrid) -> bytes:
-    lines = "\n".join(",".join(map(str, row.tolist())) for row in grid.classes)
-    return (lines + "\n").encode()
+    return b"".join((",".join(map(str, row.tolist())) + "\n").encode() for row in grid.classes)
 
 
 def confidence_csv_bytes(grid: RasterGrid) -> bytes:
-    lines = "\n".join(",".join(map(repr, row.tolist())) for row in grid.confidence)
-    return (lines + "\n").encode()
+    return b"".join((",".join(map(repr, row.tolist())) + "\n").encode() for row in grid.confidence)
 
 
 def write_ppm(grid: RasterGrid, path: str | Path) -> None:

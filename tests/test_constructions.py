@@ -12,7 +12,6 @@ from softknn import (
     Construction,
     LabelKind,
     RadialFitError,
-    SoftLabel,
     build_named,
     circle_hard_baseline,
     circle_prototype_count,
@@ -110,7 +109,7 @@ class TestNFromTwo:
         assert all(w >= 0 for w in weights)
         pset = n_from_two(n).set
         for row in pset.labels:
-            assert label_violations(SoftLabel(row, pset.label_kind)) == []
+            assert label_violations(row, pset.label_kind) == []
 
     @pytest.mark.parametrize("n", [2, 4, 7, 11])
     def test_second_label_is_reversal(self, n):
@@ -161,8 +160,7 @@ class TestStarPairs:
     def test_hub_label_sums_exactly_to_one(self):
         for m in range(2, 9):
             pset = star_pairs(m).set
-            hub = SoftLabel(pset.labels[0], pset.label_kind)
-            assert label_violations(hub) == []
+            assert label_violations(pset.labels[0], pset.label_kind) == []
             total = Fraction(3, 2 * m + 1) + (m - 1) * Fraction(2, 2 * m + 1)
             assert total == 1
 
@@ -208,7 +206,7 @@ class TestPolygonPairs:
         assert lab[2] == float(Fraction(3, 7))
         assert lab[5 + 2] == float(Fraction(2, 7))
         assert lab[5 + 1] == float(Fraction(2, 7))
-        assert label_violations(SoftLabel(lab, cons.set.label_kind)) == []
+        assert label_violations(lab, cons.set.label_kind) == []
 
     def test_claims(self):
         cons = polygon_pairs(4)
@@ -246,7 +244,7 @@ class TestPolygonWithCenter:
         for m in (4, 5, 6):
             pset = polygon_with_center(m).set
             for row in pset.labels:
-                assert label_violations(SoftLabel(row, pset.label_kind)) == []
+                assert label_violations(row, pset.label_kind) == []
 
     def test_hub_and_vertex_structure(self):
         cons = polygon_with_center(4)
@@ -305,8 +303,8 @@ class TestFitRadialLabels:
         fit = fit_radial_labels(ELLIPSE_POSITIONS, [1.0, 2.0], 3)
         assert fit.residual < 1e-12
         assert fit.history == (fit.residual,)
-        for label, row in zip(fit.labels, init):
-            np.testing.assert_array_equal(label.values, row)
+        np.testing.assert_array_equal(fit.labels, init)
+        assert not fit.labels.flags.writeable
         # One class has no crossing to measure.
         one = fit_radial_labels(ELLIPSE_POSITIONS, [], 1)
         assert (one.residual, one.history, one.realized) == (0.0, (0.0,), ())
@@ -369,8 +367,11 @@ class TestFitRadialLabels:
 
     @pytest.mark.parametrize(
         "r_max, message",
-        [(math.nan, "positive, got nan"), (math.inf, "finite, got inf"), (0.0, "positive, got 0.0"), (-2.0, "positive, got -2.0")],
-        ids=["nan", "inf", "zero", "negative"],
+        [
+            (math.nan, "positive, got nan"), (math.inf, "finite, got inf"), (0.0, "positive, got 0.0"),
+            (-2.0, "positive, got -2.0"), ("a", "a real number, got 'a'"), (True, "a real number, got True"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "string", "bool"],
     )
     def test_rejects_bad_r_max(self, r_max, message):
         # A NaN r_max used to return a fit whose residual was NaN.
@@ -474,6 +475,16 @@ class TestCircleHardBaseline:
         with pytest.raises(ValueError, match="c must be positive, got 0"):
             circle_hard_baseline(3, c=0)
 
+    @pytest.mark.parametrize("t, count", [(26096, 81984), (10**6, 3141593)])
+    def test_count_pinned_where_arccos_lost_precision(self, t, count):
+        # acos(1 - 1/(2t^2)) gave 81983 and 3141454 here, one or more prototypes too few.
+        assert circle_prototype_count(t) == count
+        assert 2 * t * math.sin(math.pi / (2 * count)) < 1.0
+
+    def test_count_of_a_huge_circle(self):
+        # Past about t = 9.5e7, 1 - 1/(2t^2) rounds to 1 and acos of it to 0, which raised ZeroDivisionError.
+        assert circle_prototype_count(10**9) == 3141592654
+
     def test_count_rejects_circle_index_zero(self):
         with pytest.raises(ValueError, match="circle index must be >= 1, got 0"):
             circle_prototype_count(0)
@@ -540,7 +551,11 @@ def test_non_integer_prototype_or_class_count_refused(build, name, count):
     ],
     ids=["n_from_two", "star_pairs", "polygon_pairs", "circle_hard_baseline", "circle_soft_fit"],
 )
-@pytest.mark.parametrize("length, message", [(math.inf, "finite, got inf"), (math.nan, "positive, got nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "length, message",
+    [(math.inf, "finite, got inf"), (math.nan, "positive, got nan"), ("a", "a real number, got 'a'"), (True, "a real number, got True")],
+    ids=["inf", "nan", "string", "bool"],
+)
 def test_non_finite_length_refused(build, name, length, message):
     # An infinite spacing used to build a set with infinite positions,
     # which its own verify then failed.

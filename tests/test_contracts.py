@@ -333,7 +333,7 @@ UNREAD_PUBLIC_NAMES = {
     "scaled_label_set": "the invariance tests compare the stacked label scalings against it",
     "shifted_label_set": "the invariance tests compare the stacked label shifts against it",
     "verify_hard_label_oracle": "acceptance test 8 runs it",
-    "label_violations": "it is the one check of a lone SoftLabel",
+    "label_violations": "it is the one check of a lone label row",
     "RadialFit.realized": "test_realized_crossings_pinned pins the measured crossings bit for bit",
     "RasterGrid.exact_hits": "the raster tests check which cells hit a prototype",
 }

@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import softknn
 from softknn import (
     COINCIDENT_TOL,
     LabelKind,
     PrototypeSet,
-    SoftLabel,
     evaluate_points,
+    exact_label,
     from_json_dict,
     label_violations,
     load_json,
@@ -68,16 +69,13 @@ class TestValidate:
         assert validate(pset) == expected
 
     def test_probabilistic_sum_violation(self):
-        label = SoftLabel(np.array([0.5, 0.4]), LabelKind.PROBABILISTIC)
-        assert any("sum" in v for v in label_violations(label))
+        assert any("sum" in v for v in label_violations(np.array([0.5, 0.4]), LabelKind.PROBABILISTIC))
 
     def test_hard_must_be_one_hot(self):
-        label = SoftLabel(np.array([0.5, 0.5]), LabelKind.HARD)
-        assert label_violations(label)
+        assert label_violations(np.array([0.5, 0.5]), LabelKind.HARD)
 
     def test_non_finite_rejected(self):
-        label = SoftLabel(np.array([np.inf, 0.0]), LabelKind.UNRESTRICTED)
-        assert label_violations(label) == ["non-finite element"]
+        assert label_violations(np.array([np.inf, 0.0]), LabelKind.UNRESTRICTED) == ["non-finite element"]
 
     def test_dimension_mismatch_reported_with_index(self):
         with pytest.raises(ValueError, match="^prototype 1:"):
@@ -95,7 +93,7 @@ def _pair_loop_validate(pset):
     for i, (position, label) in enumerate(zip(pos, pset.labels)):
         if not np.all(np.isfinite(position)):
             errors.append(f"prototype {i}: non-finite position")
-        errors.extend(f"prototype {i}: {msg}" for msg in label_violations(SoftLabel(label, pset.label_kind)))
+        errors.extend(f"prototype {i}: {msg}" for msg in label_violations(label, pset.label_kind))
     if np.all(np.isfinite(pos)):
         for i in range(len(pos) - 1):
             close = np.linalg.norm(pos[i] - pos[i + 1 :], axis=1) < COINCIDENT_TOL
@@ -227,7 +225,7 @@ class TestLabelChecksAtOnce:
                 warnings.simplefilter("error")
                 assert validate(pset) == _row_loop_validate(pset)
             for row in pset.labels[:12]:
-                assert label_violations(SoftLabel(row, kind)) == _row_label_violations(row, kind)
+                assert label_violations(row, kind) == _row_label_violations(row, kind)
 
     def test_sums_off_by_an_ulp_print_their_own_repr(self):
         # Twelve classes sum pairwise, not left to right; the message quotes the sum the row check took.
@@ -259,11 +257,15 @@ class TestImmutability:
             [(0.0, 0.0), (3.0, 0.0)], np.array([[0.6, 0.4], [0.4, 0.6]])
         )
         with pytest.raises(ValueError):
-            SoftLabel([0.6, 0.4]).values[0] = 9.0
-        with pytest.raises(ValueError):
             pset.positions[0, 0] = 9.0
         with pytest.raises(ValueError):
             pset.labels[0, 0] = 9.0
+
+    def test_exact_label_is_a_read_only_row(self):
+        row = exact_label([Fraction(3, 5), Fraction(2, 5)])
+        assert row.shape == (2,) and row.dtype == float
+        with pytest.raises(ValueError):
+            row[0] = 9.0
 
 
 class TestShapes:
@@ -290,7 +292,7 @@ class TestShapes:
         # A (2, 2) label used to be accepted, and label_violations then
         # raised IndexError; an empty one reached numpy's reductions.
         with pytest.raises(ValueError, match=rf"^label values must be a non-empty 1-D vector, got shape {re.escape(shape)}$"):
-            SoftLabel(values)
+            label_violations(values, LabelKind.UNRESTRICTED)
 
 
 class TestMemoryOrder:
@@ -309,21 +311,20 @@ class TestMemoryOrder:
 class TestExactConstruction:
     def test_from_exact_checks_sum(self):
         with pytest.raises(ValueError, match="sum"):
-            SoftLabel.from_exact([Fraction(1, 2), Fraction(1, 3)])
+            exact_label([Fraction(1, 2), Fraction(1, 3)])
 
     def test_from_exact_checks_sign(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SoftLabel.from_exact([Fraction(3, 2), Fraction(-1, 2)])
-
-    def test_from_exact_takes_no_kind(self):
-        # Every exact label is probabilistic: (1/2, 1/2) cannot be built as a hard one.
-        with pytest.raises(TypeError):
-            SoftLabel.from_exact([Fraction(1, 2), Fraction(1, 2)], LabelKind.HARD)
+            exact_label([Fraction(3, 2), Fraction(-1, 2)])
 
     def test_from_exact_valid(self):
-        label = SoftLabel.from_exact([Fraction(3, 5), Fraction(2, 5)])
-        assert label.kind == LabelKind.PROBABILISTIC
-        assert label_violations(label) == []
+        label = exact_label([Fraction(3, 5), Fraction(2, 5)])
+        assert label.tolist() == [0.6, 0.4]
+        assert label_violations(label, LabelKind.PROBABILISTIC) == []
+
+    def test_labels_are_rows_only(self):
+        # A label is a row of the set's labels array; there is no label object.
+        assert not hasattr(softknn, "SoftLabel") and not hasattr(softknn.core, "SoftLabel")
 
 
 class TestJson:
@@ -359,16 +360,6 @@ class TestJson:
         save_json(pset, a)
         save_json(pset, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            make_prototype_set(
-                [(0.0, 0.0), (1.0, 0.0)],
-                [
-                    SoftLabel(np.array([1.0, 0.0]), LabelKind.HARD),
-                    SoftLabel(np.array([0.5, 0.5]), LabelKind.PROBABILISTIC),
-                ],
-            )
 
     @pytest.mark.parametrize(
         "change",
@@ -439,6 +430,14 @@ class TestJson:
         assert pset.labels.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         scalars = make_prototype_set([0.0, 1.0], np.eye(2), kind=LabelKind.HARD)
         assert scalars.positions.tolist() == [[0.0], [1.0]]
+
+    def test_flat_labels_are_one_class_column_as_array_or_list(self):
+        # A 1-D array of labels was once read as one row of two classes and refused.
+        from_array = make_prototype_set([[0, 0], [1, 0]], np.array([1.0, 2.0]), kind=LabelKind.UNRESTRICTED)
+        from_list = make_prototype_set([[0, 0], [1, 0]], [1.0, 2.0], kind=LabelKind.UNRESTRICTED)
+        assert from_array.labels.tolist() == from_list.labels.tolist() == [[1.0], [2.0]]
+        assert from_array.positions.tobytes() == from_list.positions.tobytes()
+        assert to_json_dict(from_array) == to_json_dict(from_list)
 
     def test_label_kind_round_trips_all_kinds(self, tmp_path):
         for kind in LabelKind:

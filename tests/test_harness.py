@@ -200,8 +200,12 @@ class TestInvariances:
             (scaled_label_set, math.nan, "label scale must be positive, got nan"),
             (shifted_label_set, math.nan, "label shift must be finite, got nan"),
             (shifted_label_set, -math.inf, "label shift must be finite, got -inf"),
+            (scaled_label_set, "a", "label scale must be a real number, got 'a'"),
+            (scaled_label_set, True, "label scale must be a real number, got True"),
+            (shifted_label_set, "a", "label shift must be a real number, got 'a'"),
+            (shifted_label_set, True, "label shift must be a real number, got True"),
         ],
-        ids=["scale-inf", "scale-nan", "shift-nan", "shift-minus-inf"],
+        ids=["scale-inf", "scale-nan", "shift-nan", "shift-minus-inf", "scale-string", "scale-bool", "shift-string", "shift-bool"],
     )
     def test_non_finite_constant_refused(self, build, c, message):
         # These used to build sets of inf or NaN labels without a word.
